@@ -9,10 +9,34 @@ The SAT core is a conventional CDCL: two watched literals, first-UIP
 conflict analysis, VSIDS-style activity, Luby restarts, phase saving.
 No preprocessing.  A conflict budget turns into a BUDGET outcome so the
 caller can report unknown instead of looping forever.
+
+Its state lives in flat lists, as in MiniSat (Een & Sorensson, "An
+Extensible SAT-solver", SAT 2003).  Per-literal data (values, watch
+lists) has 2n+1 slots, and a literal is its own index: slot `lit` for
+positive literals, and Python's negative indexing puts -n..-1 in the
+upper half.  So `val[lit]` and `watches[lit]` need no translation.
+
+Loading copies the input clauses, so the caller's CnfInstance is never
+changed.  A 2- or 3-literal clause of distinct, non-complementary,
+unassigned literals (nearly all bit-blaster output) is stored as is.
+Any other clause is deduplicated, dropped if it is a tautology, and
+stripped of literals false at level 0; a unit is enqueued but not
+propagated until search starts.  Literals must be nonzero with magnitude
+at most num_vars.
+
+The VSIDS order is a lazy binary heap of (-activity, var) entries.
+`pushed[v]` is the activity in v's newest entry.  A variable is pushed
+when it is bumped while free, or freed by backtracking after a bump or
+after pick_branch popped its newest entry; otherwise its entry is still
+there.  So every free variable has an entry keyed by its current
+activity, the heap holds no duplicates, and the pick is always the free
+variable of highest activity, ties to the lowest index.  When activities
+are rescaled past 1e100 the heap is rebuilt from the scaled values.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -400,41 +424,78 @@ def _luby(i: int) -> int:
 class _Cdcl:
     RESTART_UNIT = 100
     VAR_DECAY = 0.95
+    RESCALE_AT = 1e100
 
     def __init__(self, num_vars: int, clauses: list):
-        self.n = num_vars
-        self.clauses = []          # each: list of literals
-        self.watches = {}          # literal -> clause indices watching it
-        self.assign = [None] * (num_vars + 1)
-        self.level = [0] * (num_vars + 1)
-        self.reason = [None] * (num_vars + 1)
+        n = self.n = num_vars
+        self.clauses = []          # each: a list of literals, owned here
+        # Literal-indexed: slot `lit` for lit in -n..n (negative literals
+        # index from the end).  val[lit] is 1 true, -1 false, 0 free.
+        self.val = [0] * (2 * n + 1)
+        self.level = [0] * (n + 1)
+        self.reason = [None] * (n + 1)
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.activity = [0.0] * (num_vars + 1)
+        self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
-        self.saved_phase = [False] * (num_vars + 1)
-        self.order = [(0.0, v) for v in range(1, num_vars + 1)]
-        heapq.heapify(self.order)
+        self.saved_phase = [False] * (n + 1)
+        self.order = [(0.0, v) for v in range(1, n + 1)]  # sorted: a heap
+        # pushed[v]: the activity in v's newest heap entry, or -1.0 once
+        # pick_branch has popped that entry.
+        self.pushed = [0.0] * (n + 1)
+        self.seen = [False] * (n + 1)
         self.decisions = 0
         self.conflicts = 0
         self.propagations = 0
-        self.ok = True
+        # Loading allocates a list per clause and makes no reference
+        # cycles; with the cyclic collector paused it does not rescan the
+        # growing heap every few hundred allocations.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.watches = [[] for _ in range(2 * n + 1)]
+            self.ok = self._load(clauses)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _load(self, clauses: list) -> bool:
+        """Add the input clauses; False if one is empty at level 0."""
+        val = self.val
+        watches = self.watches
+        store = self.clauses
+        ci = 0
         for c in clauses:
+            # Fast path: distinct, non-complementary, unassigned literals
+            # need no dedupe or filtering (most bit-blaster clauses).
+            size = len(c)
+            if size == 3:
+                a, b, d = c
+                if (a != b and a != -b and a != d and a != -d
+                        and b != d and b != -d
+                        and not (val[a] or val[b] or val[d])):
+                    watches[a].append(ci)
+                    watches[b].append(ci)
+                    store.append([a, b, d])
+                    ci += 1
+                    continue
+            elif size == 2:
+                a, b = c
+                if a != b and a != -b and not (val[a] or val[b]):
+                    watches[a].append(ci)
+                    watches[b].append(ci)
+                    store.append([a, b])
+                    ci += 1
+                    continue
             if not self.add_clause(c):
-                self.ok = False
-                break
-
-    def watch(self, lit: int, ci: int):
-        self.watches.setdefault(lit, []).append(ci)
-
-    def value(self, lit: int):
-        v = self.assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+                return False
+            ci = len(store)
+        return True
 
     def add_clause(self, lits: list) -> bool:
+        """Add one clause at level 0: drop duplicates and literals false
+        at level 0, skip tautologies, enqueue (not propagate) a unit."""
         seen = set()
         out = []
         for lit in lits:
@@ -443,135 +504,211 @@ class _Cdcl:
             if lit not in seen:
                 seen.add(lit)
                 out.append(lit)
-        out = [l for l in out if self.value(l) is not False or self.level[abs(l)] > 0]
+        val = self.val
+        out = [l for l in out if val[l] != -1]
         if not out:
             return False
         if len(out) == 1:
-            if self.value(out[0]) is False:
-                return False
-            if self.value(out[0]) is None:
+            if not val[out[0]]:
                 self.enqueue(out[0], None)
             return True
         ci = len(self.clauses)
         self.clauses.append(out)
-        self.watch(out[0], ci)
-        self.watch(out[1], ci)
+        self.watches[out[0]].append(ci)
+        self.watches[out[1]].append(ci)
         return True
 
     def enqueue(self, lit: int, reason):
-        v = abs(lit)
-        self.assign[v] = lit > 0
+        self.val[lit] = 1
+        self.val[-lit] = -1
+        v = lit if lit > 0 else -lit
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
     def propagate(self):
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            false_lit = -lit
-            watchers = self.watches.get(false_lit, [])
+        """Unit-propagate the trail from qhead; a conflict clause index
+        or None.  Watchers are visited in list order and a moved watch is
+        swap-removed, so the trail order is a function of the clause
+        order alone."""
+        trail = self.trail
+        val = self.val
+        watches = self.watches
+        clauses = self.clauses
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        start = qhead = self.qhead
+        conflict = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_lit]
             i = 0
-            while i < len(watchers):
+            end = len(watchers)
+            while i < end:
                 ci = watchers[i]
-                cl = self.clauses[ci]
-                if cl[0] == false_lit:
-                    cl[0], cl[1] = cl[1], cl[0]
+                cl = clauses[ci]
+                first = cl[0]
+                if first == false_lit:
+                    first = cl[1]
+                    cl[0] = first
+                    cl[1] = false_lit
                 # cl[1] is the false literal now
-                if self.value(cl[0]) is True:
+                first_val = val[first]
+                if first_val == 1:
                     i += 1
                     continue
-                moved = False
-                for j in range(2, len(cl)):
-                    if self.value(cl[j]) is not False:
-                        cl[1], cl[j] = cl[j], cl[1]
-                        self.watch(cl[1], ci)
-                        watchers[i] = watchers[-1]
+                j = 2
+                size = len(cl)
+                while j < size:
+                    q = cl[j]
+                    if val[q] != -1:
+                        cl[1] = q
+                        cl[j] = false_lit
+                        watches[q].append(ci)
+                        end -= 1
+                        watchers[i] = watchers[end]
                         watchers.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if self.value(cl[0]) is False:
-                    return ci  # conflict
-                self.enqueue(cl[0], ci)
-                i += 1
-        return None
+                    j += 1
+                else:
+                    if first_val == -1:
+                        conflict = ci
+                        break
+                    val[first] = 1
+                    val[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = lvl
+                    reason[v] = ci
+                    trail.append(first)
+                    i += 1
+            if conflict is not None:
+                break
+        self.qhead = qhead
+        self.propagations += qhead - start
+        return conflict
 
-    def bump(self, v: int):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for i in range(1, self.n + 1):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
-        if self.assign[v] is None:
-            heapq.heappush(self.order, (-self.activity[v], v))
+    def _rescale(self):
+        """Scale activities down and rebuild the heap from them, so no
+        entry keyed by a pre-rescale activity outranks a fresh one."""
+        activity = self.activity
+        for i in range(1, self.n + 1):
+            activity[i] *= 1e-100
+        self.var_inc *= 1e-100
+        val = self.val
+        pushed = self.pushed
+        order = self.order
+        order.clear()
+        for v in range(1, self.n + 1):
+            if val[v]:
+                pushed[v] = -1.0
+            else:
+                pushed[v] = activity[v]
+                order.append((-activity[v], v))
+        heapq.heapify(order)
 
     def analyze(self, conflict_ci: int):
         # First-UIP: walk the implication graph backwards along the trail.
         # A propagated literal sits at index 0 of its reason clause, so
-        # reason clauses are scanned from index 1.
-        learned = []
-        seen = [False] * (self.n + 1)
+        # reason clauses are scanned from index 1.  Every literal met is
+        # false, so bumping a variable never pushes a heap entry here;
+        # backtrack pushes it on unassignment.
+        clauses = self.clauses
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        activity = self.activity
+        seen = self.seen
+        inc = self.var_inc
+        learned = [0]
         counter = 0
         ci = conflict_ci
-        first = True
-        idx = len(self.trail) - 1
+        first = 0
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         while True:
-            cl = self.clauses[ci]
-            for q in (cl if first else cl[1:]):
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+            cl = clauses[ci]
+            for j in range(first, len(cl)):
+                q = cl[j]
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self.bump(v)
-                    if self.level[v] == cur_level:
+                    activity[v] += inc
+                    if activity[v] > self.RESCALE_AT:
+                        self._rescale()
+                        inc = self.var_inc
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learned.append(q)
-            first = False
-            while not seen[abs(self.trail[idx])]:
+            first = 1
+            lit = trail[idx]
+            while not seen[lit if lit > 0 else -lit]:
                 idx -= 1
-            lit = -self.trail[idx]
-            v = abs(lit)
+                lit = trail[idx]
+            v = lit if lit > 0 else -lit
             seen[v] = False
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            ci = self.reason[v]
-        learned.insert(0, lit)
-        if len(learned) == 1:
-            back = 0
-        else:
-            levels = sorted((self.level[abs(l)] for l in learned[1:]), reverse=True)
-            back = levels[0]
-            mi = max(range(1, len(learned)),
-                     key=lambda i: self.level[abs(learned[i])])
+            ci = reason[v]
+        learned[0] = -lit
+        back = 0
+        mi = 1
+        for j in range(1, len(learned)):
+            q = learned[j]
+            v = q if q > 0 else -q
+            seen[v] = False
+            if level[v] > back:
+                back = level[v]
+                mi = j
+        if len(learned) > 2:
             learned[1], learned[mi] = learned[mi], learned[1]
         return learned, back
 
     def backtrack(self, level: int):
-        while self.trail_lim and len(self.trail_lim) > level:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                lit = self.trail.pop()
-                v = abs(lit)
-                self.saved_phase[v] = lit > 0
-                self.assign[v] = None
-                self.reason[v] = None
-                heapq.heappush(self.order, (-self.activity[v], v))
-        self.qhead = len(self.trail)
+        trail_lim = self.trail_lim
+        trail = self.trail
+        if len(trail_lim) > level:
+            limit = trail_lim[level]
+            del trail_lim[level:]
+            val = self.val
+            saved_phase = self.saved_phase
+            activity = self.activity
+            pushed = self.pushed
+            order = self.order
+            for i in range(len(trail) - 1, limit - 1, -1):
+                lit = trail[i]
+                val[lit] = 0
+                val[-lit] = 0
+                if lit > 0:
+                    v = lit
+                    saved_phase[v] = True
+                else:
+                    v = -lit
+                    saved_phase[v] = False
+                a = activity[v]
+                if pushed[v] != a:
+                    pushed[v] = a
+                    heapq.heappush(order, (-a, v))
+            del trail[limit:]
+        self.qhead = len(trail)
 
     def pick_branch(self):
         # Lazy heap: entries for assigned variables are popped and
-        # dropped; backtrack re-pushes on unassignment, so every free
-        # variable always has at least one live entry.
-        while self.order:
-            _, v = self.order[0]
-            if self.assign[v] is not None:
-                heapq.heappop(self.order)
+        # dropped; the module docstring says why the top free entry is
+        # the free variable of highest activity.
+        order = self.order
+        val = self.val
+        pushed = self.pushed
+        while order:
+            key, v = order[0]
+            if val[v]:
+                heapq.heappop(order)
+                if pushed[v] == -key:
+                    pushed[v] = -1.0
                 continue
             return v if self.saved_phase[v] else -v
         return 0
@@ -603,8 +740,8 @@ class _Cdcl:
                 else:
                     ci = len(self.clauses)
                     self.clauses.append(learned)
-                    self.watch(learned[0], ci)
-                    self.watch(learned[1], ci)
+                    self.watches[learned[0]].append(ci)
+                    self.watches[learned[1]].append(ci)
                     self.enqueue(learned[0], ci)
                 self.var_inc /= self.VAR_DECAY
                 continue
@@ -635,8 +772,7 @@ def solve(cnf: CnfInstance,
     outcome = SolverOutcome(status, None, engine.decisions,
                             engine.conflicts, engine.propagations)
     if status == SAT:
-        assign = [bool(v) for v in (engine.assign[i] for i in range(cnf.num_vars + 1))]
-        outcome.model = decode_model(assign, cnf)
+        outcome.model = decode_model([x == 1 for x in engine.val[:cnf.num_vars + 1]], cnf)
     return outcome
 
 

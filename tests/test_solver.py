@@ -1,5 +1,6 @@
 """Bitblasting, CDCL behavior, and the DIMACS/SMT-LIB emitters."""
 
+import copy
 import random
 import shutil
 import subprocess
@@ -7,14 +8,15 @@ import time
 
 import pytest
 
+from kinduct.driver import KInductionConfig, load_program
 from kinduct.frontend import Binary, Const, IntType, Var
 from kinduct.solver import (
-    BUDGET, SAT, UNSAT, CnfInstance, SolverError, _luby, bitblast,
+    BUDGET, SAT, UNSAT, CnfInstance, SolverError, _Cdcl, _luby, bitblast,
     emit_dimacs, emit_smtlib, solve,
 )
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import VcFormula, encode, to_ssa
-from conftest import compile_mc
+from conftest import compile_mc, corpus_path
 
 U4 = IntType(4, False)
 S4 = IntType(4, True)
@@ -236,3 +238,109 @@ def test_random_cnf_agrees_with_truth_table():
         out = solve(CnfInstance(n, clauses))
         expected = SAT if brute_sat(n, clauses) else UNSAT
         assert out.status == expected, (case, n, clauses)
+
+
+def named(num_vars, clauses):
+    """A CNF whose model names every variable: v1, v2, ..."""
+    bit_map = {(f"v{v}", 0): v for v in range(1, num_vars + 1)}
+    return CnfInstance(num_vars, clauses, bit_map,
+                       {name: B1 for name, _ in bit_map})
+
+
+@pytest.mark.parametrize("num_vars,clauses", [
+    (3, [[2, 2, 3], [-3]]),                   # duplicate literal
+    (3, [[2, 2, 3], [-3], [-2, -2]]),
+    (3, [[2, -2, 3], [-3]]),                  # tautology
+    (3, [[2, -2], [-2, 2, 2]]),
+    (3, [[2], [-2, 3], [-2, -3]]),            # literal false at level 0
+    (3, [[2], [-2, 3], [-3, 1]]),
+    (3, [[-2, 3], [2], [1, 2, 3], [-3, -2]]),
+    (3, [[1, 2], []]),                        # empty clause
+    (3, [[]]),
+    (3, [[1, 2, 3], [-1, 2], [-2], [-3]]),    # units after non-units
+    (3, [[1, 2, 3], [-1, 2], [-3], [1]]),
+    (3, [[1, 2], [1, 2], [-1, -2], [-1, -2], [1, -2]]),
+])
+def test_loader_special_cases_agree_with_truth_table(num_vars, clauses):
+    out = solve(named(num_vars, clauses))
+    assert out.status == (SAT if brute_sat(num_vars, clauses) else UNSAT)
+    if out.status == SAT:
+        for cl in clauses:
+            assert any(out.model[f"v{abs(l)}"] == (l > 0) for l in cl), cl
+
+
+def corpus_query(name, phase, k):
+    """The CNF the driver discharges for one corpus program, phase and k."""
+    g = load_program(str(corpus_path(name)), KInductionConfig())
+    return bitblast(encode(to_ssa(unwind(g, k, phase)), phase))
+
+
+# Recorded before the solver core moved to literal-indexed arrays; any
+# change to a decision, propagation or learned clause moves these counts.
+SEARCH_GOLDENS = [
+    (lambda: solve(php(5, 4)), (UNSAT, 38, 28, 297)),
+    (lambda: solve(php(6, 5)), (UNSAT, 186, 151, 1782)),
+    (lambda: solve(php(6, 5), conflict_limit=3), (BUDGET, 13, 3, 44)),
+    (lambda: solve(corpus_query("mod_wrong_bug.mc", Phase.BASE, 7)),
+     (SAT, 333, 7, 12610)),
+    (lambda: solve(corpus_query("fig1_unsigned.mc", Phase.INDUCTIVE, 2)),
+     (UNSAT, 64, 33, 11935)),
+]
+
+
+@pytest.mark.parametrize("run,expected", SEARCH_GOLDENS)
+def test_search_steps_match_goldens(run, expected):
+    out = run()
+    assert (out.status, out.decisions, out.conflicts,
+            out.propagations) == expected
+
+
+def test_search_golden_model():
+    out = solve(corpus_query("mod_wrong_bug.mc", Phase.BASE, 7))
+    k = {f"k!{i}": 7 - i for i in range(8)}
+    i = {f"i!{i}": i for i in range(8)}
+    dz = {f"dz1@{i}": 0 for i in range(1, 8)}
+    assert out.model == {"nd0": 7, "main.ret!0": 0, "main.ret!1": 0,
+                         **k, **i, **dz}
+
+
+def test_solve_leaves_cnf_intact_and_repeats_exactly():
+    cnf = corpus_query("fig1_unsigned.mc", Phase.INDUCTIVE, 2)
+    before = copy.deepcopy(cnf.clauses)
+    runs = [solve(cnf) for _ in range(2)]
+    assert cnf.clauses == before
+    counts = [(r.status, r.decisions, r.conflicts, r.propagations)
+              for r in runs]
+    assert counts[0] == counts[1]
+
+
+def assert_heap_exact(engine):
+    """Each free variable has an entry keyed by its current activity and
+    none keyed higher; no entry repeats."""
+    order = set(engine.order)
+    assert len(order) == len(engine.order)
+    for v in range(1, engine.n + 1):
+        if engine.val[v] == 0:
+            assert (-engine.activity[v], v) in order
+            assert all(key >= -engine.activity[v]
+                       for key, u in order if u == v)
+
+
+@pytest.mark.parametrize("var_inc", [1.0, 1e99])
+def test_vsids_heap_stays_exact(var_inc):
+    # With var_inc at 1e99 a few bumps pass the rescale threshold.
+    engine = _Cdcl(30, php(6, 5).clauses)
+    engine.var_inc = var_inc
+    assert engine.solve(60) == BUDGET
+    assert_heap_exact(engine)
+    if var_inc > 1.0:
+        assert engine.var_inc < 1e90 and max(engine.activity) < 1e100
+
+
+@pytest.mark.parametrize("pigeons,holes,expected",
+                         [(5, 4, UNSAT), (4, 4, SAT)])
+def test_activity_rescale_keeps_answers(pigeons, holes, expected):
+    cnf = php(pigeons, holes)
+    engine = _Cdcl(cnf.num_vars, cnf.clauses)
+    engine.var_inc = 1e99
+    assert engine.solve(10 ** 6) == expected
