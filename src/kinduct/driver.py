@@ -9,6 +9,9 @@ invariants over-approximate the program: the proof is trusted only
 after a strengthened base case at k+increment finds no counterexample.
 force_basecase is never reset, so the algorithm always terminates at
 that re-check.
+
+Within one run each distinct CNF is searched once: a loop-free program,
+for one, poses the same query as BASE k=1, FORWARD k=2 and the re-check.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ class _Checker:
         self.cfg = cfg
         self.deadline = time.monotonic() + cfg.timeout_seconds
         self.phase_log: list = []
+        self.outcomes: dict = {}  # solve's memo for this run
 
     def _discharge(self, phase: Phase, k: int):
         if time.monotonic() > self.deadline:
@@ -90,7 +94,7 @@ class _Checker:
         f = encode(to_ssa(u), phase)
         cnf = bitblast(f)
         self._emit(phase, k, f, cnf)
-        out = solve(cnf, self.cfg.conflict_limit, self.deadline)
+        out = solve(cnf, self.cfg.conflict_limit, self.deadline, self.outcomes)
         if out.status == BUDGET:
             raise _Exhausted
         return out, u

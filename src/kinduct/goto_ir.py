@@ -49,7 +49,6 @@ class Instr:
     target: int | None = None
     loc: Loc | None = None
     nid: int | None = None  # draw id for HAVOC
-    is_init: bool = False   # concrete initializer (part of I)
     tag: str = ""           # provenance marker for transformed programs
     loop_id: int | None = None
     # Set on unwound copies: original instruction index and the copy
@@ -292,7 +291,7 @@ class _Lowerer:
                 init = Const(0, ty=g.decl_ty, loc=g.loc)
             tree.append(OpItem(Instr(
                 "ASSIGN", var=g.rid, expr=clone_expr(init, self.nids),
-                loc=g.loc, is_init=isinstance(init, Const))))
+                loc=g.loc)))
         main = self.prog.function(self.prog.entry)
         body, _ = self.single_exit(main.body.stmts)
         # The entry function's return value is never observed, so its
@@ -391,8 +390,7 @@ class _Lowerer:
             if init is None:
                 init = Nondet(star=True, ty=s.decl_ty, loc=s.loc)
             out, expr = self.lower_expr(init, rename)
-            out.append(OpItem(Instr("ASSIGN", var=name, expr=expr, loc=s.loc,
-                                    is_init=isinstance(expr, Const))))
+            out.append(OpItem(Instr("ASSIGN", var=name, expr=expr, loc=s.loc)))
             return out
         if isinstance(s, Assign):
             name = rename.get(s.rid, s.rid)

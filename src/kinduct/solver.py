@@ -5,10 +5,19 @@ first.  Gates are cached per expression node so shared subterms blast
 once.  Propositional variable 1 is reserved as the constant TRUE, which
 lets constant bits be plain literals instead of special cases.
 
+Only names without a definition get fresh variables.  A defined name is
+bound to the literals its right-hand side blasts to, so a constant
+initialiser and everything computed from it fold into constant bits at
+blast time, and copying or negating a word adds no clause.  A symbol bit
+may therefore be any literal, negated or constant; `bit_map` records it
+and `decode_model` reads it.  The expression walk keeps an explicit
+stack, so deep unwindings do not hit Python's recursion limit.
+
 The SAT core is a conventional CDCL: two watched literals, first-UIP
 conflict analysis, VSIDS-style activity, Luby restarts, phase saving.
 No preprocessing.  A conflict budget turns into a BUDGET outcome so the
-caller can report unknown instead of looping forever.
+caller can report unknown instead of looping forever.  A caller may pass
+a memo that answers an instance it has already solved without a search.
 
 Its state lives in flat lists, as in MiniSat (Een & Sorensson, "An
 Extensible SAT-solver", SAT 2003).  Per-literal data (values, watch
@@ -37,8 +46,11 @@ are rescaled past 1e100 the heap is rebuilt from the scaled values.
 from __future__ import annotations
 
 import gc
+import hashlib
 import heapq
+import marshal
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .frontend import (
@@ -64,7 +76,7 @@ class SolverError(Exception):
 class CnfInstance:
     num_vars: int = 1
     clauses: list = field(default_factory=list)
-    bit_map: dict = field(default_factory=dict)   # (symbol, bit) -> var
+    bit_map: dict = field(default_factory=dict)   # (symbol, bit) -> literal
     symbols: dict = field(default_factory=dict)   # symbol -> IntType
 
 
@@ -290,16 +302,34 @@ class _Blaster:
 
     # -- expression walk ----------------------------------------------------
 
-    def blast(self, e: Expr, symbol_bits: dict) -> list:
-        cached = self.cache.get(id(e))
-        if cached is not None:
-            return cached
-        bits = self._blast(e, symbol_bits)
-        assert len(bits) == e.ty.width
-        self.cache[id(e)] = bits
-        return bits
+    def blast(self, root: Expr, symbol_bits: dict) -> list:
+        """The bit vector of `root`.  The walk is an explicit post-order
+        stack, not recursion: guard and assume-prefix chains grow with the
+        unwinding depth and would pass Python's recursion limit.  Operands
+        are blasted left to right, each node once (cached by identity)."""
+        cache = self.cache
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in cache:
+                stack.pop()
+                continue
+            operands = _operands(e)
+            ready = True
+            for o in reversed(operands):
+                if id(o) not in cache:
+                    stack.append(o)
+                    ready = False
+            if ready:
+                stack.pop()
+                bits = self._node(e, [cache[id(o)] for o in operands],
+                                  symbol_bits)
+                assert len(bits) == e.ty.width
+                cache[id(e)] = bits
+        return cache[id(root)]
 
-    def _blast(self, e: Expr, symbol_bits: dict) -> list:
+    def _node(self, e: Expr, args: list, symbol_bits: dict) -> list:
+        """Gates for one node, given the bit vectors of its operands."""
         ty = e.ty
         if isinstance(e, Const):
             return self.const_bits(e.value, ty.width)
@@ -308,7 +338,7 @@ class _Blaster:
         if isinstance(e, Nondet):
             raise SolverError("formula contains an unsubstituted nondet")
         if isinstance(e, Unary):
-            a = self.blast(e.operand, symbol_bits)
+            a = args[0]
             if e.op == "-":
                 return self.v_neg(a)
             if e.op == "~":
@@ -317,27 +347,20 @@ class _Blaster:
                 return self.bool_word(-self.v_nonzero(a), ty.width)
             raise SolverError(f"unknown unary {e.op}")
         if isinstance(e, Binary):
-            return self._blast_binary(e, symbol_bits)
+            return self._binary(e, args[0], args[1])
         if isinstance(e, Cast):
-            a = self.blast(e.operand, symbol_bits)
-            return self.v_extend(a, ty.width, e.operand.ty.signed)
+            return self.v_extend(args[0], ty.width, e.operand.ty.signed)
         if isinstance(e, Cond):
-            c = self.v_nonzero(self.blast(e.cond, symbol_bits))
-            a = self.blast(e.then, symbol_bits)
-            b = self.blast(e.els, symbol_bits)
-            return self.v_ite(c, a, b)
+            return self.v_ite(self.v_nonzero(args[0]), args[1], args[2])
         raise SolverError(f"cannot blast {e!r}")
 
-    def _blast_binary(self, e: Binary, symbol_bits: dict) -> list:
+    def _binary(self, e: Binary, a: list, b: list) -> list:
         op = e.op
         width = e.ty.width
         if op in ("&&", "||"):
-            a = self.v_nonzero(self.blast(e.left, symbol_bits))
-            b = self.v_nonzero(self.blast(e.right, symbol_bits))
+            a, b = self.v_nonzero(a), self.v_nonzero(b)
             bit = self.g_and(a, b) if op == "&&" else self.g_or(a, b)
             return self.bool_word(bit, width)
-        a = self.blast(e.left, symbol_bits)
-        b = self.blast(e.right, symbol_bits)
         signed = e.left.ty.signed
         if op == "+":
             out, _ = self.v_add(a, b)
@@ -376,33 +399,68 @@ class _Blaster:
         raise SolverError(f"unknown binary {op}")
 
 
+def _operands(e: Expr) -> tuple:
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    if isinstance(e, (Unary, Cast)):
+        return (e.operand,)
+    if isinstance(e, Cond):
+        return (e.cond, e.then, e.els)
+    return ()
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector.  Building clause lists
+    allocates a list or tuple per clause or gate and makes no reference
+    cycles; with the collector running it would rescan the growing heap
+    every few hundred allocations."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def bitblast(f: VcFormula) -> CnfInstance:
-    """Reduce the word-level query to CNF over per-bit variables."""
+    """Reduce the word-level query to CNF over per-bit variables.
+
+    Only names without a definition (draws, carriers, havocked versions)
+    get fresh variables.  Each definition, in order, binds its name to the
+    literals its right-hand side blasts to, so `bit_map` sends a
+    (symbol, bit) to any literal: a variable, a negated one, or the
+    constant TRUE_LIT / FALSE_LIT.  The only root clause is the goal.
+    """
     for name, ty in f.symbols.items():
         if ty.width > 64:
             raise SolverError(f"width {ty.width} of {name} not supported")
     bl = _Blaster()
-    bit_map = {}
+    defined = {name for name, _ in f.definitions}
     symbol_bits = {}
-    for name in f.symbols:
-        ty = f.symbols[name]
-        bits = [bl.new_var() for _ in range(ty.width)]
-        symbol_bits[name] = bits
-        for i, v in enumerate(bits):
-            bit_map[(name, i)] = v
-    root = bl.v_nonzero(bl.blast(f.shape, symbol_bits))
-    bl.add(root)
+    with _gc_paused():
+        for name, ty in f.symbols.items():
+            if name not in defined:
+                symbol_bits[name] = [bl.new_var() for _ in range(ty.width)]
+        for name, expr in f.definitions:
+            symbol_bits[name] = bl.blast(expr, symbol_bits)
+        bl.add(bl.v_nonzero(bl.blast(f.goal, symbol_bits)))
+        bit_map = {(name, i): lit for name in f.symbols
+                   for i, lit in enumerate(symbol_bits[name])}
     return CnfInstance(bl.num_vars, bl.clauses, bit_map, dict(f.symbols))
 
 
 def decode_model(assign: list, cnf: CnfInstance) -> dict:
-    """Turn a propositional assignment into per-symbol integers."""
+    """Turn a propositional assignment (truth values indexed by variable)
+    into per-symbol integers; a negative literal reads its variable
+    negated."""
     model = {}
     for name, ty in cnf.symbols.items():
         value = 0
         for i in range(ty.width):
-            var = cnf.bit_map[(name, i)]
-            if assign[var]:
+            lit = cnf.bit_map[(name, i)]
+            if assign[lit] if lit > 0 else not assign[-lit]:
                 value |= 1 << i
         model[name] = ty.wrap(value)
     return model
@@ -448,17 +506,9 @@ class _Cdcl:
         self.decisions = 0
         self.conflicts = 0
         self.propagations = 0
-        # Loading allocates a list per clause and makes no reference
-        # cycles; with the cyclic collector paused it does not rescan the
-        # growing heap every few hundred allocations.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with _gc_paused():
             self.watches = [[] for _ in range(2 * n + 1)]
             self.ok = self._load(clauses)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _load(self, clauses: list) -> bool:
         """Add the input clauses; False if one is empty at level 0."""
@@ -761,25 +811,46 @@ class _Cdcl:
 
 def solve(cnf: CnfInstance,
           conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
-          deadline: float | None = None) -> SolverOutcome:
+          deadline: float | None = None,
+          memo: dict | None = None) -> SolverOutcome:
     """Decide a CNF instance; decode the model through bit_map when SAT.
 
     `deadline` is a time.monotonic() timestamp; running past it yields
     the same BUDGET outcome as exceeding the conflict limit.
+
+    `memo`, a dict the caller keeps between calls, holds every SAT and
+    UNSAT answer under a digest of its clauses, a SAT answer with its
+    assignment.  The search is deterministic, so an instance with the same
+    clauses gets the stored answer without a search (and zero search
+    counts); its model is the stored assignment decoded through the new
+    instance's bit_map.
     """
+    if memo is not None:
+        key = (cnf.num_vars, hashlib.blake2b(marshal.dumps(cnf.clauses)).digest())
+        known = memo.get(key)
+        if known is not None:
+            status, assign = known
+            model = None if assign is None else decode_model(assign, cnf)
+            return SolverOutcome(status, model)
     engine = _Cdcl(cnf.num_vars, cnf.clauses)
     status = engine.solve(conflict_limit, deadline)
     outcome = SolverOutcome(status, None, engine.decisions,
                             engine.conflicts, engine.propagations)
+    assign = None
     if status == SAT:
-        outcome.model = decode_model([x == 1 for x in engine.val[:cnf.num_vars + 1]], cnf)
+        assign = bytes(x == 1 for x in engine.val[:cnf.num_vars + 1])
+        outcome.model = decode_model(assign, cnf)
+    if memo is not None and status != BUDGET:
+        memo[key] = (status, assign)
     return outcome
 
 
 def emit_dimacs(cnf: CnfInstance) -> str:
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for (name, bit), var in sorted(cnf.bit_map.items(), key=lambda kv: kv[1]):
-        lines.insert(0, f"c {var} = {name}[{bit}]")
+    """DIMACS text, preceded by one `c <literal> = <symbol>[<bit>]` line
+    per symbol bit, ordered by variable."""
+    lines = [f"c {lit} = {name}[{bit}]" for (name, bit), lit in
+             sorted(cnf.bit_map.items(), key=lambda kv: abs(kv[1]))]
+    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for cl in cnf.clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")
     return "\n".join(lines) + "\n"
@@ -860,12 +931,17 @@ def _smt(e: Expr) -> str:
 
 
 def emit_smtlib(f: VcFormula) -> str:
-    """Render the query as a QF_BV script for external cross-checking."""
+    """Render the query as a QF_BV script for external cross-checking:
+    the free names declared, each definition a `define-fun`, in order,
+    then the goal asserted."""
     lines = ["(set-logic QF_BV)"]
-    for name in sorted(f.symbols):
-        ty = f.symbols[name]
-        lines.append(f"(declare-const {name} (_ BitVec {ty.width}))")
-    lines.append(f"(assert {_smt_bool(f.shape)})")
+    defined = {name for name, _ in f.definitions}
+    for name in sorted(f.symbols.keys() - defined):
+        lines.append(f"(declare-const {name} (_ BitVec {f.symbols[name].width}))")
+    for name, expr in f.definitions:
+        lines.append(f"(define-fun {name} () (_ BitVec {f.symbols[name].width}) "
+                     f"{_smt(expr)})")
+    lines.append(f"(assert {_smt_bool(f.goal)})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"

@@ -21,14 +21,19 @@ prefix is grown as one shared expression node, so bitblasting stays
 linear despite every obligation referencing it.
 
 The phase query is the negation of the phase's implication, so UNSAT
-means the phase succeeded:
+means the phase succeeded.  Definitions are not part of it: the solver
+binds each defined name to the bits of its right-hand side, so every
+definition holds by construction and the query is just the goal
 
-    BASE       I and T and not phi
-    FORWARD    I and T and not (sigma and phi)
-    INDUCTIVE  gamma and not phi   (gamma folds I into T)
+    BASE       not phi
+    FORWARD    not (sigma and phi)
+    INDUCTIVE  not phi
 
-where sigma and phi are conjunctions of prefix-carrying verification
-conditions, one per unwinding assertion / original assertion.
+over the defined and the free names.  sigma and phi are conjunctions of
+prefix-carrying verification conditions, one per unwinding assertion /
+original assertion.  BASE and INDUCTIVE differ only in their unwinding:
+the inductive step havocs the loop variables at the loop head, so their
+initial values no longer constrain the iterations.
 """
 
 from __future__ import annotations
@@ -97,7 +102,6 @@ class SsaProgram:
     obligations: list = field(default_factory=list)   # (guarded Expr, Loc)
     terminations: list = field(default_factory=list)  # guarded sigma terms
     symbols: dict = field(default_factory=dict)       # name -> IntType
-    init_defs: set = field(default_factory=set)       # names defined by I
     draw_symbols: dict = field(default_factory=dict)  # name -> (nid, ctx, IntType)
     havocs: set = field(default_factory=set)          # versions born from HAVOC
     carriers: set = field(default_factory=set)        # versions read before any write
@@ -105,12 +109,9 @@ class SsaProgram:
 
 @dataclass
 class VcFormula:
-    init: Expr
-    trans: Expr
-    sigma: Expr
-    prop: Expr
-    shape: Expr  # the satisfiability query
-    symbols: dict  # name -> IntType
+    definitions: list  # (versioned name, Expr), each reading only earlier names
+    goal: Expr         # the satisfiability query, given the definitions
+    symbols: dict      # name -> IntType, defined and free
     phase: Phase
     draw_symbols: dict = field(default_factory=dict)
 
@@ -199,8 +200,6 @@ class _SsaBuilder:
                     value = Cond(guard, rhs, Var(prev, rid=prev, ty=ty), ty=ty)
                 name = self.fresh(ins.var, ty)
                 self.out.definitions.append((name, value))
-                if ins.is_init and is_true(guard):
-                    self.out.init_defs.add(name)
                 self.cur[ins.var] = name
             elif ins.op == "HAVOC":
                 ty = self.prog.symbols[ins.var]
@@ -250,23 +249,10 @@ def encode(s: SsaProgram, phase: Phase) -> VcFormula:
     prefix of every obligation that follows them, which is what gives an
     assume no power over violations that precede it.
     """
-    init_terms = []
-    trans_terms = []
-    for name, expr in s.definitions:
-        eq = Binary("==", Var(name, rid=name, ty=s.symbols[name]), expr, ty=_BOOL)
-        if name in s.init_defs and phase is not Phase.INDUCTIVE:
-            init_terms.append(eq)
-        else:
-            trans_terms.append(eq)
-    init = conjoin(init_terms)
-    trans = conjoin(trans_terms)
-    sigma = conjoin(s.terminations)
     prop = conjoin(term for term, _ in s.obligations)
     if phase is Phase.FORWARD:
-        shape = And(And(init, trans), Not(And(sigma, prop)))
-    else:
-        shape = And(And(init, trans), Not(prop))
-    return VcFormula(init, trans, sigma, prop, shape, dict(s.symbols), phase,
+        prop = And(conjoin(s.terminations), prop)
+    return VcFormula(list(s.definitions), Not(prop), dict(s.symbols), phase,
                      dict(s.draw_symbols))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from kinduct.frontend import parse, typecheck, override_widths
 from kinduct.goto_ir import lower
+from kinduct.vcgen import eval_formula
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "kinduct" / "corpus"
 NEGATIVE = Path(__file__).resolve().parent / "negative"
@@ -37,6 +38,14 @@ def compile_mc(source: str, width: int | None = None):
     if width is not None:
         prog = override_widths(prog, width)
     return lower(typecheck(prog))
+
+
+def satisfies(f, model: dict) -> bool:
+    """Does `model` give every defined name the value of its definition
+    and make the goal of VcFormula `f` true?"""
+    return (all(eval_formula(expr, model) == model[name]
+                for name, expr in f.definitions)
+            and eval_formula(f.goal, model) != 0)
 
 
 def corpus_path(name: str) -> Path:

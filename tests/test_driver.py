@@ -6,6 +6,7 @@ from kinduct.driver import (
     FALSE, TRUE, UNKNOWN, KInductionConfig, ReplayError, Trace, _Checker,
     kinduction, load_program, reconstruct, verify_file,
 )
+from kinduct import solver
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import to_ssa
 from conftest import corpus_path
@@ -176,3 +177,19 @@ def test_kinduction_accepts_default_config():
     g = load_program(str(corpus_path("wrap_bug.mc")), KInductionConfig())
     v = kinduction(g)
     assert v.status == FALSE
+
+
+def test_repeated_queries_are_searched_once(monkeypatch):
+    # A loop-free program poses one query three times: BASE k=1,
+    # FORWARD k=2 and the re-check at k=7.
+    searches = []
+
+    class Counted(solver._Cdcl):
+        def solve(self, *args):
+            searches.append(1)
+            return super().solve(*args)
+
+    monkeypatch.setattr(solver, "_Cdcl", Counted)
+    v = verify("straightline_safe.mc")
+    assert (v.status, v.phase_log) == (TRUE, [("base", 1), ("forward", 2), ("base", 7)])
+    assert len(searches) == 1

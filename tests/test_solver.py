@@ -1,31 +1,35 @@
 """Bitblasting, CDCL behavior, and the DIMACS/SMT-LIB emitters."""
 
 import copy
+import gzip
 import random
+import re
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
 from kinduct.driver import KInductionConfig, load_program
-from kinduct.frontend import Binary, Const, IntType, Var
+from kinduct.frontend import Binary, Const, IntType, Unary, Var
 from kinduct.solver import (
-    BUDGET, SAT, UNSAT, CnfInstance, SolverError, _Cdcl, _luby, bitblast,
-    emit_dimacs, emit_smtlib, solve,
+    BUDGET, FALSE_LIT, SAT, TRUE_LIT, UNSAT, CnfInstance, SolverError, _Cdcl,
+    _luby, bitblast, emit_dimacs, emit_smtlib, solve,
 )
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import VcFormula, encode, to_ssa
-from conftest import compile_mc, corpus_path
+from conftest import compile_mc, corpus_path, satisfies
+
+DATA = Path(__file__).resolve().parent / "data"
 
 U4 = IntType(4, False)
 S4 = IntType(4, True)
 B1 = IntType(1, False)
 
 
-def formula(shape, symbols):
-    t = Const(1, ty=B1)
-    return VcFormula(t, t, t, t, shape, symbols, Phase.BASE)
+def formula(goal, symbols, definitions=()):
+    return VcFormula(list(definitions), goal, symbols, Phase.BASE)
 
 
 def var(name, ty):
@@ -172,13 +176,18 @@ def fig1_formula(k, phase):
 
 
 def test_emit_smtlib_wellformed():
-    text = emit_smtlib(fig1_formula(2, Phase.BASE))
+    f = fig1_formula(2, Phase.BASE)
+    text = emit_smtlib(f)
     assert text.startswith("(set-logic QF_BV)\n")
     assert text.count("(") == text.count(")")
-    decls = [l for l in text.splitlines() if l.startswith("(declare-const")]
-    assert decls == sorted(decls) and len(decls) >= 3
+    lines = text.splitlines()
+    decls = [l for l in lines if l.startswith("(declare-const")]
+    assert decls == sorted(decls)
+    assert [l.split()[1] for l in decls] == ["main.ret!0", "nd0"]  # free names
+    defs = [l.split()[1] for l in lines if l.startswith("(define-fun")]
+    assert defs == [name for name, _ in f.definitions] and len(defs) >= 3
     assert text.rstrip().endswith("(get-model)")
-    assert "(assert " in text
+    assert sum(l.startswith("(assert ") for l in lines) == 1
 
 
 @pytest.mark.skipif(shutil.which("z3") is None, reason="no external solver")
@@ -275,15 +284,33 @@ def corpus_query(name, phase, k):
     return bitblast(encode(to_ssa(unwind(g, k, phase)), phase))
 
 
+def read_dimacs(name):
+    """A gzipped DIMACS file from tests/data as a CnfInstance."""
+    num_vars, clauses = 0, []
+    with gzip.open(DATA / name, "rt") as fh:
+        for line in fh:
+            if line.startswith("p cnf "):
+                num_vars = int(line.split()[2])
+            elif not line.startswith("c"):
+                *lits, end = map(int, line.split())
+                assert end == 0
+                clauses.append(lits)
+    return CnfInstance(num_vars, clauses)
+
+
 # Recorded before the solver core moved to literal-indexed arrays; any
 # change to a decision, propagation or learned clause moves these counts.
+# The two corpus queries are stored as the blaster then built them, when
+# every SSA definition was an asserted equality (mod_wrong_bug.mc BASE k=7
+# and fig1_unsigned.mc INDUCTIVE k=2), so they pin the search whatever the
+# blaster does now.
 SEARCH_GOLDENS = [
     (lambda: solve(php(5, 4)), (UNSAT, 38, 28, 297)),
     (lambda: solve(php(6, 5)), (UNSAT, 186, 151, 1782)),
     (lambda: solve(php(6, 5), conflict_limit=3), (BUDGET, 13, 3, 44)),
-    (lambda: solve(corpus_query("mod_wrong_bug.mc", Phase.BASE, 7)),
+    (lambda: solve(read_dimacs("mod_wrong_bug_base_k7.cnf.gz")),
      (SAT, 333, 7, 12610)),
-    (lambda: solve(corpus_query("fig1_unsigned.mc", Phase.INDUCTIVE, 2)),
+    (lambda: solve(read_dimacs("fig1_unsigned_inductive_k2.cnf.gz")),
      (UNSAT, 64, 33, 11935)),
 ]
 
@@ -291,6 +318,27 @@ SEARCH_GOLDENS = [
 @pytest.mark.parametrize("run,expected", SEARCH_GOLDENS)
 def test_search_steps_match_goldens(run, expected):
     out = run()
+    assert (out.status, out.decisions, out.conflicts,
+            out.propagations) == expected
+
+
+def test_stored_queries_have_their_recorded_size():
+    sizes = [(c.num_vars, len(c.clauses)) for c in (
+        read_dimacs("mod_wrong_bug_base_k7.cnf.gz"),
+        read_dimacs("fig1_unsigned_inductive_k2.cnf.gz"))]
+    assert sizes == [(8175, 25818), (1468, 3918)]
+
+
+# The same two queries as the blaster builds them now, with every SSA
+# definition bound to its bits: (vars, clauses) and the search counts.
+@pytest.mark.parametrize("name,phase,k,size,expected", [
+    ("mod_wrong_bug.mc", Phase.BASE, 7, (4190, 13366), (SAT, 292, 5, 6059)),
+    ("fig1_unsigned.mc", Phase.INDUCTIVE, 2, (892, 2574), (UNSAT, 64, 33, 10058)),
+])
+def test_bound_query_goldens(name, phase, k, size, expected):
+    cnf = corpus_query(name, phase, k)
+    out = solve(cnf)
+    assert (cnf.num_vars, len(cnf.clauses)) == size
     assert (out.status, out.decisions, out.conflicts,
             out.propagations) == expected
 
@@ -344,3 +392,123 @@ def test_activity_rescale_keeps_answers(pigeons, holes, expected):
     engine = _Cdcl(cnf.num_vars, cnf.clauses)
     engine.var_inc = 1e99
     assert engine.solve(10 ** 6) == expected
+
+
+U8 = IntType(8, False)
+
+
+def literal_formula():
+    """Definitions that blast to negated literals (y), to constants (c, s)
+    and to a mix of both (m); the goal pins x through y alone."""
+    x = var("x", U8)
+    not_x = Unary("~", x, ty=U8)
+    defs = [
+        ("y", not_x),
+        ("c", Const(5, ty=U8)),
+        ("s", Const(-3, ty=S4)),
+        ("m", Binary("|", Binary("&", not_x, Const(0xF0, ty=U8), ty=U8),
+                     Const(0x05, ty=U8), ty=U8)),
+    ]
+    goal = Binary("==", var("y", U8), Const(0xC3, ty=U8), ty=B1)
+    return formula(goal, {"x": U8, "y": U8, "c": U8, "s": S4, "m": U8}, defs)
+
+
+def test_definitions_bind_to_literals_and_constants():
+    f = literal_formula()
+    cnf = bitblast(f)
+    x_bits = [cnf.bit_map[("x", i)] for i in range(8)]
+    assert [cnf.bit_map[("y", i)] for i in range(8)] == [-v for v in x_bits]
+    assert [cnf.bit_map[("c", i)] for i in range(8)] == \
+        [TRUE_LIT, FALSE_LIT, TRUE_LIT] + [FALSE_LIT] * 5
+    m = [cnf.bit_map[("m", i)] for i in range(8)]
+    assert m[:4] == [TRUE_LIT, FALSE_LIT, TRUE_LIT, FALSE_LIT]
+    assert m[4:] == [-v for v in x_bits[4:]]
+    out = solve(cnf)
+    assert out.status == SAT
+    assert out.model == {"x": 0x3C, "y": 0xC3, "c": 5, "s": -3, "m": 0xC5}
+    assert satisfies(f, out.model)
+
+
+def test_emit_dimacs_names_literals():
+    cnf = bitblast(literal_formula())
+    lines = emit_dimacs(cnf).splitlines()
+    comments = [l for l in lines if l.startswith("c ")]
+    named = {}
+    for line in comments:
+        got = re.fullmatch(r"c (-?\d+) = (\w+)\[(\d+)\]", line)
+        assert got, line
+        lit = int(got[1])
+        assert 1 <= abs(lit) <= cnf.num_vars
+        named[(got[2], int(got[3]))] = lit
+    assert named == cnf.bit_map
+    assert [abs(int(l.split()[1])) for l in comments] == \
+        sorted(abs(int(l.split()[1])) for l in comments)
+    body = lines[len(comments):]
+    assert body[0] == f"p cnf {cnf.num_vars} {len(cnf.clauses)}"
+    assert len(body) == len(cnf.clauses) + 1
+
+
+def test_emit_smtlib_defines_bound_names():
+    text = emit_smtlib(literal_formula())
+    lines = text.splitlines()
+    assert all(l.count("(") == l.count(")") for l in lines)
+    assert [l for l in lines if l.startswith("(declare-const")] == \
+        ["(declare-const x (_ BitVec 8))"]
+    defs = [l for l in lines if l.startswith("(define-fun")]
+    assert [l.split()[1] for l in defs] == ["y", "c", "s", "m"]
+    assert defs[0] == "(define-fun y () (_ BitVec 8) (bvnot x))"
+    assert defs[2] == "(define-fun s () (_ BitVec 4) (_ bv13 4))"
+    assert lines[-3:] == ["(assert (distinct (ite (= y (_ bv195 8)) (_ bv1 1) (_ bv0 1)) (_ bv0 1)))",
+                          "(check-sat)", "(get-model)"]
+
+
+# Three running sums over a nondeterministic start: at k=400 the guard
+# chain inside each definition and the assume prefix of the obligation
+# are far deeper than Python's default recursion limit.
+DEEP_LOOP = """int main() {
+  unsigned char i = 0;
+  unsigned char a = *;
+  unsigned char b = 0;
+  unsigned char c = 0;
+  while (i < 100) {
+    a = a + 1;
+    b = b + a;
+    c = c ^ b;
+    i = i + 1;
+  }
+  assert(c != 254);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+def test_deep_unwinding_bitblasts(phase):
+    g = compile_mc(DEEP_LOOP)
+    cnf = bitblast(encode(to_ssa(unwind(g, 400, phase)), phase))
+    assert cnf.num_vars > 8 and cnf.clauses[-1] != [FALSE_LIT]
+
+
+def test_memo_answers_a_repeated_instance_without_search():
+    memo = {}
+    cnf = corpus_query("mod_wrong_bug.mc", Phase.BASE, 7)
+    first = solve(cnf, memo=memo)
+    again = solve(corpus_query("mod_wrong_bug.mc", Phase.BASE, 7), memo=memo)
+    assert (first.status, first.decisions > 0) == (SAT, True)
+    assert (again.status, again.model) == (first.status, first.model)
+    assert (again.decisions, again.conflicts, again.propagations) == (0, 0, 0)
+    assert len(memo) == 1
+
+
+def test_memo_keeps_no_budget_and_decodes_through_the_new_bit_map():
+    memo = {}
+    assert solve(php(6, 5), conflict_limit=3, memo=memo).status == BUDGET
+    assert memo == {}
+    first = solve(php(4, 4), memo=memo)
+    # Same clauses under other names: the stored assignment, new names.
+    renamed = php(4, 4)
+    renamed.bit_map = {(f"q{s[1:]}", i): v for (s, i), v in renamed.bit_map.items()}
+    renamed.symbols = {f"q{s[1:]}": ty for s, ty in renamed.symbols.items()}
+    out = solve(renamed, memo=memo)
+    assert (out.status, out.decisions) == (SAT, 0) and first.decisions > 0
+    assert out.model == {f"q{s[1:]}": v for s, v in first.model.items()}

@@ -140,7 +140,7 @@ def test_nested_unwinding_copies_inner_per_outer():
     }""")
     u = unwind(g, 2, Phase.BASE)
     incr = [i for i in u.body.instructions
-            if i.op == "ASSIGN" and i.var == "t" and not i.is_init]
+            if i.op == "ASSIGN" and i.var == "t" and pp_expr(i.expr) != "0"]
     assert len(incr) == 4      # k copies of inner per each of k outer copies
     sigma_assumes = [i for i in u.body.instructions if i.tag == "unwind_assumption"]
     assert len(sigma_assumes) == 3   # inner instance per outer copy, plus outer

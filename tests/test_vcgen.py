@@ -7,8 +7,8 @@ from kinduct.driver import KInductionConfig, load_program
 from kinduct.frontend import pp_expr
 from kinduct.solver import SAT, UNSAT, bitblast, solve
 from kinduct.transform import Phase, unwind
-from kinduct.vcgen import dump_ssa, encode, eval_formula, to_ssa
-from conftest import COUNT_UP, FIG1, compile_mc, corpus_path
+from kinduct.vcgen import dump_ssa, encode, to_ssa
+from conftest import COUNT_UP, FIG1, compile_mc, corpus_path, satisfies
 
 
 def check(source, k, phase, width=8):
@@ -43,20 +43,25 @@ def test_draw_names_carry_context():
     assert sorted(s.draw_symbols) == ["nd0@1", "nd0@2"]
 
 
-def test_init_defs_split_by_phase(count_up_goto):
-    s = to_ssa(unwind(count_up_goto, 1, Phase.BASE))
-    assert s.init_defs == {"i!0"}
-    assert pp_expr(encode(s, Phase.BASE).init) == "i!0 == 0"
-    si = to_ssa(unwind(count_up_goto, 1, Phase.INDUCTIVE))
-    fi = encode(si, Phase.INDUCTIVE)
-    assert pp_expr(fi.init) == "1"          # I folds into the transition
-    assert "i!" in pp_expr(fi.trans)
+def test_definitions_carry_over_and_goal_negates_property(count_up_goto):
+    fs = {ph: encode(to_ssa(unwind(count_up_goto, 1, ph)), ph) for ph in Phase}
+    for f in fs.values():
+        # the initial value is a definition in every phase
+        assert [(n, pp_expr(e)) for n, e in f.definitions[:1]] == [("i!0", "0")]
+        assert f.goal.op == "!"
+    base_defs = {n for n, _ in fs[Phase.BASE].definitions}
+    ind_defs = {n for n, _ in fs[Phase.INDUCTIVE].definitions}
+    assert "i!1" in base_defs
+    assert "i!1" not in ind_defs and "i!1" in fs[Phase.INDUCTIVE].symbols
+    # FORWARD negates sigma and phi together, BASE negates phi alone
+    assert fs[Phase.FORWARD].goal.operand.op == "&&"
+    assert fs[Phase.BASE].goal.operand.op == "||"
 
 
 def test_assert_false_is_sat():
     out, f = check("int main() { assert(0); return 0; }", 1, Phase.BASE)
     assert out.status == SAT
-    assert eval_formula(f.shape, out.model) == 1
+    assert satisfies(f, out.model)
 
 
 def test_assert_true_is_unsat():
@@ -149,6 +154,6 @@ def test_eval_formula_matches_solver_verdict():
         "int main() { unsigned char a = *; assert(a + 1 != 7); return 0; }",
         1, Phase.BASE)
     assert out.status == SAT
-    assert eval_formula(f.shape, out.model) == 1
+    assert satisfies(f, out.model)
     draws = [v for s, v in out.model.items() if s.startswith("nd")]
     assert any((v + 1) & 0xFF == 7 for v in draws)
