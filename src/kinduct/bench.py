@@ -8,6 +8,10 @@ Blank lines and lines starting with # are skipped.  Paths are resolved
 relative to the manifest file.  Scoring follows the competition rules:
 +1 per bug found, +2 per correct proof, -6 per false alarm, -12 per
 wrong proof; unknowns and timeouts score nothing.
+
+A missing file or a program the front end rejects (syntax, type, lowering
+or invariant errors) is an invalid entry.  Any other exception is a bug in
+the checker, not in the input: its row is an internal error, counted apart.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ import csv
 import io
 import json
 import time
+import traceback
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .driver import FALSE, TRUE, UNKNOWN, KInductionConfig, verify_file
+from .frontend import MiniCError
 
 
 class ManifestError(Exception):
@@ -44,12 +50,13 @@ class BenchRow:
     path: str
     expected: str
     category: str
-    verdict: str            # TRUE / FALSE / UNKNOWN / INVALID
+    verdict: str            # TRUE / FALSE / UNKNOWN / INVALID / ERROR
     phase: str | None
     k: int | None
     time_ms: int
     classification: str     # bug_found / correct_proof / false_incorrect /
-                            # true_incorrect / unknown_and_timeout / invalid
+                            # true_incorrect / unknown_and_timeout / invalid /
+                            # internal_error
     error: str | None = None
 
 
@@ -61,6 +68,7 @@ class BenchReport:
     true_incorrect: int = 0
     unknown_and_timeout: int = 0
     invalid: int = 0
+    internal_errors: int = 0
     bugs_found: int = 0
     correct_proofs: int = 0
     score: int = 0
@@ -101,10 +109,15 @@ def _run_entry(entry: ManifestEntry, cfg: KInductionConfig) -> BenchRow:
                         "INVALID", None, None, 0, "invalid", "file not found")
     try:
         verdict = verify_file(entry.path, cfg)
-    except Exception as e:  # parse/type/lowering errors invalidate the entry
+    except MiniCError as e:
         ms = int((time.monotonic() - start) * 1000)
         return BenchRow(entry.path, entry.expected, entry.category,
                         "INVALID", None, None, ms, "invalid", str(e))
+    except Exception:
+        ms = int((time.monotonic() - start) * 1000)
+        return BenchRow(entry.path, entry.expected, entry.category,
+                        "ERROR", None, None, ms, "internal_error",
+                        traceback.format_exc())
     ms = int((time.monotonic() - start) * 1000)
     return BenchRow(entry.path, entry.expected, entry.category,
                     verdict.status, verdict.decided_by, verdict.k_at_decision,
@@ -139,6 +152,8 @@ def run_suite(m: Manifest, cfg: KInductionConfig | None = None,
             report.true_incorrect += 1
         elif r.classification == "invalid":
             report.invalid += 1
+        elif r.classification == "internal_error":
+            report.internal_errors += 1
         else:
             report.unknown_and_timeout += 1
         report.total_time_ms += r.time_ms
@@ -174,6 +189,8 @@ def format_report(report: BenchReport) -> str:
     lines.append(f"unknown and timeout {report.unknown_and_timeout}")
     if report.invalid:
         lines.append(f"invalid entries     {report.invalid}")
+    if report.internal_errors:
+        lines.append(f"internal errors     {report.internal_errors}")
     lines.append(f"score               {report.score}")
     lines.append(f"total time          {report.total_time_ms} ms")
     return "\n".join(lines)

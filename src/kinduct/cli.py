@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes for `verify`: 0 the property holds, 1 a counterexample was
-found, 2 undecided, 3 usage or parse errors.
+found, 2 undecided, 3 usage or parse errors.  `bench` exits 0, or 3 on a
+usage error, or 4 when an entry hit an internal error of the checker.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {TRUE: EXIT_TRUE, FALSE: EXIT_FALSE, UNKNOWN: EXIT_UNKNOWN}
 
@@ -142,7 +144,7 @@ def _cmd_bench(args) -> int:
         Path(args.json).write_text(report_to_json(report))
     if args.csv:
         Path(args.csv).write_text(report_to_csv(report))
-    return EXIT_TRUE
+    return EXIT_INTERNAL if report.internal_errors else EXIT_TRUE
 
 
 def build_parser() -> argparse.ArgumentParser:

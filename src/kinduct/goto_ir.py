@@ -551,6 +551,18 @@ class _Flattener:
         return len(self.instrs) - 1
 
     def flatten(self, tree: list):
+        """Emit `tree`.  Unwinding nests one IfItem per loop copy, so the
+        walk keeps an explicit stack of `_items` generators instead of
+        recursing: each yields a nested list where it is to be emitted."""
+        stack = [self._items(tree)]
+        while stack:
+            nested = next(stack[-1], None)
+            if nested is None:
+                stack.pop()
+            else:
+                stack.append(self._items(nested))
+
+    def _items(self, tree: list):
         for item in tree:
             if isinstance(item, OpItem):
                 self.emit(item.instr)
@@ -558,11 +570,11 @@ class _Flattener:
                 neg = Unary("!", item.cond, ty=IntType(32, True), loc=item.loc)
                 branch = self.emit(Instr("COND_GOTO", expr=neg, loc=item.loc,
                                          ctx=item.ctx))
-                self.flatten(item.then)
+                yield item.then
                 if item.els:
                     skip = self.emit(Instr("GOTO", loc=item.loc, ctx=item.ctx))
                     self.instrs[branch].target = len(self.instrs)
-                    self.flatten(item.els)
+                    yield item.els
                     self.instrs[skip].target = len(self.instrs)
                 else:
                     self.instrs[branch].target = len(self.instrs)
@@ -570,7 +582,7 @@ class _Flattener:
                 if item.bottom_test:
                     head = len(self.instrs)
                     self.depth += 1
-                    self.flatten(item.body)
+                    yield item.body
                     guard_idx = self.emit(Instr(
                         "COND_GOTO", expr=item.guard, target=head, loc=item.loc))
                     self.depth -= 1
@@ -580,10 +592,10 @@ class _Flattener:
                 else:
                     head = len(self.instrs)
                     self.depth += 1
-                    self.flatten(item.pre)
+                    yield item.pre
                     neg = Unary("!", item.guard, ty=IntType(32, True), loc=item.loc)
                     guard_idx = self.emit(Instr("COND_GOTO", expr=neg, loc=item.loc))
-                    self.flatten(item.body)
+                    yield item.body
                     backjump = self.emit(Instr("GOTO", target=head, loc=item.loc))
                     self.instrs[guard_idx].target = len(self.instrs)
                     self.depth -= 1

@@ -5,6 +5,17 @@ first.  Gates are cached per expression node so shared subterms blast
 once.  Propositional variable 1 is reserved as the constant TRUE, which
 lets constant bits be plain literals instead of special cases.
 
+The gates are exact Tseitin definitions: 2-input AND (3 clauses), XOR
+and if-then-else (4), majority (6), 3-input parity (8) and n-ary AND/OR
+(n+1).  A full adder is one parity and one majority gate (Een &
+Sorensson, "Translating Pseudo-Boolean Constraints into SAT", JSAT 2006).
+Equality and non-zero tests are one n-ary gate.  A comparison reads only
+the carry out of a + ~b + 1, so it builds the carry chain alone, one
+majority gate per bit: the sum bits of a subtractor would be dead
+gates, outside the goal's cone but still loaded and propagated by the
+solver.  Each gate first folds constant, repeated and complementary
+inputs, then looks itself up in its cache.
+
 Only names without a definition get fresh variables.  A defined name is
 bound to the literals its right-hand side blasts to, so a constant
 initialiser and everything computed from it fold into constant bits at
@@ -98,10 +109,11 @@ class _Blaster:
         self.num_vars = 1  # var 1 is constant TRUE
         self.clauses = [[TRUE_LIT]]
         self.cache = {}      # id(expr) -> bit vector
-        self.and_cache = {}  # (a, b) -> output literal
-        self.or_cache = {}
+        self.and_cache = {}  # sorted input literals -> output literal
         self.xor_cache = {}
         self.ite_cache = {}
+        self.maj_cache = {}
+        self.parity_cache = {}
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -178,9 +190,76 @@ class _Blaster:
             self.ite_cache[key] = out
         return out
 
+    def g_and_n(self, lits) -> int:
+        """AND of any number of literals: one gate of n+1 clauses.  TRUE
+        and repeated inputs drop out; FALSE or a complementary pair gives
+        FALSE; zero, one or two inputs left need no new gate."""
+        ins = set()
+        for x in lits:
+            if x == FALSE_LIT or -x in ins:
+                return FALSE_LIT
+            if x != TRUE_LIT:
+                ins.add(x)
+        key = tuple(sorted(ins))
+        if len(key) == 2:
+            return self.g_and(*key)
+        if len(key) < 2:
+            return key[0] if key else TRUE_LIT
+        out = self.and_cache.get(key)
+        if out is None:
+            out = self.new_var()
+            self.add(out, *[-x for x in key])
+            for x in key:
+                self.add(x, -out)
+            self.and_cache[key] = out
+        return out
+
+    def g_or_n(self, lits) -> int:
+        return -self.g_and_n([-x for x in lits])
+
     def g_maj(self, a: int, b: int, c: int) -> int:
-        return self.g_or(self.g_and(a, b),
-                         self.g_or(self.g_and(a, c), self.g_and(b, c)))
+        """At least two of a, b, c: one gate of 6 clauses."""
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            if x == TRUE_LIT:
+                return self.g_or(y, z)
+            if x == FALSE_LIT:
+                return self.g_and(y, z)
+            if y == z:
+                return y
+            if y == -z:
+                return x
+        key = tuple(sorted((a, b, c)))
+        out = self.maj_cache.get(key)
+        if out is None:
+            out = self.new_var()
+            self.add(-a, -b, out)
+            self.add(-a, -c, out)
+            self.add(-b, -c, out)
+            self.add(a, b, -out)
+            self.add(a, c, -out)
+            self.add(b, c, -out)
+            self.maj_cache[key] = out
+        return out
+
+    def g_parity(self, a: int, b: int, c: int) -> int:
+        """a XOR b XOR c: one gate of 8 clauses, or two XORs when an input
+        is constant or two inputs share a variable (they then fold)."""
+        va, vb, vc = abs(a), abs(b), abs(c)
+        if (va == TRUE_LIT or vb == TRUE_LIT or vc == TRUE_LIT
+                or va == vb or va == vc or vb == vc):
+            return self.g_xor(self.g_xor(a, b), c)
+        key = tuple(sorted((a, b, c), key=abs))
+        out = self.parity_cache.get(key)
+        if out is None:
+            out = self.new_var()
+            # One clause per input row: the row forces out to its parity.
+            for sa in (1, -1):
+                for sb in (1, -1):
+                    for sc in (1, -1):
+                        odd = (sa < 0) ^ (sb < 0) ^ (sc < 0)
+                        self.add(sa * a, sb * b, sc * c, out if odd else -out)
+            self.parity_cache[key] = out
+        return out
 
     # -- vector helpers -----------------------------------------------------
 
@@ -190,7 +269,7 @@ class _Blaster:
                 for i in range(width)]
 
     def full_add(self, a: int, b: int, cin: int):
-        s = self.g_xor(self.g_xor(a, b), cin)
+        s = self.g_parity(a, b, cin)
         cout = self.g_maj(a, b, cin)
         return s, cout
 
@@ -211,7 +290,10 @@ class _Blaster:
         return self.v_add(a, [-x for x in b], TRUE_LIT)
 
     def v_ult(self, a: list, b: list) -> int:
-        _, carry = self.v_sub(a, b)
+        # The carry chain of a + ~b + 1 alone: carry out == 1 iff a >= b.
+        carry = TRUE_LIT
+        for x, y in zip(a, b):
+            carry = self.g_maj(x, -y, carry)
         return -carry
 
     def v_lt(self, a: list, b: list, signed: bool) -> int:
@@ -223,19 +305,13 @@ class _Blaster:
         return self.v_ult(a2, b2)
 
     def v_eq(self, a: list, b: list) -> int:
-        out = TRUE_LIT
-        for x, y in zip(a, b):
-            out = self.g_and(out, -self.g_xor(x, y))
-        return out
+        return self.g_and_n([-self.g_xor(x, y) for x, y in zip(a, b)])
 
     def v_ite(self, c: int, a: list, b: list) -> list:
         return [self.g_ite(c, x, y) for x, y in zip(a, b)]
 
     def v_nonzero(self, a: list) -> int:
-        out = FALSE_LIT
-        for x in a:
-            out = self.g_or(out, x)
-        return out
+        return self.g_or_n(a)
 
     def v_mul(self, a: list, b: list) -> list:
         width = len(a)
@@ -864,18 +940,39 @@ def _bv(value: int, width: int) -> str:
     return f"(_ bv{value & ((1 << width) - 1)} {width})"
 
 
-def _smt_bool(e: Expr) -> str:
-    return f"(distinct {_smt(e)} {_bv(0, e.ty.width)})"
+def _nonzero(text: str, width: int) -> str:
+    return f"(distinct {text} {_bv(0, width)})"
 
 
-def _smt(e: Expr) -> str:
+def _smt(root: Expr) -> str:
+    """The term for `root`, each shared subterm written out in full.  The
+    walk keeps an explicit stack, as `_Blaster.blast` does: guard and
+    assume-prefix chains grow with the unwinding depth.  `done` holds the
+    rendered operands of the nodes still open, left to right."""
+    done = []
+    stack = [(root, False)]
+    while stack:
+        e, ready = stack.pop()
+        operands = _operands(e)
+        if ready:
+            args = done[len(done) - len(operands):]
+            del done[len(done) - len(operands):]
+            done.append(_smt_node(e, args))
+        else:
+            stack.append((e, True))
+            stack.extend((o, False) for o in reversed(operands))
+    return done[0]
+
+
+def _smt_node(e: Expr, args: list) -> str:
+    """The term for one node, given the terms of its operands."""
     ty = e.ty
     if isinstance(e, Const):
         return _bv(e.value, ty.width)
     if isinstance(e, Var):
         return e.rid or e.name
     if isinstance(e, Unary):
-        a = _smt(e.operand)
+        a = args[0]
         if e.op == "-":
             return f"(bvneg {a})"
         if e.op == "~":
@@ -886,11 +983,12 @@ def _smt(e: Expr) -> str:
         raise SolverError(f"unknown unary {e.op}")
     if isinstance(e, Binary):
         op = e.op
+        a, b = args
         if op in ("&&", "||"):
             word = "and" if op == "&&" else "or"
-            return (f"(ite ({word} {_smt_bool(e.left)} {_smt_bool(e.right)}) "
+            return (f"(ite ({word} {_nonzero(a, e.left.ty.width)} "
+                    f"{_nonzero(b, e.right.ty.width)}) "
                     f"{_bv(1, ty.width)} {_bv(0, ty.width)})")
-        a, b = _smt(e.left), _smt(e.right)
         signed = e.left.ty.signed
         width = e.left.ty.width
         simple = {"+": "bvadd", "-": "bvsub", "*": "bvmul",
@@ -918,7 +1016,7 @@ def _smt(e: Expr) -> str:
         raise SolverError(f"unknown binary {op}")
     if isinstance(e, Cast):
         src = e.operand.ty
-        a = _smt(e.operand)
+        a = args[0]
         if ty.width == src.width:
             return a
         if ty.width < src.width:
@@ -926,7 +1024,8 @@ def _smt(e: Expr) -> str:
         ext = "sign_extend" if src.signed else "zero_extend"
         return f"((_ {ext} {ty.width - src.width}) {a})"
     if isinstance(e, Cond):
-        return f"(ite {_smt_bool(e.cond)} {_smt(e.then)} {_smt(e.els)})"
+        c, a, b = args
+        return f"(ite {_nonzero(c, e.cond.ty.width)} {a} {b})"
     raise SolverError(f"cannot emit {e!r}")
 
 
@@ -941,7 +1040,7 @@ def emit_smtlib(f: VcFormula) -> str:
     for name, expr in f.definitions:
         lines.append(f"(define-fun {name} () (_ BitVec {f.symbols[name].width}) "
                      f"{_smt(expr)})")
-    lines.append(f"(assert {_smt_bool(f.goal)})")
+    lines.append(f"(assert {_nonzero(_smt(f.goal), f.goal.ty.width)})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"

@@ -6,11 +6,12 @@ import json
 
 import pytest
 
+from kinduct import bench
 from kinduct.bench import (
     BenchReport, ManifestError, _classify, format_report, parse_manifest,
     report_to_csv, report_to_json, run_suite, score,
 )
-from kinduct.driver import KInductionConfig
+from kinduct.driver import KInductionConfig, ReplayError
 from conftest import CORPUS
 
 
@@ -112,6 +113,20 @@ def test_unparseable_file_is_invalid(tmp_path):
     (row,) = report.rows
     assert row.classification == "invalid"
     assert row.error
+
+
+def test_internal_error_is_not_invalid(tmp_path, monkeypatch):
+    def broken(path, cfg):
+        raise ReplayError("model does not replay")
+    monkeypatch.setattr(bench, "verify_file", broken)
+    report = run_suite(parse_manifest(str(toy_manifest(tmp_path))), toy_cfg())
+    assert [(r.verdict, r.classification) for r in report.rows] == \
+        [("ERROR", "internal_error")] * 3
+    assert all(r.error.startswith("Traceback") and
+               r.error.endswith("ReplayError: model does not replay\n")
+               for r in report.rows)
+    assert (report.internal_errors, report.invalid, report.score) == (3, 0, 0)
+    assert "internal errors     3" in format_report(report)
 
 
 def test_classification_matrix():

@@ -6,8 +6,9 @@ import subprocess
 
 import pytest
 
+from kinduct import bench
 from kinduct.cli import (
-    EXIT_FALSE, EXIT_TRUE, EXIT_UNKNOWN, EXIT_USAGE, main,
+    EXIT_FALSE, EXIT_INTERNAL, EXIT_TRUE, EXIT_UNKNOWN, EXIT_USAGE, main,
 )
 from conftest import CORPUS, corpus_path
 
@@ -145,6 +146,14 @@ def test_bench_subcommand(tmp_path, capsys):
     assert csv_out.read_text().startswith("path,expected,verdict")
     data = json.loads(json_out.read_text())
     assert data["score"] == 3 and len(data["rows"]) == 2
+
+
+def test_bench_fails_on_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(path, cfg):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(bench, "verify_file", broken)
+    assert run("bench", bench_manifest(tmp_path)) == EXIT_INTERNAL
+    assert "internal errors     2" in capsys.readouterr().out
 
 
 def test_bench_manifest_error(tmp_path, capsys):

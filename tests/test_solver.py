@@ -2,10 +2,13 @@
 
 import copy
 import gzip
+import itertools
 import random
 import re
 import shutil
+import inspect
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,11 +17,11 @@ import pytest
 from kinduct.driver import KInductionConfig, load_program
 from kinduct.frontend import Binary, Const, IntType, Unary, Var
 from kinduct.solver import (
-    BUDGET, FALSE_LIT, SAT, TRUE_LIT, UNSAT, CnfInstance, SolverError, _Cdcl,
-    _luby, bitblast, emit_dimacs, emit_smtlib, solve,
+    BUDGET, FALSE_LIT, SAT, TRUE_LIT, UNSAT, CnfInstance, SolverError,
+    _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
 )
 from kinduct.transform import Phase, unwind
-from kinduct.vcgen import VcFormula, encode, to_ssa
+from kinduct.vcgen import VcFormula, encode, eval_formula, to_ssa
 from conftest import compile_mc, corpus_path, satisfies
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -330,10 +333,12 @@ def test_stored_queries_have_their_recorded_size():
 
 
 # The same two queries as the blaster builds them now, with every SSA
-# definition bound to its bits: (vars, clauses) and the search counts.
+# definition bound to its bits and adders, comparators and equality tests
+# built from majority, parity and n-ary gates: (vars, clauses) and the
+# search counts.
 @pytest.mark.parametrize("name,phase,k,size,expected", [
-    ("mod_wrong_bug.mc", Phase.BASE, 7, (4190, 13366), (SAT, 292, 5, 6059)),
-    ("fig1_unsigned.mc", Phase.INDUCTIVE, 2, (892, 2574), (UNSAT, 64, 33, 10058)),
+    ("mod_wrong_bug.mc", Phase.BASE, 7, (2422, 7795), (SAT, 292, 5, 3279)),
+    ("fig1_unsigned.mc", Phase.INDUCTIVE, 2, (554, 1557), (UNSAT, 65, 34, 8251)),
 ])
 def test_bound_query_goldens(name, phase, k, size, expected):
     cnf = corpus_query(name, phase, k)
@@ -487,6 +492,149 @@ def test_deep_unwinding_bitblasts(phase):
     g = compile_mc(DEEP_LOOP)
     cnf = bitblast(encode(to_ssa(unwind(g, 400, phase)), phase))
     assert cnf.num_vars > 8 and cnf.clauses[-1] != [FALSE_LIT]
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+def test_deep_unwinding_flattens(phase):
+    # Each loop copy nests one IfItem; flattening them used to recurse.
+    u = unwind(compile_mc(DEEP_LOOP), 1000, phase)
+    assert sum(ins.op == "COND_GOTO" for ins in u.body.instructions) >= 1000
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+def test_deep_unwinding_emits_smtlib(phase):
+    # Rendering a guard chain used to take a stack frame per loop copy;
+    # 60 frames above the caller's are far fewer than k=50 copies need.
+    g = compile_mc(DEEP_LOOP)
+    f = encode(to_ssa(unwind(g, 50, phase)), phase)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        text = emit_smtlib(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count("(") == text.count(")")
+    assert sum(l.startswith("(define-fun") for l in text.splitlines()) \
+        == len(f.definitions)
+
+
+# Gate truth tables.  The blaster's variables 2, 3 and 4 stand for the
+# inputs x, y and z; the pool holds both constants and both polarities of
+# each, so the input triples meet every folding rule.
+X, Y, Z = 2, 3, 4
+POOL = [TRUE_LIT, FALSE_LIT, X, -X, Y, -Y, Z, -Z]
+
+
+def input_blaster():
+    bl = _Blaster()
+    bl.num_vars = Z
+    return bl
+
+
+def lit_value(lit, row):
+    """The truth of `lit` when bit i of `row` is the value of input i."""
+    v = 1 if abs(lit) == TRUE_LIT else (row >> (abs(lit) - X)) & 1
+    return bool(v) == (lit > 0)
+
+
+def assert_defines(bl, out, inputs, fn):
+    """With every input fixed, the clauses force `out` to fn(inputs)."""
+    for row in range(8):
+        units = [[v if (row >> (v - X)) & 1 else -v] for v in (X, Y, Z)]
+        want = out if fn(*(lit_value(l, row) for l in inputs)) else -out
+        assert brute_sat(bl.num_vars, bl.clauses + units + [[want]]), inputs
+        assert not brute_sat(bl.num_vars, bl.clauses + units + [[-want]]), inputs
+
+
+def folds(inputs):
+    """A constant input, or two inputs over one variable."""
+    vs = [abs(l) for l in inputs]
+    return TRUE_LIT in vs or len(set(vs)) < len(vs)
+
+
+@pytest.mark.parametrize("gate,fn,size", [
+    ("g_maj", lambda a, b, c: a + b + c >= 2, 6),
+    ("g_parity", lambda a, b, c: (a + b + c) % 2 == 1, 8),
+], ids=["majority", "parity"])
+def test_three_input_gate_truth_tables(gate, fn, size):
+    for inputs in itertools.product(POOL, repeat=3):
+        bl = input_blaster()
+        out = getattr(bl, gate)(*inputs)
+        assert_defines(bl, out, inputs, fn)
+        added = len(bl.clauses) - 1
+        if folds(inputs):
+            # The majority folds to one AND/OR at most, the parity to XORs.
+            if gate == "g_maj":
+                assert added <= 3
+            else:
+                assert all(len(c) <= 3 for c in bl.clauses)
+        else:
+            assert (bl.num_vars - Z, added) == (1, size)
+            # Any order of the same inputs hits the cache.
+            assert getattr(bl, gate)(*reversed(inputs)) == out
+            assert len(bl.clauses) - 1 == size
+
+
+@pytest.mark.parametrize("gate,fn", [
+    ("g_and_n", lambda *v: all(v)),
+    ("g_or_n", lambda *v: any(v)),
+], ids=["and", "or"])
+def test_n_ary_gate_truth_tables(gate, fn):
+    unit = TRUE_LIT if gate == "g_and_n" else FALSE_LIT
+    for n in range(4):
+        for inputs in itertools.product(POOL, repeat=n):
+            bl = input_blaster()
+            out = getattr(bl, gate)(list(inputs))
+            assert_defines(bl, out, inputs, fn)
+            left = set(inputs) - {unit}
+            added = len(bl.clauses) - 1
+            if -unit in left or any(-l in left for l in left):
+                assert (out, added) == (-unit, 0)  # absorbing input
+            elif len(left) < 2:
+                assert added == 0 and out == (left.pop() if left else unit)
+            elif len(left) == 2:
+                assert added == 3  # the 2-input gate
+            else:
+                assert (bl.num_vars - Z, added) == (1, len(left) + 1)
+    bl = input_blaster()
+    out = bl.g_and_n([X, -Y, Z])
+    assert bl.g_and_n([Z, X, -Y, X, TRUE_LIT]) == out
+    assert bl.g_or_n([-X, Y, -Z]) == -out
+    assert len(bl.clauses) - 1 == 4
+
+
+# Every operator the blaster handles, at width 4 over all inputs, against
+# the evaluator: one CNF per operator, x and y fixed by unit clauses.
+BOOL_OPS = ("==", "!=", "<", ">", "<=", ">=", "&&", "||")
+BINARY_OPS = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>") + BOOL_OPS
+
+
+def assert_operator_matches_evaluator(e, ty, names):
+    cnf = bitblast(formula(Const(1, ty=B1), {**{n: ty for n in names},
+                                             "r": e.ty}, [("r", e)]))
+    for values in itertools.product(range(16), repeat=len(names)):
+        model = {n: ty.wrap(v) for n, v in zip(names, values)}
+        units = [[lit if (v >> i) & 1 else -lit]
+                 for n, v in zip(names, values)
+                 for i, lit in enumerate(cnf.bit_map[(n, b)] for b in range(4))]
+        out = solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
+                                cnf.bit_map, cnf.symbols))
+        assert out.status == SAT
+        assert out.model == {**model, "r": eval_formula(e, model)}, model
+
+
+@pytest.mark.parametrize("ty", [U4, S4], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("op", BINARY_OPS)
+def test_binary_operator_matches_evaluator(op, ty):
+    e = Binary(op, var("x", ty), var("y", ty), ty=B1 if op in BOOL_OPS else ty)
+    assert_operator_matches_evaluator(e, ty, ("x", "y"))
+
+
+@pytest.mark.parametrize("ty", [U4, S4], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("op", ["-", "~", "!"])
+def test_unary_operator_matches_evaluator(op, ty):
+    e = Unary(op, var("x", ty), ty=B1 if op == "!" else ty)
+    assert_operator_matches_evaluator(e, ty, ("x",))
 
 
 def test_memo_answers_a_repeated_instance_without_search():
