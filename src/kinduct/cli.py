@@ -1,8 +1,10 @@
 """Command line interface.
 
 Exit codes for `verify`: 0 the property holds, 1 a counterexample was
-found, 2 undecided, 3 usage or parse errors.  `bench` exits 0, or 3 on a
-usage error, or 4 when an entry hit an internal error of the checker.
+found, 2 undecided, 3 usage or parse errors, 4 an internal error of the
+checker (such as a counterexample that fails to replay), whose traceback
+goes to stderr.  `bench` exits 0, or 3 on a usage error, or 4 when an
+entry hit an internal error of the checker.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .bench import (
@@ -108,6 +111,9 @@ def _cmd_verify(args) -> int:
     except (MiniCError, InvariantError, SolverError) as e:
         print(f"kinduct: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
     if args.json:
         obj = {"file": args.file, "status": verdict.status,

@@ -10,8 +10,11 @@ after a strengthened base case at k+increment finds no counterexample.
 force_basecase is never reset, so the algorithm always terminates at
 that re-check.
 
-Within one run each distinct CNF is searched once: a loop-free program,
-for one, poses the same query as BASE k=1, FORWARD k=2 and the re-check.
+A query whose CNF equals the last one this run found UNSAT is UNSAT
+without a search.  A loop-free program poses one query as BASE k=1,
+FORWARD k=2 and the re-check; once a constant-bound loop is fully
+unrolled, the re-check at k+increment repeats the FORWARD query at k.
+SAT answers are not reused: a BASE SAT ends the run.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class _Checker:
         self.cfg = cfg
         self.deadline = time.monotonic() + cfg.timeout_seconds
         self.phase_log: list = []
-        self.outcomes: dict = {}  # solve's memo for this run
+        self.unsat = None  # the last CnfInstance found UNSAT
 
     def _discharge(self, phase: Phase, k: int):
         if time.monotonic() > self.deadline:
@@ -94,9 +97,11 @@ class _Checker:
         f = encode(to_ssa(u), phase)
         cnf = bitblast(f)
         self._emit(phase, k, f, cnf)
-        out = solve(cnf, self.cfg.conflict_limit, self.deadline, self.outcomes)
+        out = solve(cnf, self.cfg.conflict_limit, self.deadline, self.unsat)
         if out.status == BUDGET:
             raise _Exhausted
+        if out.status == UNSAT:
+            self.unsat = cnf
         return out, u
 
     def _emit(self, phase: Phase, k: int, f, cnf):

@@ -916,11 +916,6 @@ def parse(source: str, file: str = "<input>") -> Program:
     return _Parser(lex(source, file), file).parse_program()
 
 
-def parse_file(path: str) -> Program:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read(), file=path)
-
-
 # ---------------------------------------------------------------------------
 # pretty printer
 

@@ -619,16 +619,11 @@ def flatten_tree(tree: list, symbols: dict, name: str, file: str,
     return prog
 
 
-def lower(prog: Program, normalize: bool = True) -> GotoProgram:
-    """Lower a type-checked Program to a GotoProgram.
-
-    With normalize=True (the default) do-while loops are peeled into
-    top-test form via `normalize_loops`.
-    """
+def lower(prog: Program) -> GotoProgram:
+    """Lower a type-checked Program to a GotoProgram, with do-while loops
+    peeled into top-test form as `normalize_loops` does."""
     lo = _Lowerer(prog)
-    tree = lo.run()
-    if normalize:
-        tree = normalize_tree(tree, lo.nids)
+    tree = normalize_tree(lo.run(), lo.nids)
     return flatten_tree(tree, lo.symbols, prog.entry, prog.file, lo.nids.next)
 
 

@@ -28,7 +28,8 @@ The SAT core is a conventional CDCL: two watched literals, first-UIP
 conflict analysis, VSIDS-style activity, Luby restarts, phase saving.
 No preprocessing.  A conflict budget turns into a BUDGET outcome so the
 caller can report unknown instead of looping forever.  A caller may pass
-a memo that answers an instance it has already solved without a search.
+the last instance it found UNSAT; an instance with the same variables
+and clauses is UNSAT without a search.
 
 Its state lives in flat lists, as in MiniSat (Een & Sorensson, "An
 Extensible SAT-solver", SAT 2003).  Per-literal data (values, watch
@@ -57,9 +58,7 @@ are rescaled past 1e100 the heap is rebuilt from the scaled values.
 from __future__ import annotations
 
 import gc
-import hashlib
 import heapq
-import marshal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -527,16 +526,14 @@ def bitblast(f: VcFormula) -> CnfInstance:
     return CnfInstance(bl.num_vars, bl.clauses, bit_map, dict(f.symbols))
 
 
-def decode_model(assign: list, cnf: CnfInstance) -> dict:
-    """Turn a propositional assignment (truth values indexed by variable)
-    into per-symbol integers; a negative literal reads its variable
-    negated."""
+def decode_model(val: list, cnf: CnfInstance) -> dict:
+    """Turn a solver's literal-indexed values (1 true, -1 false) into
+    per-symbol integers."""
     model = {}
     for name, ty in cnf.symbols.items():
         value = 0
         for i in range(ty.width):
-            lit = cnf.bit_map[(name, i)]
-            if assign[lit] if lit > 0 else not assign[-lit]:
+            if val[cnf.bit_map[(name, i)]] == 1:
                 value |= 1 << i
         model[name] = ty.wrap(value)
     return model
@@ -888,36 +885,28 @@ class _Cdcl:
 def solve(cnf: CnfInstance,
           conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
           deadline: float | None = None,
-          memo: dict | None = None) -> SolverOutcome:
+          unsat: CnfInstance | None = None) -> SolverOutcome:
     """Decide a CNF instance; decode the model through bit_map when SAT.
 
     `deadline` is a time.monotonic() timestamp; running past it yields
     the same BUDGET outcome as exceeding the conflict limit.
 
-    `memo`, a dict the caller keeps between calls, holds every SAT and
-    UNSAT answer under a digest of its clauses, a SAT answer with its
-    assignment.  The search is deterministic, so an instance with the same
-    clauses gets the stored answer without a search (and zero search
-    counts); its model is the stored assignment decoded through the new
-    instance's bit_map.
+    `unsat` is an instance the caller already found UNSAT.  When `cnf`
+    has the same num_vars and clauses it is UNSAT too, and the answer
+    comes without a search (and with zero search counts).  The k-induction
+    loop repeats its last UNSAT query: a loop-free program poses one
+    query as BASE k=1, FORWARD k=2 and the re-check, and a fully unrolled
+    constant-bound loop makes the re-check repeat the proof.
     """
-    if memo is not None:
-        key = (cnf.num_vars, hashlib.blake2b(marshal.dumps(cnf.clauses)).digest())
-        known = memo.get(key)
-        if known is not None:
-            status, assign = known
-            model = None if assign is None else decode_model(assign, cnf)
-            return SolverOutcome(status, model)
+    if unsat is not None and cnf.num_vars == unsat.num_vars \
+            and cnf.clauses == unsat.clauses:
+        return SolverOutcome(UNSAT)
     engine = _Cdcl(cnf.num_vars, cnf.clauses)
     status = engine.solve(conflict_limit, deadline)
     outcome = SolverOutcome(status, None, engine.decisions,
                             engine.conflicts, engine.propagations)
-    assign = None
     if status == SAT:
-        assign = bytes(x == 1 for x in engine.val[:cnf.num_vars + 1])
-        outcome.model = decode_model(assign, cnf)
-    if memo is not None and status != BUDGET:
-        memo[key] = (status, assign)
+        outcome.model = decode_model(engine.val, cnf)
     return outcome
 
 

@@ -53,7 +53,6 @@ class InductiveRewrite:
     havoc_block: list = field(default_factory=list)   # A
     store_block: list = field(default_factory=list)   # S (all copies)
     body: list = field(default_factory=list)          # E (all copies)
-    update_block: list = field(default_factory=list)  # U (subsumed by SSA)
     remove_block: list = field(default_factory=list)  # R (one assume per copy)
     loop_id: int = 0
     shadows: dict = field(default_factory=dict)       # shadow -> original
@@ -159,25 +158,6 @@ def unwind(p: GotoProgram, k: int, phase: Phase) -> UnwoundProgram:
     body = flatten_tree(tree, symbols, p.name, p.file, nids.next,
                         p.head_invariants)
     return UnwoundProgram(body, phase, k, sigmas, rewrites, p)
-
-
-def prepare_base_case(p: GotoProgram, k: int) -> UnwoundProgram:
-    """Bounded search for violations within k iterations: initial state
-    concrete, paths beyond k iterations cut by unwinding assumptions."""
-    return unwind(p, k, Phase.BASE)
-
-
-def prepare_forward_condition(p: GotoProgram, k: int) -> UnwoundProgram:
-    """All loops must exit within k iterations (unwinding assertions) and
-    every original assertion must hold."""
-    return unwind(p, k, Phase.FORWARD)
-
-
-def prepare_inductive_step(p: GotoProgram, k: int) -> UnwoundProgram:
-    """k iterations from an arbitrary (havocked, invariant-constrained)
-    state, with stuttering ruled out, must exit and satisfy the
-    assertions."""
-    return unwind(p, k, Phase.INDUCTIVE)
 
 
 def dump_unwound(u: UnwoundProgram) -> str:

@@ -104,7 +104,6 @@ class SsaProgram:
     symbols: dict = field(default_factory=dict)       # name -> IntType
     draw_symbols: dict = field(default_factory=dict)  # name -> (nid, ctx, IntType)
     havocs: set = field(default_factory=set)          # versions born from HAVOC
-    carriers: set = field(default_factory=set)        # versions read before any write
 
 
 @dataclass
@@ -112,8 +111,6 @@ class VcFormula:
     definitions: list  # (versioned name, Expr), each reading only earlier names
     goal: Expr         # the satisfiability query, given the definitions
     symbols: dict      # name -> IntType, defined and free
-    phase: Phase
-    draw_symbols: dict = field(default_factory=dict)
 
 
 def _draw_name(prefix: str, nid: int, ctx: tuple) -> str:
@@ -142,7 +139,6 @@ class _SsaBuilder:
         if var not in self.cur:
             # Read before any write: an unconstrained initial version.
             name = self.fresh(var, self.prog.symbols[var])
-            self.out.carriers.add(name)
             self.cur[var] = name
         return self.cur[var]
 
@@ -252,8 +248,7 @@ def encode(s: SsaProgram, phase: Phase) -> VcFormula:
     prop = conjoin(term for term, _ in s.obligations)
     if phase is Phase.FORWARD:
         prop = And(conjoin(s.terminations), prop)
-    return VcFormula(list(s.definitions), Not(prop), dict(s.symbols), phase,
-                     dict(s.draw_symbols))
+    return VcFormula(list(s.definitions), Not(prop), dict(s.symbols))
 
 
 class _NoDraws:

@@ -6,10 +6,11 @@ import subprocess
 
 import pytest
 
-from kinduct import bench
+from kinduct import bench, cli
 from kinduct.cli import (
     EXIT_FALSE, EXIT_INTERNAL, EXIT_TRUE, EXIT_UNKNOWN, EXIT_USAGE, main,
 )
+from kinduct.driver import ReplayError
 from conftest import CORPUS, corpus_path
 
 FIG1_DUMP = """\
@@ -154,6 +155,19 @@ def test_bench_fails_on_internal_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench, "verify_file", broken)
     assert run("bench", bench_manifest(tmp_path)) == EXIT_INTERNAL
     assert "internal errors     2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error", [
+    ReplayError("replay ended with COMPLETED, not a violation"),
+    RecursionError("maximum recursion depth exceeded"),
+], ids=["ReplayError", "RecursionError"])
+def test_verify_internal_error_exits_internal(error, capsys, monkeypatch):
+    def broken(path, cfg):
+        raise error
+    monkeypatch.setattr(cli, "verify_file", broken)
+    assert run("verify", str(corpus_path("fig1_unsigned.mc"))) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and type(error).__name__ in err
 
 
 def test_bench_manifest_error(tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 import pytest
 
+from kinduct import driver, solver
 from kinduct.driver import (
     FALSE, TRUE, UNKNOWN, KInductionConfig, ReplayError, Trace, _Checker,
     kinduction, load_program, reconstruct, verify_file,
 )
-from kinduct import solver
+from kinduct.solver import SAT, UNSAT
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import to_ssa
 from conftest import corpus_path
@@ -25,6 +26,20 @@ CLAMP = """int clamp(int x) {
 int main() {
   int v = *;
   int r = clamp(v);
+  return 0;
+}
+"""
+
+# A CRC-8 kernel under a constant bound: unrolled twice, the loop is gone.
+CRC2 = """int main() {
+  unsigned char x = *;
+  unsigned char c = x;
+  unsigned int i = 0;
+  while (i < 2) {
+    if (c & 128) { c = (c << 1) ^ 7; } else { c = c << 1; }
+    i = i + 1;
+  }
+  assert(c != 0 || x == 0);
   return 0;
 }
 """
@@ -193,3 +208,46 @@ def test_repeated_queries_are_searched_once(monkeypatch):
     v = verify("straightline_safe.mc")
     assert (v.status, v.phase_log) == (TRUE, [("base", 1), ("forward", 2), ("base", 7)])
     assert len(searches) == 1
+
+
+def test_recheck_repeating_the_proof_is_not_searched(tmp_path, monkeypatch):
+    # Past the bound every copy folds away, so the re-check at k=7 poses
+    # the FORWARD k=2 query again: the last UNSAT answer.
+    searches = []
+
+    class Counted(solver._Cdcl):
+        def solve(self, *args):
+            searches.append(1)
+            return super().solve(*args)
+
+    monkeypatch.setattr(solver, "_Cdcl", Counted)
+    f = tmp_path / "crc2.mc"
+    f.write_text(CRC2)
+    v = verify_file(str(f))
+    assert (v.status, v.decided_by, v.k_at_decision) == (TRUE, "FORWARD", 2)
+    assert v.phase_log == [("base", 1), ("forward", 2), ("base", 7)]
+    assert len(searches) == 2
+
+
+@pytest.mark.parametrize("name", ["fig1_unsigned.mc", "off_by_one.mc"])
+def test_checker_keeps_only_an_unsat_instance(name, monkeypatch):
+    answers = []   # (cnf, status) of every query, kept alive for `is`
+    real_solve = driver.solve
+
+    def recording(cnf, *args):
+        out = real_solve(cnf, *args)
+        answers.append((cnf, out.status))
+        return out
+
+    real_discharge = _Checker._discharge
+
+    def checked(self, phase, k):
+        result = real_discharge(self, phase, k)
+        assert self.unsat is None or \
+            [s for c, s in answers if c is self.unsat] == [UNSAT]
+        return result
+
+    monkeypatch.setattr(driver, "solve", recording)
+    monkeypatch.setattr(_Checker, "_discharge", checked)
+    verify(name)
+    assert {SAT, UNSAT} <= {s for _, s in answers}

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from kinduct import solver
 from kinduct.driver import KInductionConfig, load_program
 from kinduct.frontend import Binary, Const, IntType, Unary, Var
 from kinduct.solver import (
     BUDGET, FALSE_LIT, SAT, TRUE_LIT, UNSAT, CnfInstance, SolverError,
-    _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
+    SolverOutcome, _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
 )
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import VcFormula, encode, eval_formula, to_ssa
@@ -32,7 +33,7 @@ B1 = IntType(1, False)
 
 
 def formula(goal, symbols, definitions=()):
-    return VcFormula(list(definitions), goal, symbols, Phase.BASE)
+    return VcFormula(list(definitions), goal, symbols)
 
 
 def var(name, ty):
@@ -637,26 +638,23 @@ def test_unary_operator_matches_evaluator(op, ty):
     assert_operator_matches_evaluator(e, ty, ("x",))
 
 
-def test_memo_answers_a_repeated_instance_without_search():
-    memo = {}
-    cnf = corpus_query("mod_wrong_bug.mc", Phase.BASE, 7)
-    first = solve(cnf, memo=memo)
-    again = solve(corpus_query("mod_wrong_bug.mc", Phase.BASE, 7), memo=memo)
-    assert (first.status, first.decisions > 0) == (SAT, True)
-    assert (again.status, again.model) == (first.status, first.model)
-    assert (again.decisions, again.conflicts, again.propagations) == (0, 0, 0)
-    assert len(memo) == 1
+def test_equal_unsat_instance_is_answered_without_search(monkeypatch):
+    unsat = php(4, 3)
+    assert solve(unsat).status == UNSAT
+    monkeypatch.setattr(solver, "_Cdcl", None)   # any search would fail
+    out = solve(php(4, 3), unsat=unsat)
+    assert out == SolverOutcome(UNSAT)
+    assert (out.decisions, out.conflicts, out.propagations) == (0, 0, 0)
 
 
-def test_memo_keeps_no_budget_and_decodes_through_the_new_bit_map():
-    memo = {}
-    assert solve(php(6, 5), conflict_limit=3, memo=memo).status == BUDGET
-    assert memo == {}
-    first = solve(php(4, 4), memo=memo)
-    # Same clauses under other names: the stored assignment, new names.
-    renamed = php(4, 4)
-    renamed.bit_map = {(f"q{s[1:]}", i): v for (s, i), v in renamed.bit_map.items()}
-    renamed.symbols = {f"q{s[1:]}": ty for s, ty in renamed.symbols.items()}
-    out = solve(renamed, memo=memo)
-    assert (out.status, out.decisions) == (SAT, 0) and first.decisions > 0
-    assert out.model == {f"q{s[1:]}": v for s, v in first.model.items()}
+def test_instance_unlike_the_unsat_one_is_searched():
+    unsat = php(4, 3)
+    one_clause = copy.deepcopy(unsat)
+    one_clause.clauses[0] = [-1]   # pigeon 0 may stay out: SAT
+    more_vars = copy.deepcopy(unsat)
+    more_vars.num_vars += 1
+    for cnf in (one_clause, more_vars):
+        out = solve(cnf, unsat=unsat)
+        assert out.decisions + out.conflicts + out.propagations > 0
+    assert solve(one_clause, unsat=unsat).status == SAT
+    assert solve(more_vars, unsat=unsat).status == UNSAT

@@ -6,10 +6,7 @@ from kinduct import oracle
 from kinduct.frontend import pp_expr
 from kinduct.goto_ir import count_backjumps, free_vars, loop_variables
 from kinduct.interp import COMPLETED, SequentialProvider, run_goto
-from kinduct.transform import (
-    Phase, TransformError, dump_unwound, prepare_base_case,
-    prepare_forward_condition, prepare_inductive_step, unwind,
-)
+from kinduct.transform import Phase, TransformError, dump_unwound, unwind
 from conftest import FIG1, compile_mc, corpus_entries
 
 
@@ -73,12 +70,6 @@ def test_base_terminator_concretely_satisfiable():
 def test_unwinding_rejects_k_below_one(fig1_goto):
     with pytest.raises(TransformError):
         unwind(fig1_goto, 0, Phase.BASE)
-
-
-def test_prepare_wrappers_set_phase(fig1_goto):
-    assert prepare_base_case(fig1_goto, 2).phase == Phase.BASE
-    assert prepare_forward_condition(fig1_goto, 2).phase == Phase.FORWARD
-    assert prepare_inductive_step(fig1_goto, 2).phase == Phase.INDUCTIVE
 
 
 def test_inductive_rewrite_blocks(fig1_goto):
