@@ -10,11 +10,20 @@ after a strengthened base case at k+increment finds no counterexample.
 force_basecase is never reset, so the algorithm always terminates at
 that re-check.
 
-A query whose CNF equals the last one this run found UNSAT is UNSAT
-without a search.  A loop-free program poses one query as BASE k=1,
-FORWARD k=2 and the re-check; once a constant-bound loop is fully
-unrolled, the re-check at k+increment repeats the FORWARD query at k.
-SAT answers are not reused: a BASE SAT ends the run.
+Every query is still unwound, converted and encoded from nothing, but
+it is blasted and solved in one of two solver sessions that live for
+the whole run: one for the concrete-start phases (BASE, FORWARD and the
+re-check) and one for INDUCTIVE.  The query at k+1 holds the copies of
+the query at k, so each copy's gates are built and loaded once per
+session, and learned clauses carry over.  Each query's goal is an
+assumption.  An UNSAT answer keeps the goal's negation, so a repeated
+proof costs no search: a loop-free program poses one query as BASE
+k=1, FORWARD k=2 and the re-check, and once a constant-bound loop is
+fully unrolled the re-check at k+increment repeats the FORWARD query
+at k.
+
+The deadline is checked before each query, inside `unwind` and
+`bitblast`, and inside the search; running past it gives UNKNOWN.
 """
 
 from __future__ import annotations
@@ -27,8 +36,10 @@ from .frontend import Loc, parse, typecheck, override_widths
 from .goto_ir import GotoProgram, lower
 from .interp import MapProvider, RunResult, VIOLATION, run_goto
 from .invariants import infer_invariants, instrument, translate_invariants
-from .solver import BUDGET, SAT, UNSAT, bitblast, emit_dimacs, emit_smtlib, solve
-from .transform import Phase, UnwoundProgram, unwind
+from .solver import (
+    BUDGET, SAT, UNSAT, Session, bitblast, emit_dimacs, emit_smtlib, solve,
+)
+from .transform import DeadlineExceeded, Phase, UnwoundProgram, unwind
 from .vcgen import to_ssa, encode
 
 TRUE = "TRUE"
@@ -87,21 +98,22 @@ class _Checker:
         self.cfg = cfg
         self.deadline = time.monotonic() + cfg.timeout_seconds
         self.phase_log: list = []
-        self.unsat = None  # the last CnfInstance found UNSAT
+        concrete = Session()
+        self.sessions = {Phase.BASE: concrete, Phase.FORWARD: concrete,
+                         Phase.INDUCTIVE: Session()}
 
     def _discharge(self, phase: Phase, k: int):
         if time.monotonic() > self.deadline:
             raise _Exhausted
         self.phase_log.append((phase.value, k))
-        u = unwind(self.p, k, phase)
+        session = self.sessions[phase]
+        u = unwind(self.p, k, phase, self.deadline)
         f = encode(to_ssa(u), phase)
-        cnf = bitblast(f)
+        cnf = bitblast(f, session, self.deadline)
         self._emit(phase, k, f, cnf)
-        out = solve(cnf, self.cfg.conflict_limit, self.deadline, self.unsat)
+        out = solve(cnf, self.cfg.conflict_limit, self.deadline, session)
         if out.status == BUDGET:
             raise _Exhausted
-        if out.status == UNSAT:
-            self.unsat = cnf
         return out, u
 
     def _emit(self, phase: Phase, k: int, f, cnf):
@@ -153,7 +165,7 @@ class _Checker:
                 elif self.inductive_step(k):
                     force_basecase = True
                     last_result = Verdict(TRUE, "INDUCTIVE", k)
-        except _Exhausted:
+        except (_Exhausted, DeadlineExceeded):
             pass
         return Verdict(UNKNOWN, phase_log=self.phase_log)
 

@@ -24,26 +24,48 @@ may therefore be any literal, negated or constant; `bit_map` records it
 and `decode_model` reads it.  The expression walk keeps an explicit
 stack, so deep unwindings do not hit Python's recursion limit.
 
+Queries are blasted and solved in a `Session`: one blaster and one CDCL
+engine that live across the queries of a phase family (Een & Sorensson,
+"Temporal induction by incremental SAT solving", BMC 2003).  The gate
+caches persist and a free name (draw, havoc, read-before-write version)
+keeps its bits in every query, so a copy shared with an earlier query
+blasts to the gates that already exist and adds no clause.  The goal is
+not a clause but a literal, `CnfInstance.goal`, passed to the search as
+its one assumption, as in MiniSat's solve(assumptions) (Een & Sorensson,
+"An Extensible SAT-solver", SAT 2003).  This is sound because every
+session clause is the Tseitin definition of a fresh gate variable: for
+any values of the free bits the clauses have exactly one satisfying
+extension, so each query is equisatisfiable with "clauses and goal".
+An UNSAT answer keeps -goal at level 0, so asking the same goal again
+costs no search.
+
 The SAT core is a conventional CDCL: two watched literals, first-UIP
 conflict analysis, VSIDS-style activity, Luby restarts, phase saving.
 No preprocessing.  A conflict budget turns into a BUDGET outcome so the
-caller can report unknown instead of looping forever.  A caller may pass
-the last instance it found UNSAT; an instance with the same variables
-and clauses is UNSAT without a search.
+caller can report unknown instead of looping forever.  Level 0 holds
+what the clauses imply, and level 1 the goal and what it implies;
+restarts go back to level 1.  Conflict analysis folds every level-1
+literal into one -goal and does not bump it, so a learned clause does
+not carry the goal's whole cone, and one query makes exactly the
+decisions and conflicts the goal made as a unit clause.  Learned
+clauses stay in the engine for later queries.
 
-Its state lives in flat lists, as in MiniSat (Een & Sorensson, "An
-Extensible SAT-solver", SAT 2003).  Per-literal data (values, watch
-lists) has 2n+1 slots, and a literal is its own index: slot `lit` for
-positive literals, and Python's negative indexing puts -n..-1 in the
-upper half.  So `val[lit]` and `watches[lit]` need no translation.
+Its state lives in flat lists, as in MiniSat.  Per-literal data
+(values, watch lists) has 2n+1 slots, and a literal is its own index:
+slot `lit` for positive literals, and Python's negative indexing puts
+-n..-1 in the upper half.  So `val[lit]` and `watches[lit]` need no
+translation.  Growing by m variables inserts 2m slots after slot n, so
+the negative slots stay at the end.
 
-Loading copies the input clauses, so the caller's CnfInstance is never
-changed.  A 2- or 3-literal clause of distinct, non-complementary,
-unassigned literals (nearly all bit-blaster output) is stored as is.
-Any other clause is deduplicated, dropped if it is a tautology, and
-stripped of literals false at level 0; a unit is enqueued but not
-propagated until search starts.  Literals must be nonzero with magnitude
-at most num_vars.
+The engine adopts the clause lists it loads, as it loads them: a
+session's clauses are stored once, and the engine reorders their
+literals.  `solve` without a session hands the engine copies, so the
+caller's CnfInstance is left intact.  A 2- or 3-literal clause of
+distinct, non-complementary, unassigned literals (nearly all
+bit-blaster output) is stored as is.  Any other clause is deduplicated,
+dropped if it is a tautology, and stripped of literals false at level
+0; a unit is enqueued but not propagated until search starts.  Literals
+must be nonzero with magnitude at most num_vars.
 
 The VSIDS order is a lazy binary heap of (-activity, var) entries.
 `pushed[v]` is the activity in v's newest entry.  A variable is pushed
@@ -66,6 +88,7 @@ from dataclasses import dataclass, field
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
 )
+from .transform import DeadlineExceeded
 from .vcgen import VcFormula
 
 SAT = "SAT"
@@ -88,6 +111,7 @@ class CnfInstance:
     clauses: list = field(default_factory=list)
     bit_map: dict = field(default_factory=dict)   # (symbol, bit) -> literal
     symbols: dict = field(default_factory=dict)   # symbol -> IntType
+    goal: int | None = None   # the literal the query assumes, if any
 
 
 @dataclass
@@ -499,31 +523,68 @@ def _gc_paused():
             gc.enable()
 
 
-def bitblast(f: VcFormula) -> CnfInstance:
+class Session:
+    """One bit-blaster and one CDCL engine that live across a family of
+    queries.  A free name keeps its bits in every query of the session,
+    so the copies a query shares with earlier ones blast to the gates
+    that already exist and add no clause.  `loaded` counts the blaster's
+    clauses the engine has taken."""
+
+    def __init__(self):
+        self.blaster = _Blaster()
+        self.free = {}   # free name -> its bits
+        self.engine = _Cdcl()
+        self.loaded = 0
+
+
+DEFS_PER_CHECK = 256
+
+
+def bitblast(f: VcFormula, session: Session | None = None,
+             deadline: float | None = None) -> CnfInstance:
     """Reduce the word-level query to CNF over per-bit variables.
 
     Only names without a definition (draws, carriers, havocked versions)
-    get fresh variables.  Each definition, in order, binds its name to the
-    literals its right-hand side blasts to, so `bit_map` sends a
-    (symbol, bit) to any literal: a variable, a negated one, or the
-    constant TRUE_LIT / FALSE_LIT.  The only root clause is the goal.
+    get fresh variables, and only the first time the session meets them.
+    Each definition, in order, binds its name to the literals its
+    right-hand side blasts to, so `bit_map` sends a (symbol, bit) to any
+    literal: a variable, a negated one, or the constant TRUE_LIT /
+    FALSE_LIT.  There is no root clause: the goal is returned as a
+    literal, and `clauses` lists every clause of the session so far, each
+    the definition of a gate.  Without a session the query gets a fresh
+    one.  Past `deadline` (checked every DEFS_PER_CHECK
+    definitions) it raises DeadlineExceeded.
     """
     for name, ty in f.symbols.items():
         if ty.width > 64:
             raise SolverError(f"width {ty.width} of {name} not supported")
-    bl = _Blaster()
+    session = session or Session()
+    bl = session.blaster
+    free = session.free
     defined = {name for name, _ in f.definitions}
     symbol_bits = {}
-    with _gc_paused():
-        for name, ty in f.symbols.items():
-            if name not in defined:
-                symbol_bits[name] = [bl.new_var() for _ in range(ty.width)]
-        for name, expr in f.definitions:
-            symbol_bits[name] = bl.blast(expr, symbol_bits)
-        bl.add(bl.v_nonzero(bl.blast(f.goal, symbol_bits)))
-        bit_map = {(name, i): lit for name in f.symbols
-                   for i, lit in enumerate(symbol_bits[name])}
-    return CnfInstance(bl.num_vars, bl.clauses, bit_map, dict(f.symbols))
+    # The node cache is keyed by id(): it must not outlive the formula,
+    # whose dead nodes' ids get reused.
+    try:
+        with _gc_paused():
+            for name, ty in f.symbols.items():
+                if name not in defined:
+                    bits = free.get(name)
+                    if bits is None:
+                        bits = free[name] = [bl.new_var() for _ in range(ty.width)]
+                    symbol_bits[name] = bits
+            for i, (name, expr) in enumerate(f.definitions):
+                if i % DEFS_PER_CHECK == 0 and deadline is not None \
+                        and time.monotonic() > deadline:
+                    raise DeadlineExceeded
+                symbol_bits[name] = bl.blast(expr, symbol_bits)
+            goal = bl.v_nonzero(bl.blast(f.goal, symbol_bits))
+            bit_map = {(name, i): lit for name in f.symbols
+                       for i, lit in enumerate(symbol_bits[name])}
+    finally:
+        bl.cache.clear()
+    return CnfInstance(bl.num_vars, list(bl.clauses), bit_map,
+                       dict(f.symbols), goal)
 
 
 def decode_model(val: list, cnf: CnfInstance) -> dict:
@@ -557,38 +618,63 @@ class _Cdcl:
     VAR_DECAY = 0.95
     RESCALE_AT = 1e100
 
-    def __init__(self, num_vars: int, clauses: list):
-        n = self.n = num_vars
-        self.clauses = []          # each: a list of literals, owned here
+    def __init__(self, num_vars: int = 0, clauses=()):
+        self.n = 0
+        self.clauses = []          # each: a list of literals, adopted
         # Literal-indexed: slot `lit` for lit in -n..n (negative literals
         # index from the end).  val[lit] is 1 true, -1 false, 0 free.
-        self.val = [0] * (2 * n + 1)
-        self.level = [0] * (n + 1)
-        self.reason = [None] * (n + 1)
+        self.val = [0]
+        self.watches = [[]]
+        self.level = [0]
+        self.reason = [None]
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.activity = [0.0] * (n + 1)
+        self.activity = [0.0]
         self.var_inc = 1.0
-        self.saved_phase = [False] * (n + 1)
-        self.order = [(0.0, v) for v in range(1, n + 1)]  # sorted: a heap
+        self.saved_phase = [False]
+        self.order = []            # a heap of (-activity, var)
         # pushed[v]: the activity in v's newest heap entry, or -1.0 once
         # pick_branch has popped that entry.
-        self.pushed = [0.0] * (n + 1)
-        self.seen = [False] * (n + 1)
+        self.pushed = [0.0]
+        self.seen = [False]
         self.decisions = 0
         self.conflicts = 0
         self.propagations = 0
-        with _gc_paused():
-            self.watches = [[] for _ in range(2 * n + 1)]
-            self.ok = self._load(clauses)
+        self.ok = True
+        self.add(num_vars, clauses)
 
-    def _load(self, clauses: list) -> bool:
+    def add(self, num_vars: int, clauses):
+        """Grow to num_vars variables and load `clauses` at level 0.  The
+        engine adopts the clause lists and reorders their literals."""
+        if self.trail_lim:
+            self.backtrack(0)
+        n = self.n
+        extra = num_vars - n
+        with _gc_paused():
+            if extra > 0:
+                # New positive slots go after n, new negative ones right
+                # before the old negative ones, which stay at the end.
+                self.val[n + 1:n + 1] = [0] * (2 * extra)
+                self.watches[n + 1:n + 1] = [[] for _ in range(2 * extra)]
+                self.level += [0] * extra
+                self.reason += [None] * extra
+                self.activity += [0.0] * extra
+                self.saved_phase += [False] * extra
+                self.pushed += [0.0] * extra
+                self.seen += [False] * extra
+                # Keyed 0.0 and numbered above every entry: still a heap.
+                self.order += [(0.0, v) for v in range(n + 1, num_vars + 1)]
+                self.n = num_vars
+            if self.ok:
+                self.ok = self._load(clauses)
+
+    def _load(self, clauses) -> bool:
         """Add the input clauses; False if one is empty at level 0."""
         val = self.val
         watches = self.watches
         store = self.clauses
-        ci = 0
+        ci = len(store)
         for c in clauses:
             # Fast path: distinct, non-complementary, unassigned literals
             # need no dedupe or filtering (most bit-blaster clauses).
@@ -600,7 +686,7 @@ class _Cdcl:
                         and not (val[a] or val[b] or val[d])):
                     watches[a].append(ci)
                     watches[b].append(ci)
-                    store.append([a, b, d])
+                    store.append(c)
                     ci += 1
                     continue
             elif size == 2:
@@ -608,7 +694,7 @@ class _Cdcl:
                 if a != b and a != -b and not (val[a] or val[b]):
                     watches[a].append(ci)
                     watches[b].append(ci)
-                    store.append([a, b])
+                    store.append(c)
                     ci += 1
                     continue
             if not self.add_clause(c):
@@ -731,12 +817,15 @@ class _Cdcl:
                 order.append((-activity[v], v))
         heapq.heapify(order)
 
-    def analyze(self, conflict_ci: int):
+    def analyze(self, conflict_ci: int, goal: int | None):
         # First-UIP: walk the implication graph backwards along the trail.
         # A propagated literal sits at index 0 of its reason clause, so
         # reason clauses are scanned from index 1.  Every literal met is
         # false, so bumping a variable never pushes a heap entry here;
-        # backtrack pushes it on unassignment.
+        # backtrack pushes it on unassignment.  Level 1 holds the goal and
+        # what it implies, so its literals fold into one -goal, appended
+        # last and not bumped; with no goal they are implied by the
+        # clauses alone and drop out, as level 0 does.
         clauses = self.clauses
         level = self.level
         reason = self.reason
@@ -746,6 +835,7 @@ class _Cdcl:
         inc = self.var_inc
         learned = [0]
         counter = 0
+        folded = False
         ci = conflict_ci
         first = 0
         idx = len(trail) - 1
@@ -755,16 +845,20 @@ class _Cdcl:
             for j in range(first, len(cl)):
                 q = cl[j]
                 v = q if q > 0 else -q
-                if not seen[v] and level[v] > 0:
-                    seen[v] = True
-                    activity[v] += inc
-                    if activity[v] > self.RESCALE_AT:
-                        self._rescale()
-                        inc = self.var_inc
-                    if level[v] == cur_level:
-                        counter += 1
-                    else:
-                        learned.append(q)
+                if not seen[v]:
+                    lv = level[v]
+                    if lv > 1:
+                        seen[v] = True
+                        activity[v] += inc
+                        if activity[v] > self.RESCALE_AT:
+                            self._rescale()
+                            inc = self.var_inc
+                        if lv == cur_level:
+                            counter += 1
+                        else:
+                            learned.append(q)
+                    elif lv == 1:
+                        folded = True
             first = 1
             lit = trail[idx]
             while not seen[lit if lit > 0 else -lit]:
@@ -778,7 +872,9 @@ class _Cdcl:
                 break
             ci = reason[v]
         learned[0] = -lit
-        back = 0
+        if folded and goal is not None:
+            learned.append(-goal)
+        back = 1
         mi = 1
         for j in range(1, len(learned)):
             q = learned[j]
@@ -836,9 +932,17 @@ class _Cdcl:
             return v if self.saved_phase[v] else -v
         return 0
 
-    def solve(self, conflict_limit: int, deadline: float | None = None) -> str:
+    def solve(self, conflict_limit: int, deadline: float | None = None,
+              goal: int | None = None) -> str:
+        """Search for a model of the clauses in which `goal` holds.  Level
+        0 holds what the clauses imply; level 1 opens with the goal as an
+        assumption, and restarts go back to it.  At most conflict_limit
+        conflicts are spent on this call."""
+        if self.trail_lim:
+            self.backtrack(0)
         if not self.ok:
             return UNSAT
+        limit = self.conflicts + conflict_limit
         restart_idx = 1
         budget_next = _luby(restart_idx) * self.RESTART_UNIT
         since_restart = 0
@@ -852,11 +956,12 @@ class _Cdcl:
             if conflict is not None:
                 self.conflicts += 1
                 since_restart += 1
-                if self.conflicts >= conflict_limit:
+                if self.conflicts >= limit:
                     return BUDGET
-                if not self.trail_lim:
+                if len(self.trail_lim) <= 1:
+                    self._refute(goal)
                     return UNSAT
-                learned, back = self.analyze(conflict)
+                learned, back = self.analyze(conflict, goal)
                 self.backtrack(back)
                 if len(learned) == 1:
                     self.enqueue(learned[0], None)
@@ -868,11 +973,18 @@ class _Cdcl:
                     self.enqueue(learned[0], ci)
                 self.var_inc /= self.VAR_DECAY
                 continue
+            if not self.trail_lim:
+                if goal is not None and self.val[goal] == -1:
+                    return UNSAT
+                self.trail_lim.append(len(self.trail))
+                if goal is not None and not self.val[goal]:
+                    self.enqueue(goal, None)
+                continue
             if since_restart >= budget_next:
                 restart_idx += 1
                 budget_next = _luby(restart_idx) * self.RESTART_UNIT
                 since_restart = 0
-                self.backtrack(0)
+                self.backtrack(1)
                 continue
             lit = self.pick_branch()
             if lit == 0:
@@ -881,30 +993,48 @@ class _Cdcl:
             self.trail_lim.append(len(self.trail))
             self.enqueue(lit, None)
 
+    def _refute(self, goal: int | None):
+        """A conflict at level 1 or below: the clauses imply -goal.  Keep
+        it at level 0, so asking the same goal again costs nothing; with
+        no goal (or a goal level 0 already made true) the clauses alone
+        are contradictory."""
+        if not self.trail_lim:
+            self.ok = False
+            return
+        self.backtrack(0)
+        if goal is None or self.val[goal] == 1:
+            self.ok = False
+            return
+        self.enqueue(-goal, None)
+        if self.propagate() is not None:
+            self.ok = False
+
 
 def solve(cnf: CnfInstance,
           conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
           deadline: float | None = None,
-          unsat: CnfInstance | None = None) -> SolverOutcome:
-    """Decide a CNF instance; decode the model through bit_map when SAT.
+          session: Session | None = None) -> SolverOutcome:
+    """Decide a CNF instance under its goal; decode the model through
+    bit_map when SAT.  Counts and the conflict limit are this query's.
 
     `deadline` is a time.monotonic() timestamp; running past it yields
     the same BUDGET outcome as exceeding the conflict limit.
 
-    `unsat` is an instance the caller already found UNSAT.  When `cnf`
-    has the same num_vars and clauses it is UNSAT too, and the answer
-    comes without a search (and with zero search counts).  The k-induction
-    loop repeats its last UNSAT query: a loop-free program poses one
-    query as BASE k=1, FORWARD k=2 and the re-check, and a fully unrolled
-    constant-bound loop makes the re-check repeat the proof.
+    With the `session` the instance was blasted in, the session's engine
+    loads only the clauses it has not seen and keeps what it learned.
+    Without one, a fresh engine gets copies, and `cnf` is left intact.
     """
-    if unsat is not None and cnf.num_vars == unsat.num_vars \
-            and cnf.clauses == unsat.clauses:
-        return SolverOutcome(UNSAT)
-    engine = _Cdcl(cnf.num_vars, cnf.clauses)
-    status = engine.solve(conflict_limit, deadline)
-    outcome = SolverOutcome(status, None, engine.decisions,
-                            engine.conflicts, engine.propagations)
+    if session is None:
+        engine = _Cdcl(cnf.num_vars, [list(c) for c in cnf.clauses])
+    else:
+        engine = session.engine
+        engine.add(cnf.num_vars, cnf.clauses[session.loaded:])
+        session.loaded = len(cnf.clauses)
+    before = (engine.decisions, engine.conflicts, engine.propagations)
+    status = engine.solve(conflict_limit, deadline, cnf.goal)
+    outcome = SolverOutcome(status, None, engine.decisions - before[0],
+                            engine.conflicts - before[1],
+                            engine.propagations - before[2])
     if status == SAT:
         outcome.model = decode_model(engine.val, cnf)
     return outcome
@@ -912,11 +1042,13 @@ def solve(cnf: CnfInstance,
 
 def emit_dimacs(cnf: CnfInstance) -> str:
     """DIMACS text, preceded by one `c <literal> = <symbol>[<bit>]` line
-    per symbol bit, ordered by variable."""
+    per symbol bit, ordered by variable.  The goal is written as a unit
+    clause, so the file is the query on its own."""
+    clauses = cnf.clauses if cnf.goal is None else cnf.clauses + [[cnf.goal]]
     lines = [f"c {lit} = {name}[{bit}]" for (name, bit), lit in
              sorted(cnf.bit_map.items(), key=lambda kv: abs(kv[1]))]
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    for cl in cnf.clauses:
+    lines.append(f"p cnf {cnf.num_vars} {len(clauses)}")
+    for cl in clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")
     return "\n".join(lines) + "\n"
 

@@ -20,11 +20,16 @@ Every produced instruction carries `ctx`, the tuple of copy indices of
 its enclosing unwound loops (outermost first).  Nondeterministic draws
 are therefore named (nid, ctx), the same keys a concrete replay of the
 original program produces, which is what makes model replay possible.
+
+`unwind` takes an optional time.monotonic() deadline and raises
+DeadlineExceeded once it has run past it, checked every COPIES_PER_CHECK
+loop copies; `solver.bitblast` does the same for definitions.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field, replace
 
 from .frontend import Binary, Expr, IntType, Unary, Var
@@ -35,6 +40,13 @@ from .goto_ir import (
 
 class TransformError(Exception):
     pass
+
+
+class DeadlineExceeded(Exception):
+    """A query stage ran past its caller's deadline."""
+
+
+COPIES_PER_CHECK = 256
 
 
 class Phase(enum.Enum):
@@ -72,7 +84,8 @@ def shadow_name(var: str, ctx: tuple) -> str:
     return f"{var}__pre_{'_'.join(str(c) for c in ctx)}"
 
 
-def unwind(p: GotoProgram, k: int, phase: Phase) -> UnwoundProgram:
+def unwind(p: GotoProgram, k: int, phase: Phase,
+           deadline: float | None = None) -> UnwoundProgram:
     """Replace every loop with k guarded copies plus the phase terminator.
 
     Nested loops are unwound recursively with the same global k, once per
@@ -80,6 +93,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase) -> UnwoundProgram:
     """
     if k < 1:
         raise TransformError(f"unwinding depth must be >= 1, got {k}")
+    copies = 0
     nids = _NidSource(p.next_nid)
     symbols = dict(p.symbols)
     sigmas: list = []
@@ -102,6 +116,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase) -> UnwoundProgram:
         return out
 
     def unwind_loop(loop: LoopItem, ctx: tuple) -> list:
+        nonlocal copies
         if loop.bottom_test:
             raise TransformError("unwinding requires normalized (top-test) loops")
         sigma = Unary("!", loop.guard, ty=_BOOL, loc=loop.loc)
@@ -114,6 +129,10 @@ def unwind(p: GotoProgram, k: int, phase: Phase) -> UnwoundProgram:
                                     loop_id=loop.loop_id, loc=loop.loc,
                                     ctx=ctx + (k + 1,)))]
         for i in range(k, 0, -1):
+            if copies % COPIES_PER_CHECK == 0 and deadline is not None \
+                    and time.monotonic() > deadline:
+                raise DeadlineExceeded
+            copies += 1
             cctx = ctx + (i,)
             pre_i = stamp(loop.pre, cctx)
             body_i = stamp(loop.body, cctx)

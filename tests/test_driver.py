@@ -1,5 +1,7 @@
 """The k-induction loop, counterexample replay, and program loading."""
 
+import time
+
 import pytest
 
 from kinduct import driver, solver
@@ -11,6 +13,7 @@ from kinduct.solver import SAT, UNSAT
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import to_ssa
 from conftest import corpus_path
+from test_solver import DEEP_LOOP
 
 CLAMP = """int clamp(int x) {
   // P(x) {x#init >= 0, x#init <= 6}
@@ -194,60 +197,158 @@ def test_kinduction_accepts_default_config():
     assert v.status == FALSE
 
 
+def recorded(monkeypatch):
+    """Every (phase, k, cnf, outcome) the driver solves, in order."""
+    queries = []
+    real_solve = driver.solve
+    real_unwind = driver.unwind
+
+    def unwinding(p, k, phase, *args):
+        queries.append([phase.value, k])
+        return real_unwind(p, k, phase, *args)
+
+    def solving(cnf, *args):
+        out = real_solve(cnf, *args)
+        queries[-1] += [cnf, out]
+        return out
+
+    monkeypatch.setattr(driver, "unwind", unwinding)
+    monkeypatch.setattr(driver, "solve", solving)
+    return queries
+
+
+def search_counts(out):
+    return (out.decisions, out.conflicts, out.propagations)
+
+
 def test_repeated_queries_are_searched_once(monkeypatch):
     # A loop-free program poses one query three times: BASE k=1,
-    # FORWARD k=2 and the re-check at k=7.
-    searches = []
-
-    class Counted(solver._Cdcl):
-        def solve(self, *args):
-            searches.append(1)
-            return super().solve(*args)
-
-    monkeypatch.setattr(solver, "_Cdcl", Counted)
+    # FORWARD k=2 and the re-check at k=7.  The first answer leaves the
+    # goal's negation in the session, so the repeats need no search.
+    queries = recorded(monkeypatch)
     v = verify("straightline_safe.mc")
     assert (v.status, v.phase_log) == (TRUE, [("base", 1), ("forward", 2), ("base", 7)])
-    assert len(searches) == 1
+    goals = {cnf.goal for _, _, cnf, _ in queries}
+    assert len(goals) == 1
+    assert [(out.status, search_counts(out)) for *_, out in queries[1:]] \
+        == [(UNSAT, (0, 0, 0))] * 2
 
 
 def test_recheck_repeating_the_proof_is_not_searched(tmp_path, monkeypatch):
-    # Past the bound every copy folds away, so the re-check at k=7 poses
-    # the FORWARD k=2 query again: the last UNSAT answer.
-    searches = []
-
-    class Counted(solver._Cdcl):
-        def solve(self, *args):
-            searches.append(1)
-            return super().solve(*args)
-
-    monkeypatch.setattr(solver, "_Cdcl", Counted)
+    # Past the bound every copy folds away, so the re-check at k=7 asks
+    # the FORWARD k=2 goal again: the session already holds its negation.
+    queries = recorded(monkeypatch)
     f = tmp_path / "crc2.mc"
     f.write_text(CRC2)
     v = verify_file(str(f))
     assert (v.status, v.decided_by, v.k_at_decision) == (TRUE, "FORWARD", 2)
     assert v.phase_log == [("base", 1), ("forward", 2), ("base", 7)]
-    assert len(searches) == 2
+    forward, recheck = queries[1], queries[2]
+    assert forward[3].status == UNSAT and sum(search_counts(forward[3])) > 0
+    assert recheck[2].goal == forward[2].goal
+    assert (recheck[3].status, search_counts(recheck[3])) == (UNSAT, (0, 0, 0))
+
+
+# The loop's dead copies past the bound still blast their then-branches,
+# so the re-check's CNF is larger than the FORWARD query's; its goal is
+# the same literal, which the proof left false at level 0.
+DEAD_COND = """int main() {
+  unsigned int x = *;
+  unsigned int y = x;
+  unsigned int i = 0;
+  while (i < 2) {
+    x = x + 1;
+    i = i + 1;
+  }
+  assert(x == y + 2);
+  return 0;
+}
+"""
+
+
+def test_recheck_past_dead_branches_is_not_searched(tmp_path, monkeypatch):
+    queries = recorded(monkeypatch)
+    f = tmp_path / "dead_cond.mc"
+    f.write_text(DEAD_COND)
+    v = verify_file(str(f))
+    assert (v.status, v.decided_by, v.k_at_decision) == (TRUE, "FORWARD", 2)
+    assert v.phase_log == [("base", 1), ("forward", 2), ("base", 7)]
+    *_, recheck_cnf, recheck = queries[2]
+    assert len(recheck_cnf.clauses) > len(queries[1][2].clauses)
+    assert recheck.status == UNSAT
+    assert (recheck.decisions, recheck.conflicts) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["fig1_unsigned.mc", "off_by_one.mc"])
-def test_checker_keeps_only_an_unsat_instance(name, monkeypatch):
-    answers = []   # (cnf, status) of every query, kept alive for `is`
-    real_solve = driver.solve
+def test_sessions_answer_a_repeated_unsat_goal_without_search(name, monkeypatch):
+    checkers = []
+    real_init = _Checker.__init__
 
-    def recording(cnf, *args):
-        out = real_solve(cnf, *args)
-        answers.append((cnf, out.status))
-        return out
+    def init(self, *args):
+        real_init(self, *args)
+        checkers.append(self)
 
-    real_discharge = _Checker._discharge
-
-    def checked(self, phase, k):
-        result = real_discharge(self, phase, k)
-        assert self.unsat is None or \
-            [s for c, s in answers if c is self.unsat] == [UNSAT]
-        return result
-
-    monkeypatch.setattr(driver, "solve", recording)
-    monkeypatch.setattr(_Checker, "_discharge", checked)
+    monkeypatch.setattr(_Checker, "__init__", init)
+    queries = recorded(monkeypatch)
     verify(name)
-    assert {SAT, UNSAT} <= {s for _, s in answers}
+    sessions = checkers[0].sessions
+    assert sessions[Phase.BASE] is sessions[Phase.FORWARD]
+    assert sessions[Phase.INDUCTIVE] is not sessions[Phase.BASE]
+    assert not hasattr(checkers[0], "unsat")
+    refuted = set()   # (session, goal) of every UNSAT answer so far
+    for phase, _, cnf, out in queries:
+        key = (id(sessions[Phase(phase)]), cnf.goal)
+        if key in refuted:
+            assert (out.status, search_counts(out)) == (UNSAT, (0, 0, 0))
+        if out.status == UNSAT:
+            refuted.add(key)
+    assert {SAT, UNSAT} <= {out.status for *_, out in queries}
+
+
+def parse_dimacs(text):
+    num_vars, clauses = 0, []
+    for line in text.splitlines():
+        if line.startswith("p cnf "):
+            num_vars = int(line.split()[2])
+        elif not line.startswith("c"):
+            *lits, end = map(int, line.split())
+            assert end == 0
+            clauses.append(lits)
+    return solver.CnfInstance(num_vars, clauses)
+
+
+@pytest.mark.parametrize("name,status", [
+    ("fig1_unsigned.mc", TRUE), ("deep_bug.mc", FALSE), ("mod_wrong_bug.mc", FALSE),
+])
+def test_session_answers_match_emitted_dimacs(name, status, tmp_path, monkeypatch):
+    # Each query of a session is equisatisfiable with its --emit-cnf file:
+    # the session's clauses so far plus the goal as a unit clause.
+    queries = recorded(monkeypatch)
+    v = verify(name, emit_cnf_dir=str(tmp_path))
+    assert v.status == status
+    assert "inductive" in {phase for phase, _ in v.phase_log}
+    stem = name[:-len(".mc")]
+    for phase, k, _, out in queries:
+        text = (tmp_path / f"{stem}_{phase}_k{k}.cnf").read_text()
+        assert solver.solve(parse_dimacs(text)).status == out.status, (phase, k)
+
+
+def test_deadline_inside_a_stage_gives_unknown(tmp_path, monkeypatch):
+    # The deadline passes after the check before the query, so bitblast
+    # is the stage that meets it.
+    f = tmp_path / "deep.mc"
+    f.write_text(DEEP_LOOP)
+    g = load_program(str(f), KInductionConfig())
+    checker = _Checker(g, KInductionConfig())
+    real_encode = driver.encode
+
+    def expiring(*args):
+        checker.deadline = time.monotonic() - 1.0
+        return real_encode(*args)
+
+    monkeypatch.setattr(driver, "encode", expiring)
+    blasted = []
+    monkeypatch.setattr(driver, "solve", lambda *args: blasted.append(args))
+    v = checker.run()
+    assert (v.status, v.phase_log) == (UNKNOWN, [("base", 1)])
+    assert blasted == []

@@ -18,10 +18,10 @@ from kinduct import solver
 from kinduct.driver import KInductionConfig, load_program
 from kinduct.frontend import Binary, Const, IntType, Unary, Var
 from kinduct.solver import (
-    BUDGET, FALSE_LIT, SAT, TRUE_LIT, UNSAT, CnfInstance, SolverError,
-    SolverOutcome, _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
+    BUDGET, FALSE_LIT, SAT, TRUE_LIT, UNSAT, CnfInstance, Session, SolverError,
+    _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
 )
-from kinduct.transform import Phase, unwind
+from kinduct.transform import DeadlineExceeded, Phase, unwind
 from kinduct.vcgen import VcFormula, encode, eval_formula, to_ssa
 from conftest import compile_mc, corpus_path, satisfies
 
@@ -336,10 +336,13 @@ def test_stored_queries_have_their_recorded_size():
 # The same two queries as the blaster builds them now, with every SSA
 # definition bound to its bits and adders, comparators and equality tests
 # built from majority, parity and n-ary gates: (vars, clauses) and the
-# search counts.
+# search counts.  The goal is an assumption, not a unit clause, so each
+# query has one clause fewer than when it was one; the UNSAT answer
+# propagates the goal's negation at level 0 once more.  Decisions and
+# conflicts are those the goal made as a unit clause.
 @pytest.mark.parametrize("name,phase,k,size,expected", [
-    ("mod_wrong_bug.mc", Phase.BASE, 7, (2422, 7795), (SAT, 292, 5, 3279)),
-    ("fig1_unsigned.mc", Phase.INDUCTIVE, 2, (554, 1557), (UNSAT, 65, 34, 8251)),
+    ("mod_wrong_bug.mc", Phase.BASE, 7, (2422, 7794), (SAT, 292, 5, 3279)),
+    ("fig1_unsigned.mc", Phase.INDUCTIVE, 2, (554, 1556), (UNSAT, 65, 34, 8252)),
 ])
 def test_bound_query_goldens(name, phase, k, size, expected):
     cnf = corpus_query(name, phase, k)
@@ -450,8 +453,9 @@ def test_emit_dimacs_names_literals():
     assert [abs(int(l.split()[1])) for l in comments] == \
         sorted(abs(int(l.split()[1])) for l in comments)
     body = lines[len(comments):]
-    assert body[0] == f"p cnf {cnf.num_vars} {len(cnf.clauses)}"
-    assert len(body) == len(cnf.clauses) + 1
+    assert body[0] == f"p cnf {cnf.num_vars} {len(cnf.clauses) + 1}"
+    assert len(body) == len(cnf.clauses) + 2
+    assert body[-1] == f"{cnf.goal} 0"   # the goal as a unit clause
 
 
 def test_emit_smtlib_defines_bound_names():
@@ -492,7 +496,7 @@ DEEP_LOOP = """int main() {
 def test_deep_unwinding_bitblasts(phase):
     g = compile_mc(DEEP_LOOP)
     cnf = bitblast(encode(to_ssa(unwind(g, 400, phase)), phase))
-    assert cnf.num_vars > 8 and cnf.clauses[-1] != [FALSE_LIT]
+    assert cnf.num_vars > 8 and cnf.goal != FALSE_LIT
 
 
 @pytest.mark.parametrize("phase", list(Phase))
@@ -638,23 +642,60 @@ def test_unary_operator_matches_evaluator(op, ty):
     assert_operator_matches_evaluator(e, ty, ("x",))
 
 
-def test_equal_unsat_instance_is_answered_without_search(monkeypatch):
-    unsat = php(4, 3)
-    assert solve(unsat).status == UNSAT
-    monkeypatch.setattr(solver, "_Cdcl", None)   # any search would fail
-    out = solve(php(4, 3), unsat=unsat)
-    assert out == SolverOutcome(UNSAT)
-    assert (out.decisions, out.conflicts, out.propagations) == (0, 0, 0)
+def test_engine_growth_keeps_literal_slots():
+    # Variable 2 is true at level 0 before the engine grows from 3 to 6
+    # variables; the new clauses need the new slots and the old units.
+    engine = _Cdcl(3, [[2], [-2, 3], [1, 3]])
+    assert engine.solve(100) == SAT
+    assert_heap_exact(engine)
+    engine.add(6, [[-3, 4, 5], [-4, -6], [6]])
+    assert (len(engine.val), len(engine.watches)) == (13, 13)
+    assert len(engine.level) == len(engine.activity) == len(engine.pushed) == 7
+    assert (engine.val[2], engine.val[-2], engine.val[3], engine.val[-3]) \
+        == (1, -1, 1, -1)
+    assert engine.val[6] == 1 and engine.val[-6] == -1   # the new unit
+    assert all(engine.val[v] == engine.val[-v] == 0 for v in (1, 4, 5))
+    assert [engine.clauses[ci] for ci in engine.watches[-4]] == [[-4, -6]]
+    assert_heap_exact(engine)
+    assert engine.solve(100) == SAT
+    model = {v: engine.val[v] == 1 for v in range(1, 7)}
+    assert model[2] and model[3] and model[5] and model[6] and not model[4]
+    assert_heap_exact(engine)
 
 
-def test_instance_unlike_the_unsat_one_is_searched():
-    unsat = php(4, 3)
-    one_clause = copy.deepcopy(unsat)
-    one_clause.clauses[0] = [-1]   # pigeon 0 may stay out: SAT
-    more_vars = copy.deepcopy(unsat)
-    more_vars.num_vars += 1
-    for cnf in (one_clause, more_vars):
-        out = solve(cnf, unsat=unsat)
-        assert out.decisions + out.conflicts + out.propagations > 0
-    assert solve(one_clause, unsat=unsat).status == SAT
-    assert solve(more_vars, unsat=unsat).status == UNSAT
+def test_session_shares_copies_and_free_bits():
+    g = compile_mc(DEEP_LOOP)
+    session = Session()
+    sizes = []
+    for k in (3, 4):
+        f = encode(to_ssa(unwind(g, k, Phase.BASE)), Phase.BASE)
+        cnf = bitblast(f, session)
+        sizes.append(len(cnf.clauses))
+        fresh = bitblast(f)
+        assert cnf.bit_map[("nd0", 0)] == session.free["nd0"][0]
+        assert solve(cnf, session=session).status == solve(fresh).status
+    # k=4 adds one copy's gates to k=3's, far fewer than a fresh k=4.
+    assert sizes[1] - sizes[0] < len(fresh.clauses) / 2
+
+
+def test_repeated_unsat_goal_is_not_searched():
+    session = Session()
+    f = fig1_formula(2, Phase.BASE)
+    first = solve(bitblast(f, session), session=session)
+    assert first.status == UNSAT and first.decisions + first.conflicts > 0
+    again = solve(bitblast(f, session), session=session)
+    assert (again.status, again.decisions, again.conflicts,
+            again.propagations) == (UNSAT, 0, 0, 0)
+
+
+def test_expired_deadline_stops_bitblast_and_unwind():
+    g = compile_mc(DEEP_LOOP)
+    f = encode(to_ssa(unwind(g, 400, Phase.BASE)), Phase.BASE)
+    session = Session()
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        bitblast(f, session, deadline=time.monotonic() - 1.0)
+    with pytest.raises(DeadlineExceeded):
+        unwind(g, 400, Phase.BASE, deadline=time.monotonic() - 1.0)
+    assert time.monotonic() - start < 0.5
+    assert session.blaster.num_vars < 100   # stopped before the copies
