@@ -37,7 +37,8 @@ from .goto_ir import GotoProgram, lower
 from .interp import MapProvider, RunResult, VIOLATION, run_goto
 from .invariants import infer_invariants, instrument, translate_invariants
 from .solver import (
-    BUDGET, SAT, UNSAT, Session, bitblast, emit_dimacs, emit_smtlib, solve,
+    BUDGET, DEFAULT_CONFLICT_LIMIT, SAT, UNSAT, Session, bitblast, emit_dimacs,
+    emit_smtlib, solve,
 )
 from .transform import DeadlineExceeded, Phase, UnwoundProgram, unwind
 from .vcgen import to_ssa, encode
@@ -60,7 +61,6 @@ class KInductionConfig:
     timeout_seconds: int = 900
     invariants_mode: str = "builtin"
     width_override: int | None = None
-    conflict_limit: int = 10 ** 6
     emit_smt_dir: str | None = None
     emit_cnf_dir: str | None = None
 
@@ -111,7 +111,7 @@ class _Checker:
         f = encode(to_ssa(u), phase)
         cnf = bitblast(f, session, self.deadline)
         self._emit(phase, k, f, cnf)
-        out = solve(cnf, self.cfg.conflict_limit, self.deadline, session)
+        out = solve(cnf, DEFAULT_CONFLICT_LIMIT, self.deadline, session)
         if out.status == BUDGET:
             raise _Exhausted
         return out, u

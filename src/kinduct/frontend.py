@@ -273,14 +273,6 @@ class FunctionDef(Node):
 
 
 @dataclass
-class SafetyProperty:
-    """An assertion to be proved: a boolean condition at a program point."""
-
-    location: Loc
-    condition: Expr
-
-
-@dataclass
 class Program:
     """A parsed MiniC translation unit.
 
@@ -305,48 +297,6 @@ class Program:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def assertions(self) -> list:
-        """All SafetyProperty nodes, in source order."""
-        out = []
-
-        def walk(node):
-            if isinstance(node, Assert):
-                out.append(SafetyProperty(node.loc, node.cond))
-            for child in _children(node):
-                walk(child)
-
-        for f in self.functions:
-            walk(f.body)
-        return out
-
-    def loop_count(self) -> int:
-        count = 0
-
-        def walk(node):
-            nonlocal count
-            if isinstance(node, (While, For, DoWhile)):
-                count += 1
-            for child in _children(node):
-                walk(child)
-
-        for f in self.functions:
-            walk(f.body)
-        return count
-
-    def source_map(self) -> list:
-        """(node, file, line, col) for every located AST node."""
-        out = []
-
-        def walk(node):
-            if isinstance(node, Node) and node.loc is not None:
-                out.append((node, self.file, node.loc.line, node.loc.col))
-            for child in _children(node):
-                walk(child)
-
-        for it in self.items:
-            walk(it)
-        return out
 
 
 def _children(node):

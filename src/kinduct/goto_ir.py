@@ -9,9 +9,10 @@ inlined and every loop in a canonical top-test shape:
            GOTO head
 
 for-loops lower as `B; while (c) { E; D; }` and do-while loops are
-peeled (`E; while (c) { E; }`, handled by `normalize_loops`).  Alongside
-the flat view, a structured region tree is kept so later passes can copy
-loop bodies without re-discovering structure from jumps.
+peeled as `E; while (c) { E; }`: the lowerer lowers the body twice, so
+the peeled copy gets its own draw ids and its inner loops their own loop
+ids.  Alongside the flat view, a structured region tree is kept so later
+passes can copy loop bodies without re-discovering structure from jumps.
 
 Every nondeterministic value in the IR (nondet expressions, havocs, and
 the fresh value produced by division by zero) carries a unique numeric id
@@ -51,9 +52,8 @@ class Instr:
     nid: int | None = None  # draw id for HAVOC
     tag: str = ""           # provenance marker for transformed programs
     loop_id: int | None = None
-    # Set on unwound copies: original instruction index and the copy
-    # indices of every enclosing loop, outermost first.
-    orig_index: int | None = None
+    # Set on unwound copies: the copy indices of every enclosing loop,
+    # outermost first.
     ctx: tuple = ()
 
     def render(self) -> str:
@@ -106,7 +106,6 @@ class LoopItem:
     guard: Expr
     body: list
     pre: list = field(default_factory=list)  # run each iteration before the guard
-    bottom_test: bool = False                # raw do-while shape
     loc: Loc | None = None
     loop_id: int = 0
 
@@ -120,8 +119,6 @@ class GotoProgram:
     name: str = "<program>"
     file: str = "<input>"
     next_nid: int = 0
-    # Loop-head invariants recorded by instrumentation: loop_id -> exprs.
-    head_invariants: dict = field(default_factory=dict)
 
 
 def dump_goto(p: GotoProgram) -> str:
@@ -180,7 +177,8 @@ def loops_enclosing(p: GotoProgram) -> list:
 
 
 def check_structure(p: GotoProgram):
-    """Validate jump targets, loop nesting, and the backjump count."""
+    """Validate jump targets, loop nesting and ids, and the backjump
+    count."""
     n = len(p.instructions)
     for i, ins in enumerate(p.instructions):
         if ins.op in ("GOTO", "COND_GOTO"):
@@ -191,6 +189,8 @@ def check_structure(p: GotoProgram):
             raise LoweringError(f"loop {loop.loop_id} backjump does not follow head")
         if p.instructions[loop.backjump].target != loop.head:
             raise LoweringError(f"loop {loop.loop_id} backjump does not target head")
+    if len({l.loop_id for l in p.loops}) != len(p.loops):
+        raise LoweringError("two loops share a loop id")
     spans = sorted(((l.head, l.backjump) for l in p.loops))
     stack: list = []
     for lo, hi in spans:
@@ -241,26 +241,6 @@ def clone_expr(e: Expr, nids: _NidSource, rename: dict | None = None) -> Expr:
         return Cond(clone_expr(e.cond, nids, rename), clone_expr(e.then, nids, rename),
                     clone_expr(e.els, nids, rename), ty=e.ty, loc=e.loc)
     raise LoweringError(f"cannot lower expression {e!r}", e.loc)
-
-
-def refresh_item(item, nids: _NidSource):
-    """Deep-copy a tree item, re-minting draw ids (used when a pass
-    duplicates code, e.g. do-while peeling)."""
-    if isinstance(item, OpItem):
-        ins = item.instr
-        expr = clone_expr(ins.expr, nids) if ins.expr is not None else None
-        nid = nids.take() if ins.op == "HAVOC" else ins.nid
-        return OpItem(replace(ins, expr=expr, nid=nid))
-    if isinstance(item, IfItem):
-        return IfItem(clone_expr(item.cond, nids),
-                      [refresh_item(it, nids) for it in item.then],
-                      [refresh_item(it, nids) for it in item.els], loc=item.loc)
-    if isinstance(item, LoopItem):
-        return LoopItem(clone_expr(item.guard, nids),
-                        [refresh_item(it, nids) for it in item.body],
-                        [refresh_item(it, nids) for it in item.pre],
-                        bottom_test=item.bottom_test, loc=item.loc, loop_id=item.loop_id)
-    raise TypeError(f"unexpected tree item {item!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +404,11 @@ class _Lowerer:
             out.append(LoopItem(guard, body, loc=s.loc, loop_id=self.loop_ids.take()))
             return out
         if isinstance(s, DoWhile):
+            peeled = self.lower_stmt(s.body, rename, ret_var)
             guard = clone_expr(s.cond, self.nids, rename)
             body = self.lower_stmt(s.body, rename, ret_var)
-            return [LoopItem(guard, body, bottom_test=True, loc=s.loc,
-                             loop_id=self.loop_ids.take())]
+            return peeled + [LoopItem(guard, body, loc=s.loc,
+                                      loop_id=self.loop_ids.take())]
         if isinstance(s, Return):
             if s.value is None:
                 return []
@@ -516,29 +497,7 @@ class _Lowerer:
 
 
 # ---------------------------------------------------------------------------
-# tree normalization and flattening
-
-def normalize_tree(tree: list, nids: _NidSource) -> list:
-    """Rewrite bottom-test (do-while) loops into a peeled body followed by
-    a top-test loop.  Idempotent."""
-    out: list = []
-    for item in tree:
-        if isinstance(item, IfItem):
-            out.append(IfItem(item.cond, normalize_tree(item.then, nids),
-                              normalize_tree(item.els, nids), loc=item.loc))
-        elif isinstance(item, LoopItem):
-            body = normalize_tree(item.body, nids)
-            if item.bottom_test:
-                out.extend(refresh_item(it, nids) for it in body)
-                out.append(LoopItem(item.guard, body, pre=list(item.pre),
-                                    loc=item.loc, loop_id=item.loop_id))
-            else:
-                out.append(LoopItem(item.guard, body, pre=list(item.pre),
-                                    loc=item.loc, loop_id=item.loop_id))
-        else:
-            out.append(item)
-    return out
-
+# flattening
 
 class _Flattener:
     def __init__(self):
@@ -579,40 +538,28 @@ class _Flattener:
                 else:
                     self.instrs[branch].target = len(self.instrs)
             elif isinstance(item, LoopItem):
-                if item.bottom_test:
-                    head = len(self.instrs)
-                    self.depth += 1
-                    yield item.body
-                    guard_idx = self.emit(Instr(
-                        "COND_GOTO", expr=item.guard, target=head, loc=item.loc))
-                    self.depth -= 1
-                    self.loops.append(LoopInfo(
-                        head, guard_idx, item.guard, frozenset(),
-                        self.depth, guard_idx, item.loop_id))
-                else:
-                    head = len(self.instrs)
-                    self.depth += 1
-                    yield item.pre
-                    neg = Unary("!", item.guard, ty=IntType(32, True), loc=item.loc)
-                    guard_idx = self.emit(Instr("COND_GOTO", expr=neg, loc=item.loc))
-                    yield item.body
-                    backjump = self.emit(Instr("GOTO", target=head, loc=item.loc))
-                    self.instrs[guard_idx].target = len(self.instrs)
-                    self.depth -= 1
-                    self.loops.append(LoopInfo(
-                        head, backjump, item.guard, frozenset(),
-                        self.depth, guard_idx, item.loop_id))
+                head = len(self.instrs)
+                self.depth += 1
+                yield item.pre
+                neg = Unary("!", item.guard, ty=IntType(32, True), loc=item.loc)
+                guard_idx = self.emit(Instr("COND_GOTO", expr=neg, loc=item.loc))
+                yield item.body
+                backjump = self.emit(Instr("GOTO", target=head, loc=item.loc))
+                self.instrs[guard_idx].target = len(self.instrs)
+                self.depth -= 1
+                self.loops.append(LoopInfo(
+                    head, backjump, item.guard, frozenset(),
+                    self.depth, guard_idx, item.loop_id))
             else:
                 raise TypeError(f"unexpected tree item {item!r}")
 
 
 def flatten_tree(tree: list, symbols: dict, name: str, file: str,
-                 next_nid: int, head_invariants: dict | None = None) -> GotoProgram:
+                 next_nid: int) -> GotoProgram:
     fl = _Flattener()
     fl.flatten(tree)
     prog = GotoProgram(fl.instrs, sorted(fl.loops, key=lambda l: l.head),
-                       dict(symbols), tree, name=name, file=file, next_nid=next_nid,
-                       head_invariants=dict(head_invariants or {}))
+                       dict(symbols), tree, name=name, file=file, next_nid=next_nid)
     for loop in prog.loops:
         loop.loop_vars = loop_variables(prog, loop)
     check_structure(prog)
@@ -620,16 +567,7 @@ def flatten_tree(tree: list, symbols: dict, name: str, file: str,
 
 
 def lower(prog: Program) -> GotoProgram:
-    """Lower a type-checked Program to a GotoProgram, with do-while loops
-    peeled into top-test form as `normalize_loops` does."""
+    """Lower a type-checked Program to a GotoProgram; do-while loops come
+    out peeled into top-test form."""
     lo = _Lowerer(prog)
-    tree = normalize_tree(lo.run(), lo.nids)
-    return flatten_tree(tree, lo.symbols, prog.entry, prog.file, lo.nids.next)
-
-
-def normalize_loops(p: GotoProgram) -> GotoProgram:
-    """Peel bottom-test loops into top-test form; fixpoint on already
-    normalized programs."""
-    nids = _NidSource(p.next_nid)
-    tree = normalize_tree(p.tree, nids)
-    return flatten_tree(tree, p.symbols, p.name, p.file, nids.next, p.head_invariants)
+    return flatten_tree(lo.run(), lo.symbols, prog.entry, prog.file, lo.nids.next)

@@ -25,7 +25,7 @@ from .frontend import (
     lex, promote, _Parser,
 )
 from .goto_ir import (
-    GotoProgram, Instr, LoopItem, IfItem, OpItem, flatten_tree, _NidSource,
+    GotoProgram, Instr, LoopItem, IfItem, OpItem, flatten_tree,
 )
 
 
@@ -147,7 +147,6 @@ def constraint_to_expr(c: AffineConstraint, symbols: dict) -> Expr:
 @dataclass
 class InvariantSet:
     by_location: dict = field(default_factory=dict)  # head index -> [AffineConstraint]
-    snapshot_vars: set = field(default_factory=set)  # (function, variable)
 
     def __bool__(self):
         return bool(self.by_location)
@@ -706,8 +705,6 @@ def instrument(p: GotoProgram, inv: InvariantSet) -> GotoProgram:
         if cs:
             by_loop[loop.loop_id] = cs
 
-    head_invariants = dict(p.head_invariants)
-
     def conj(cs: list) -> Expr:
         exprs = [constraint_to_expr(c, p.symbols) for c in cs]
         out = exprs[0]
@@ -725,20 +722,17 @@ def instrument(p: GotoProgram, inv: InvariantSet) -> GotoProgram:
                 body = rebuild(item.body)
                 pre = list(item.pre)
                 if item.loop_id in by_loop:
-                    e = conj(by_loop[item.loop_id])
-                    head_invariants[item.loop_id] = e
-                    pre = [OpItem(Instr("ASSUME", expr=e, tag="invariant",
-                                        loc=item.loc))] + pre
+                    pre.insert(0, OpItem(Instr(
+                        "ASSUME", expr=conj(by_loop[item.loop_id]),
+                        tag="invariant", loc=item.loc)))
                 out.append(LoopItem(item.guard, body, pre=pre,
-                                    bottom_test=item.bottom_test,
                                     loc=item.loc, loop_id=item.loop_id))
             else:
                 out.append(item)
         return out
 
     tree = rebuild(p.tree)
-    return flatten_tree(tree, p.symbols, p.name, p.file, p.next_nid,
-                        head_invariants)
+    return flatten_tree(tree, p.symbols, p.name, p.file, p.next_nid)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ terminator over sigma = !(guard):
 
 The inductive step additionally rewrites every loop per
 `A; while (c) { S; E; U; } R;`: A havocs the loop variables before copy
-1 (any instrumented head invariant is assumed right after, as part of
-copy 1's head), S snapshots each loop variable into a per-copy shadow,
-U is subsumed by SSA renaming downstream, and R assumes after each
-executed copy that some loop variable changed, banning stuttering
-iterations.
+1 (tag `havoc`; any instrumented head invariant is assumed right after,
+as part of copy 1's head), S snapshots each loop variable into a
+per-copy shadow (tag `shadow`), U is subsumed by SSA renaming
+downstream, and R assumes after each executed copy that some loop
+variable changed, banning stuttering iterations (tag `stutter`).
 
 Every produced instruction carries `ctx`, the tuple of copy indices of
 its enclosing unwound loops (outermost first).  Nondeterministic draws
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .frontend import Binary, Expr, IntType, Unary, Var
 from .goto_ir import (
@@ -59,24 +59,10 @@ _BOOL = IntType(32, True)
 
 
 @dataclass
-class InductiveRewrite:
-    """The pieces of one loop's inductive rewrite (metadata for checks)."""
-
-    havoc_block: list = field(default_factory=list)   # A
-    store_block: list = field(default_factory=list)   # S (all copies)
-    body: list = field(default_factory=list)          # E (all copies)
-    remove_block: list = field(default_factory=list)  # R (one assume per copy)
-    loop_id: int = 0
-    shadows: dict = field(default_factory=dict)       # shadow -> original
-
-
-@dataclass
 class UnwoundProgram:
     body: GotoProgram
     phase: Phase
     k: int
-    termination_conditions: list  # sigma per unwound loop instance
-    rewrites: list = field(default_factory=list)  # InductiveRewrite per instance
     origin: GotoProgram | None = None  # the program that was unwound
 
 
@@ -96,8 +82,6 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
     copies = 0
     nids = _NidSource(p.next_nid)
     symbols = dict(p.symbols)
-    sigmas: list = []
-    rewrites: list = []
     loop_vars = {l.loop_id: l.loop_vars for l in p.loops}
     inductive = phase is Phase.INDUCTIVE
 
@@ -117,14 +101,10 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
 
     def unwind_loop(loop: LoopItem, ctx: tuple) -> list:
         nonlocal copies
-        if loop.bottom_test:
-            raise TransformError("unwinding requires normalized (top-test) loops")
         sigma = Unary("!", loop.guard, ty=_BOOL, loc=loop.loc)
-        sigmas.append(sigma)
         lv = sorted(loop_vars[loop.loop_id])
         term_op, term_tag = (("ASSERT", "unwind_assertion") if phase is Phase.FORWARD
                              else ("ASSUME", "unwind_assumption"))
-        rw = InductiveRewrite(loop_id=loop.loop_id)
         inner: list = [OpItem(Instr(term_op, expr=sigma, tag=term_tag,
                                     loop_id=loop.loop_id, loc=loop.loc,
                                     ctx=ctx + (k + 1,)))]
@@ -136,7 +116,6 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
             cctx = ctx + (i,)
             pre_i = stamp(loop.pre, cctx)
             body_i = stamp(loop.body, cctx)
-            rw.body.extend(it.instr for it in body_i if isinstance(it, OpItem))
             seq = body_i
             if inductive:
                 stores: list = []
@@ -144,7 +123,6 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                 for v in lv:
                     sh = shadow_name(v, cctx)
                     symbols[sh] = symbols[v]
-                    rw.shadows[sh] = v
                     stores.append(OpItem(Instr(
                         "ASSIGN", var=sh,
                         expr=Var(v, rid=v, ty=symbols[v], loc=loop.loc),
@@ -158,25 +136,17 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                 stutter = OpItem(Instr("ASSUME", expr=changed, tag="stutter",
                                        loop_id=loop.loop_id, loc=loop.loc,
                                        ctx=cctx))
-                rw.store_block.extend(it.instr for it in stores)
-                rw.remove_block.append(stutter.instr)
                 seq = stores + body_i + [stutter]
             inner = pre_i + [IfItem(loop.guard, seq + inner, [],
                                     loc=loop.loc, ctx=cctx)]
-        prefix: list = []
-        if inductive:
-            for v in lv:
-                havoc = Instr("HAVOC", var=v, nid=nids.take(), tag="havoc",
-                              loop_id=loop.loop_id, loc=loop.loc, ctx=ctx)
-                rw.havoc_block.append(havoc)
-                prefix.append(OpItem(havoc))
-            rewrites.append(rw)
-        return prefix + inner
+        havocs = [OpItem(Instr("HAVOC", var=v, nid=nids.take(), tag="havoc",
+                               loop_id=loop.loop_id, loc=loop.loc, ctx=ctx))
+                  for v in lv] if inductive else []
+        return havocs + inner
 
     tree = stamp(p.tree, ())
-    body = flatten_tree(tree, symbols, p.name, p.file, nids.next,
-                        p.head_invariants)
-    return UnwoundProgram(body, phase, k, sigmas, rewrites, p)
+    body = flatten_tree(tree, symbols, p.name, p.file, nids.next)
+    return UnwoundProgram(body, phase, k, p)
 
 
 def dump_unwound(u: UnwoundProgram) -> str:

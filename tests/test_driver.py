@@ -6,9 +6,10 @@ import pytest
 
 from kinduct import driver, solver
 from kinduct.driver import (
-    FALSE, TRUE, UNKNOWN, KInductionConfig, ReplayError, Trace, _Checker,
-    kinduction, load_program, reconstruct, verify_file,
+    FALSE, INVARIANT_MODES, TRUE, UNKNOWN, KInductionConfig, ReplayError,
+    Trace, _Checker, kinduction, load_program, reconstruct, verify_file,
 )
+from kinduct.interp import VIOLATION, SequentialProvider, run_goto
 from kinduct.solver import SAT, UNSAT
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import to_ssa
@@ -45,6 +46,13 @@ CRC2 = """int main() {
   assert(c != 0 || x == 0);
   return 0;
 }
+"""
+
+# An assertion in a loop nested in a do-while: the inner loop's head in the
+# peeled first iteration sees x == 0, its head inside the loop 1 <= x <= 2.
+DO_NESTED_BUG = """int main() { unsigned int x = 0; unsigned int i = 0;
+  do { i = 0; while (i < 2) { assert(x != 0); i = i + 1; } x = x + 1; } while (x < 3);
+  return 0; }
 """
 
 
@@ -170,6 +178,21 @@ def test_comments_mode_changes_the_verdict(tmp_path):
         invariants_mode="none", width_override=8))
     assert (without.status, without.decided_by, without.k_at_decision) \
         == (FALSE, "BASE", 7)
+
+
+@pytest.mark.parametrize("mode", INVARIANT_MODES)
+def test_do_while_peeled_loop_keeps_its_own_invariant(tmp_path, mode):
+    f = tmp_path / "do_nested_bug.mc"
+    f.write_text(DO_NESTED_BUG)
+    cfg = KInductionConfig(invariants_mode=mode)
+    v = verify_file(str(f), cfg)
+    assert (v.status, v.decided_by, v.k_at_decision) == (FALSE, "BASE", 1)
+    t = v.counterexample
+    assert t.states == [{"x": 0, "i": 0}, {"x": 0, "i": 0}]
+    assert t.violated.line == 2
+    # the instrumented program itself runs into the violation
+    replay = run_goto(load_program(str(f), cfg), SequentialProvider([]))
+    assert (replay.status, replay.violated) == (VIOLATION, t.violated)
 
 
 def test_width_override_narrows_symbols():

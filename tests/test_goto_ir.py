@@ -1,11 +1,11 @@
-"""Lowering, loop normalization, loop discovery."""
+"""Lowering, do-while peeling, loop discovery."""
 
 import pytest
 
 from kinduct.frontend import parse, typecheck
 from kinduct.goto_ir import (
-    count_backjumps, dump_goto, free_vars, loop_variables, lower,
-    normalize_loops,
+    LoweringError, check_structure, count_backjumps, dump_goto, free_vars,
+    loop_variables, lower,
 )
 from kinduct.interp import RandomProvider, SequentialProvider, run_ast, run_goto
 from conftest import FIG1, compile_mc, corpus_entries
@@ -80,16 +80,30 @@ def test_for_normalizes_to_while():
     assert dump_goto(as_for) == dump_goto(as_while)
 
 
-def test_normalize_is_idempotent_on_corpus():
-    for path, _expected, _cat in corpus_entries():
-        g = compile_mc(path.read_text())
-        assert dump_goto(normalize_loops(g)) == dump_goto(g), path.name
-
-
 def test_do_while_peels_one_iteration():
     peeled = compile_mc("int main() { int x = *; do { x = x - 1; } while (x > 0); return 0; }")
     by_hand = compile_mc("int main() { int x = *; x = x - 1; while (x > 0) { x = x - 1; } return 0; }")
     assert dump_goto(peeled) == dump_goto(by_hand)
+
+
+def test_do_while_peeled_copy_gets_its_own_loop_ids():
+    g = compile_mc("""int main() {
+      unsigned int x = 0;
+      unsigned int i = 0;
+      do {
+        i = 0;
+        while (i < 2) { i = i + 1; }
+        for (i = 0; i < 2; i = i + 1) { x = x + i; }
+        x = x + 1;
+      } while (x < 9);
+      return 0;
+    }""")
+    # the peeled while and for, then the do-while holding its own two
+    assert [l.nesting_depth for l in g.loops] == [0, 0, 0, 1, 1]
+    assert len({l.loop_id for l in g.loops}) == 5
+    g.loops[3].loop_id = g.loops[0].loop_id
+    with pytest.raises(LoweringError, match="loop id"):
+        check_structure(g)
 
 
 @pytest.mark.parametrize("x0", range(0, 11))

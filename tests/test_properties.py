@@ -1,13 +1,14 @@
-"""Randomized properties: round-trips, normalization, and semantics
-agreement between the AST walker, the lowered form, and the encoder."""
+"""Randomized properties: round-trips, semantics agreement between the
+AST walker, the lowered form, and the encoder, and sound instrumentation."""
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from kinduct import oracle
 from kinduct.frontend import parse, pretty_print, typecheck
-from kinduct.goto_ir import dump_goto, lower, normalize_loops
+from kinduct.goto_ir import lower
 from kinduct.interp import COMPLETED, SequentialProvider, run_ast, run_goto
+from kinduct.invariants import infer_invariants, instrument
 from kinduct.solver import SAT, bitblast, solve
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import encode, to_ssa
@@ -129,8 +130,8 @@ def test_parse_pretty_round_trip(tree, a, b, c):
     assert pretty_print(again) == pretty_print(first)
 
 
-# Statement-level generator: assignments, if/else, bounded while loops
-# over the fixed prelude variables.
+# Statement-level generator: assignments, if/else, bounded while and
+# do-while loops over the fixed prelude variables.
 
 assignments = st.tuples(st.sampled_from(VARS), expr_trees)
 
@@ -147,8 +148,12 @@ def stmt_render(s, indent):
             return (f"{pad}if ({render(s[1])}) {{\n{body}\n{pad}}} "
                     f"else {{\n{alt}\n{pad}}}")
         return f"{pad}if ({render(s[1])}) {{\n{body}\n{pad}}}"
-    # bounded while: the guard variable strictly decreases
     body = "\n".join(stmt_render(x, indent + 2) for x in s[2])
+    if kind == "do":
+        # bounded do-while: its own counter d runs down from s[1]
+        return (f"{pad}d = {s[1]};\n{pad}do {{\n{body}\n{pad}  d = d - 1;\n"
+                f"{pad}}} while (d > 0);")
+    # bounded while: the guard variable strictly decreases
     return f"{pad}while (c > 0) {{\n{body}\n{pad}  c = c - 1;\n{pad}}}"
 
 
@@ -161,32 +166,33 @@ loop_free = st.recursive(
     max_leaves=8,
 )
 
-# loops only at the top level, with loop-free bodies: every iteration
-# decrements c exactly once, so each loop runs to completion
+# A while loop has a loop-free body: every iteration decrements c exactly
+# once, so it runs to completion.  A do-while sits at the top level and
+# its body may hold such a while; every iteration decrements d once.
+bounded_while = st.tuples(st.just("while"), st.just(None),
+                          st.lists(loop_free, max_size=2))
 stmt_trees = st.one_of(
     loop_free,
-    st.tuples(st.just("while"), st.just(None), st.lists(loop_free, max_size=2)),
+    bounded_while,
+    st.tuples(st.just("do"), st.integers(min_value=1, max_value=3),
+              st.lists(loop_free | bounded_while, max_size=2)),
 )
 
 
 def program(stmts, env):
     decls = "\n".join(f"  unsigned char {v} = {env[v]};" for v in VARS)
     body = "\n".join(stmt_render(s, 2) for s in stmts)
-    return f"int main() {{\n{decls}\n{body}\n  return 0;\n}}\n"
+    return f"int main() {{\n{decls}\n  unsigned char d = 0;\n{body}\n  return 0;\n}}\n"
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(stmt_trees, max_size=4), byte, byte,
        st.integers(min_value=0, max_value=5))
-def test_statement_round_trip_and_normalize_idempotence(stmts, a, b, c):
+def test_statement_round_trip(stmts, a, b, c):
     src = program(stmts, {"a": a, "b": b, "c": c})
     prog = parse(src)
     assert parse(pretty_print(prog)) == prog
-
-    g = lower(typecheck(prog))
-    once = normalize_loops(g)
-    assert dump_goto(normalize_loops(once)) == dump_goto(once)
 
 
 @settings(max_examples=100, deadline=None,
@@ -202,6 +208,22 @@ def test_lowering_preserves_statement_semantics(stmts, a, b, c):
     assert ast_run.status == goto_run.status == COMPLETED
     for v in VARS:
         assert ast_run.store[v] == goto_run.store[v]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(stmt_trees, min_size=1, max_size=3), byte, byte,
+       st.integers(min_value=0, max_value=4))
+@example([("do", 2, [("while", None, [])])], 0, 0, 1)
+def test_instrumentation_never_blocks_a_plain_run(stmts, a, b, c):
+    """Every invariant planted at a loop head holds on each run reaching
+    that head, so the instrumented program completes where the plain one
+    does (cf. test_soundness_sampling_on_corpus)."""
+    g = lower(typecheck(parse(program(stmts, {"a": a, "b": b, "c": c}))))
+    gi = instrument(g, infer_invariants(g))
+    plain = run_goto(g, SequentialProvider([]))
+    inst = run_goto(gi, SequentialProvider([]))
+    assert plain.status == inst.status == COMPLETED
 
 
 guard_ops = st.sampled_from(("<", ">", "<=", ">=", "!="))

@@ -6,7 +6,9 @@ from kinduct import oracle
 from kinduct.frontend import pp_expr
 from kinduct.goto_ir import count_backjumps, free_vars, loop_variables
 from kinduct.interp import COMPLETED, SequentialProvider, run_goto
-from kinduct.transform import Phase, TransformError, dump_unwound, unwind
+from kinduct.transform import (
+    Phase, TransformError, dump_unwound, shadow_name, unwind,
+)
 from conftest import FIG1, compile_mc, corpus_entries
 
 
@@ -56,7 +58,7 @@ def test_loop_free_program_unchanged_any_k():
     for k in (1, 4):
         u = unwind(g, k, Phase.FORWARD)
         assert len(u.body.instructions) == len(g.instructions)
-        assert u.termination_conditions == []
+        assert tags(u) == []
 
 
 def test_base_terminator_concretely_satisfiable():
@@ -74,26 +76,25 @@ def test_unwinding_rejects_k_below_one(fig1_goto):
 
 def test_inductive_rewrite_blocks(fig1_goto):
     u = unwind(fig1_goto, 1, Phase.INDUCTIVE)
-    (rw,) = u.rewrites
-    havocs = [i for i in u.body.instructions if i.op == "HAVOC"]
-    assert [i.var for i in havocs] == ["x"]
-    assert rw.havoc_block == havocs
+    body = u.body.instructions
+    # A havocs every loop variable once, before copy 1
+    (havoc,) = [i for i in body if i.op == "HAVOC"]
+    assert (havoc.var, havoc.tag, havoc.ctx) == ("x", "havoc", ())
     # S snapshots every loop variable once per copy
-    assert len(rw.store_block) == 1
-    assert rw.store_block[0].var in rw.shadows
-    assert rw.shadows[rw.store_block[0].var] == "x"
+    (store,) = [i for i in body if i.tag == "shadow"]
+    assert store.op == "ASSIGN" and store.var == shadow_name("x", (1,))
+    assert pp_expr(store.expr) == "x"
+    assert u.body.symbols[store.var] == u.body.symbols["x"]
     # R is one stutter-elimination assume per copy
-    assert len(rw.remove_block) == 1
-    assert rw.remove_block[0].op == "ASSUME"
-    assert rw.remove_block[0].tag == "stutter"
-    assert "!=" in pp_expr(rw.remove_block[0].expr)
+    (stutter,) = [i for i in body if i.tag == "stutter"]
+    assert stutter.op == "ASSUME"
+    assert pp_expr(stutter.expr) == f"x != {store.var}"
+    assert body.index(havoc) < body.index(store) < body.index(stutter)
 
 
 def test_inductive_shadow_count_grows_with_k(fig1_goto):
     u = unwind(fig1_goto, 3, Phase.INDUCTIVE)
-    (rw,) = u.rewrites
-    assert len(rw.store_block) == 3
-    assert len(rw.remove_block) == 3
+    assert [tags(u).count(t) for t in ("havoc", "shadow", "stutter")] == [1, 3, 3]
 
 
 def test_havoc_completeness_on_corpus():
