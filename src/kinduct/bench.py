@@ -16,16 +16,17 @@ the checker, not in the input: its row is an internal error, counted apart.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
 import time
 import traceback
-from dataclasses import dataclass, field, asdict
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
-from .driver import FALSE, TRUE, UNKNOWN, KInductionConfig, verify_file
+from .driver import FALSE, TRUE, KInductionConfig, verify_file
 from .frontend import MiniCError
 
 
@@ -129,12 +130,29 @@ def score(report: BenchReport) -> int:
             - 6 * report.false_incorrect - 12 * report.true_incorrect)
 
 
+def _run_alone(entry: ManifestEntry, cfg: KInductionConfig) -> BenchRow:
+    """Run one entry in a fresh one-worker pool; a worker that dies
+    costs this entry's row only."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_run_entry, entry, cfg).result()
+        except BrokenProcessPool:
+            return BenchRow(entry.path, entry.expected, entry.category,
+                            "ERROR", None, None, 0, "internal_error",
+                            "worker process died")
+
+
 def run_suite(m: Manifest, cfg: KInductionConfig | None = None,
               jobs: int = 1) -> BenchReport:
     cfg = cfg or KInductionConfig()
     if jobs > 1 and len(m.entries) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_entry, m.entries, [cfg] * len(m.entries)))
+        # A dying worker breaks every pending future of its pool, so
+        # each entry whose future broke is re-run alone.
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_run_entry, e, cfg) for e in m.entries]
+            wait(futures)
+        rows = [_run_alone(e, cfg) if isinstance(f.exception(), BrokenProcessPool)
+                else f.result() for e, f in zip(m.entries, futures)]
     else:
         rows = [_run_entry(e, cfg) for e in m.entries]
     rows.sort(key=lambda r: r.path)

@@ -37,7 +37,7 @@ from .goto_ir import GotoProgram, lower
 from .interp import MapProvider, RunResult, VIOLATION, run_goto
 from .invariants import infer_invariants, instrument, translate_invariants
 from .solver import (
-    BUDGET, DEFAULT_CONFLICT_LIMIT, SAT, UNSAT, Session, bitblast, emit_dimacs,
+    BUDGET, DEFAULT_CONFLICT_LIMIT, UNSAT, Session, bitblast, emit_dimacs,
     emit_smtlib, solve,
 )
 from .transform import DeadlineExceeded, Phase, UnwoundProgram, unwind

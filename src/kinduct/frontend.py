@@ -314,6 +314,15 @@ def _children(node):
                     yield item
 
 
+def walk(node):
+    """Every node of the tree under `node`, itself first, in preorder."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(list(_children(node))))
+
+
 # ---------------------------------------------------------------------------
 # lexer
 
@@ -826,16 +835,9 @@ class _Parser:
 
     def _check_recursion(self, prog: Program):
         defined = {f.name for f in prog.functions}
-        calls: dict = {f.name: set() for f in prog.functions}
-
-        def walk(fn_name, node):
-            if isinstance(node, Call) and node.name in defined:
-                calls[fn_name].add(node.name)
-            for child in _children(node):
-                walk(fn_name, child)
-
-        for f in prog.functions:
-            walk(f.name, f.body)
+        calls = {f.name: {n.name for n in walk(f.body)
+                          if isinstance(n, Call) and n.name in defined}
+                 for f in prog.functions}
 
         # DFS cycle detection over the call graph.
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -1173,10 +1175,9 @@ class _TypeChecker:
         raise TypeError(f"unexpected statement {s!r}")
 
     def forbid_calls(self, e: Expr, where: str):
-        if isinstance(e, Call):
-            self.fail(f"function call in {where} is not supported", e.loc)
-        for child in _children(e):
-            self.forbid_calls(child, where)
+        for node in walk(e):
+            if isinstance(node, Call):
+                self.fail(f"function call in {where} is not supported", node.loc)
 
     # expressions ----------------------------------------------------------
     def check_expr(self, e: Expr, scope: _Scope) -> Expr:

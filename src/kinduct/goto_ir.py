@@ -22,13 +22,12 @@ replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .frontend import (
     Assert, Assign, Assume, Binary, Block, Call, Cast, Cond, Const, DoWhile,
-    ExprStmt, Expr, For, FunctionDef, If, IntType, Loc, MiniCError, Nondet,
-    Node, Param, Program, Return, Skip, Stmt, Unary, Var, VarDecl, While,
-    pp_expr,
+    ExprStmt, Expr, For, If, IntType, Loc, MiniCError, Nondet, Program,
+    Return, Skip, Stmt, Unary, Var, VarDecl, While, pp_expr, walk,
 )
 
 
@@ -51,7 +50,6 @@ class Instr:
     loc: Loc | None = None
     nid: int | None = None  # draw id for HAVOC
     tag: str = ""           # provenance marker for transformed programs
-    loop_id: int | None = None
     # Set on unwound copies: the copy indices of every enclosing loop,
     # outermost first.
     ctx: tuple = ()
@@ -135,24 +133,7 @@ def count_backjumps(p: GotoProgram) -> int:
 
 
 def free_vars(e: Expr) -> set:
-    out: set = set()
-
-    def walk(node):
-        if isinstance(node, Var):
-            out.add(node.name)
-        for f in fields(node):
-            if f.name in ("loc", "ty"):
-                continue
-            v = getattr(node, f.name)
-            if isinstance(v, Node):
-                walk(v)
-            elif isinstance(v, list):
-                for item in v:
-                    if isinstance(item, Node):
-                        walk(item)
-
-    walk(e)
-    return out
+    return {node.name for node in walk(e) if isinstance(node, Var)}
 
 
 def loop_variables(p: GotoProgram, loop: LoopInfo) -> frozenset:
@@ -164,16 +145,6 @@ def loop_variables(p: GotoProgram, loop: LoopInfo) -> frozenset:
         if ins.op in ("ASSIGN", "HAVOC"):
             out.add(ins.var)
     return frozenset(out)
-
-
-def loops_enclosing(p: GotoProgram) -> list:
-    """For each instruction index, the LoopInfos containing it, outermost
-    first."""
-    out = [[] for _ in p.instructions]
-    for loop in sorted(p.loops, key=lambda l: l.nesting_depth):
-        for i in range(loop.head, loop.backjump + 1):
-            out[i].append(loop)
-    return out
 
 
 def check_structure(p: GotoProgram):
@@ -204,7 +175,7 @@ def check_structure(p: GotoProgram):
 
 
 # ---------------------------------------------------------------------------
-# expression cloning
+# lowering
 
 class _NidSource:
     def __init__(self, start: int = 0):
@@ -215,36 +186,6 @@ class _NidSource:
         self.next += 1
         return nid
 
-
-def clone_expr(e: Expr, nids: _NidSource, rename: dict | None = None) -> Expr:
-    """Deep-copy an expression, resolving Var names and assigning fresh
-    draw ids to nondet and division nodes."""
-    rename = rename or {}
-    if isinstance(e, Const):
-        return replace(e)
-    if isinstance(e, Var):
-        name = e.rid or e.name
-        name = rename.get(name, name)
-        return Var(name, rid=name, ty=e.ty, loc=e.loc)
-    if isinstance(e, Nondet):
-        return replace(e, nid=nids.take())
-    if isinstance(e, Unary):
-        return Unary(e.op, clone_expr(e.operand, nids, rename), ty=e.ty, loc=e.loc)
-    if isinstance(e, Binary):
-        nid = nids.take() if e.op in ("/", "%") else None
-        return Binary(e.op, clone_expr(e.left, nids, rename),
-                      clone_expr(e.right, nids, rename), nid=nid, ty=e.ty, loc=e.loc)
-    if isinstance(e, Cast):
-        return Cast(e.target, clone_expr(e.operand, nids, rename),
-                    explicit=e.explicit, ty=e.ty, loc=e.loc)
-    if isinstance(e, Cond):
-        return Cond(clone_expr(e.cond, nids, rename), clone_expr(e.then, nids, rename),
-                    clone_expr(e.els, nids, rename), ty=e.ty, loc=e.loc)
-    raise LoweringError(f"cannot lower expression {e!r}", e.loc)
-
-
-# ---------------------------------------------------------------------------
-# lowering
 
 class _Lowerer:
     def __init__(self, prog: Program):
@@ -270,32 +211,18 @@ class _Lowerer:
             if init is None:
                 init = Const(0, ty=g.decl_ty, loc=g.loc)
             tree.append(OpItem(Instr(
-                "ASSIGN", var=g.rid, expr=clone_expr(init, self.nids),
+                "ASSIGN", var=g.rid, expr=self.lower_call_free(init, {}),
                 loc=g.loc)))
         main = self.prog.function(self.prog.entry)
         body, _ = self.single_exit(main.body.stmts)
         # The entry function's return value is never observed, so its
         # return variable is a plain assign target with no nondet seed.
         ret_var = f"{main.name}.ret"
-        if main.ret_ty is not None and self.returns_value(main.body):
+        if main.ret_ty is not None and any(
+                isinstance(n, Return) and n.value is not None for n in walk(main.body)):
             self.declare(ret_var, main.ret_ty)
         tree.extend(self.lower_stmts(body, {}, ret_var))
         return tree
-
-    @staticmethod
-    def returns_value(node) -> bool:
-        if isinstance(node, Return) and node.value is not None:
-            return True
-        for f in fields(node):
-            if f.name in ("loc", "ty"):
-                continue
-            v = getattr(node, f.name)
-            if isinstance(v, Node) and _Lowerer.returns_value(v):
-                return True
-            if isinstance(v, list) and any(
-                    isinstance(it, Node) and _Lowerer.returns_value(it) for it in v):
-                return True
-        return False
 
     # single-exit conversion -------------------------------------------------
     def single_exit(self, stmts: list) -> tuple:
@@ -313,7 +240,7 @@ class _Lowerer:
                 if done:
                     return out, True
                 continue
-            if isinstance(s, If) and self.returns_somewhere(s):
+            if isinstance(s, If) and any(isinstance(n, Return) for n in walk(s)):
                 then_stmts, then_done = self.single_exit(self.as_list(s.then))
                 els_stmts, els_done = self.single_exit(self.as_list(s.els))
                 rest, rest_done = self.single_exit(stmts[i + 1:])
@@ -325,7 +252,8 @@ class _Lowerer:
                 else:
                     out.append(If(s.cond, Block(then_stmts + rest), Block(els_stmts), loc=s.loc))
                 return out, rest_done
-            if isinstance(s, (While, For, DoWhile)) and self.returns_somewhere(s):
+            if isinstance(s, (While, For, DoWhile)) and any(
+                    isinstance(n, Return) for n in walk(s)):
                 self.fail("return inside a loop is not supported", s.loc)
             out.append(s)
         return out, False
@@ -335,21 +263,6 @@ class _Lowerer:
         if s is None:
             return []
         return list(s.stmts) if isinstance(s, Block) else [s]
-
-    @staticmethod
-    def returns_somewhere(node) -> bool:
-        if isinstance(node, Return):
-            return True
-        for f in fields(node):
-            if f.name in ("loc", "ty"):
-                continue
-            v = getattr(node, f.name)
-            if isinstance(v, Node) and _Lowerer.returns_somewhere(v):
-                return True
-            if isinstance(v, list) and any(
-                    isinstance(it, Node) and _Lowerer.returns_somewhere(it) for it in v):
-                return True
-        return False
 
     # statements -------------------------------------------------------------
     def lower_stmts(self, stmts: list, rename: dict, ret_var: str) -> list:
@@ -392,12 +305,12 @@ class _Lowerer:
             out.append(IfItem(cond, then, els, loc=s.loc))
             return out
         if isinstance(s, While):
-            guard = clone_expr(s.cond, self.nids, rename)
+            guard = self.lower_call_free(s.cond, rename)
             body = self.lower_stmt(s.body, rename, ret_var)
             return [LoopItem(guard, body, loc=s.loc, loop_id=self.loop_ids.take())]
         if isinstance(s, For):
             out = self.lower_stmt(s.init, rename, ret_var) if s.init is not None else []
-            guard = clone_expr(s.cond, self.nids, rename)
+            guard = self.lower_call_free(s.cond, rename)
             body = self.lower_stmt(s.body, rename, ret_var)
             if s.step is not None:
                 body.extend(self.lower_stmt(s.step, rename, ret_var))
@@ -405,7 +318,7 @@ class _Lowerer:
             return out
         if isinstance(s, DoWhile):
             peeled = self.lower_stmt(s.body, rename, ret_var)
-            guard = clone_expr(s.cond, self.nids, rename)
+            guard = self.lower_call_free(s.cond, rename)
             body = self.lower_stmt(s.body, rename, ret_var)
             return peeled + [LoopItem(guard, body, loc=s.loc,
                                       loop_id=self.loop_ids.take())]
@@ -425,7 +338,7 @@ class _Lowerer:
         """Returns (emitted items, call-free cloned expression)."""
         out: list = []
 
-        def walk(node: Expr) -> Expr:
+        def copy(node: Expr) -> Expr:
             if isinstance(node, Call):
                 pre, result = self.inline_call(node, rename)
                 out.extend(pre)
@@ -439,45 +352,36 @@ class _Lowerer:
             if isinstance(node, Nondet):
                 return replace(node, nid=self.nids.take())
             if isinstance(node, Unary):
-                return Unary(node.op, walk(node.operand), ty=node.ty, loc=node.loc)
+                return Unary(node.op, copy(node.operand), ty=node.ty, loc=node.loc)
             if isinstance(node, Binary):
                 nid = self.nids.take() if node.op in ("/", "%") else None
-                return Binary(node.op, walk(node.left), walk(node.right),
+                return Binary(node.op, copy(node.left), copy(node.right),
                               nid=nid, ty=node.ty, loc=node.loc)
             if isinstance(node, Cast):
-                return Cast(node.target, walk(node.operand),
+                return Cast(node.target, copy(node.operand),
                             explicit=node.explicit, ty=node.ty, loc=node.loc)
             if isinstance(node, Cond):
-                return Cond(walk(node.cond), walk(node.then), walk(node.els),
+                return Cond(copy(node.cond), copy(node.then), copy(node.els),
                             ty=node.ty, loc=node.loc)
             raise LoweringError(f"cannot lower expression {node!r}", node.loc)
 
-        return out, walk(e)
+        return out, copy(e)
+
+    def lower_call_free(self, e: Expr, rename: dict) -> Expr:
+        """Lower a loop guard or a global initializer, which the type
+        checker keeps free of calls."""
+        pre, expr = self.lower_expr(e, rename)
+        if pre:
+            self.fail("unexpected function call", e.loc)
+        return expr
 
     def inline_call(self, call: Call, rename: dict) -> tuple:
         fn = self.prog.function(call.name)
         self.site_count += 1
         site = self.site_count
-        sub = {}
-        for p in fn.params:
-            sub[p.rid] = f"{fn.name}.{site}.{p.rid}"
+        decls = fn.params + [n for n in walk(fn.body) if isinstance(n, VarDecl)]
+        sub = {d.rid: f"{fn.name}.{site}.{d.rid}" for d in decls}
         ret_var = f"{fn.name}.{site}.ret"
-
-        def walk_rids(node):
-            if isinstance(node, VarDecl):
-                sub[node.rid] = f"{fn.name}.{site}.{node.rid}"
-            for f in fields(node):
-                if f.name in ("loc", "ty"):
-                    continue
-                v = getattr(node, f.name)
-                if isinstance(v, Node):
-                    walk_rids(v)
-                elif isinstance(v, list):
-                    for item in v:
-                        if isinstance(item, Node):
-                            walk_rids(item)
-
-        walk_rids(fn.body)
 
         out: list = []
         for p, arg in zip(fn.params, call.args):

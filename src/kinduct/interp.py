@@ -6,7 +6,9 @@ counters of the enclosing loops, outermost first; a counter increments
 each time control reaches the loop head and nested counters reset when
 an outer loop advances.  This is exactly the naming scheme the unwinder
 uses for loop copies, so a satisfying assignment for an unwound formula
-can be replayed here directly.
+can be replayed here directly.  `LoopClock` holds that rule and `step`
+executes one instruction; `run_goto` and the explicit-state
+`oracle.explore` are both loops over the two.
 
 Evaluation semantics: fixed-width two's-complement wrapping on every
 operation, truncating division, shift amounts taken modulo the width,
@@ -24,7 +26,7 @@ from .frontend import (
     ExprStmt, Expr, For, If, IntType, Loc, Nondet, Program, Return, Skip,
     Unary, Var, VarDecl, While,
 )
-from .goto_ir import GotoProgram, loops_enclosing
+from .goto_ir import GotoProgram
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +168,75 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # GOTO interpreter
 
+class LoopClock:
+    """The iteration counters that name draws, built once per program.
+
+    Counters are keyed by loop id.  `arrive(pc, counters)` is applied on
+    reaching `pc`: at a loop head it returns a copy in which that loop's
+    counter is one higher and the counters of the loops nested in it are
+    zero; elsewhere it returns `counters` itself.  `ctx` is an
+    instruction's draw context: the copy indices an unwound instruction
+    carries, or else the live counters of its enclosing loops, outermost
+    first."""
+
+    def __init__(self, p: GotoProgram):
+        self.enclosing = [[] for _ in p.instructions]
+        for loop in sorted(p.loops, key=lambda l: l.nesting_depth):
+            for i in range(loop.head, loop.backjump + 1):
+                self.enclosing[i].append(loop.loop_id)
+        self.heads: dict = {}
+        for loop in p.loops:
+            inner = [o.loop_id for o in p.loops if o is not loop
+                     and o.head >= loop.head and o.backjump <= loop.backjump]
+            self.heads.setdefault(loop.head, []).append((loop.loop_id, inner))
+
+    def arrive(self, pc: int, counters: dict) -> dict:
+        loops = self.heads.get(pc)
+        if loops is None:
+            return counters
+        counters = dict(counters)
+        for lid, inner in loops:
+            counters[lid] = counters.get(lid, 0) + 1
+            for i in inner:
+                counters[i] = 0
+        return counters
+
+    def ctx(self, pc: int, ins, counters: dict) -> tuple:
+        return ins.ctx or tuple(counters.get(l, 0) for l in self.enclosing[pc])
+
+
+def step(p: GotoProgram, pc: int, store: dict, ctx: tuple, provider) -> tuple:
+    """Execute the instruction at `pc` without changing `store`.  Returns
+    (status, next pc, write): status is VIOLATION or BLOCKED when the
+    run ends there and None otherwise, and write is the (variable,
+    value) pair to store, or None."""
+    ins = p.instructions[pc]
+    op = ins.op
+    if op == "ASSIGN":
+        return None, pc + 1, (ins.var, eval_expr(ins.expr, store, provider, ctx))
+    if op == "HAVOC":
+        ty = p.symbols[ins.var]
+        return None, pc + 1, (ins.var, ty.wrap(provider.draw(ins.nid, ctx, ty, "havoc")))
+    if op in ("ASSUME", "ASSERT"):
+        if eval_expr(ins.expr, store, provider, ctx) == 0:
+            return (BLOCKED if op == "ASSUME" else VIOLATION), pc, None
+        return None, pc + 1, None
+    if op == "GOTO":
+        return None, ins.target, None
+    if op == "COND_GOTO":
+        taken = eval_expr(ins.expr, store, provider, ctx) != 0
+        return None, ins.target if taken else pc + 1, None
+    return None, pc + 1, None  # SKIP
+
+
 def run_goto(p: GotoProgram, provider, max_steps: int = 1_000_000) -> RunResult:
     """Execute a GotoProgram.  `states` collects the counterexample
     snapshots: the store at the first loop-head arrival, after every
     executed backjump, and at the violated assertion."""
+    clock = LoopClock(p)
     store: dict = {}
     counters: dict = {}
-    enclosing = loops_enclosing(p)
-    heads: dict = {}
-    for loop in p.loops:
-        heads.setdefault(loop.head, []).append(loop)
-    inner: dict = {}
-    for loop in p.loops:
-        inner[loop.loop_id] = [
-            o.loop_id for o in p.loops
-            if o is not loop and o.head >= loop.head and o.backjump <= loop.backjump
-        ]
     states: list = []
-    seen_head = False
     pc = 0
     steps = 0
     n = len(p.instructions)
@@ -191,47 +244,24 @@ def run_goto(p: GotoProgram, provider, max_steps: int = 1_000_000) -> RunResult:
         if steps >= max_steps:
             return RunResult(STEP_LIMIT, store, states=states, steps=steps)
         steps += 1
-        for loop in heads.get(pc, ()):
-            counters[loop.loop_id] = counters.get(loop.loop_id, 0) + 1
-            for lid in inner[loop.loop_id]:
-                counters[lid] = 0
-            if not seen_head:
-                seen_head = True
-                states.append(dict(store))
+        counters = clock.arrive(pc, counters)
+        # Counters stay empty until the first head arrival, and nothing
+        # is snapshotted before it.
+        if counters and not states:
+            states.append(dict(store))
         ins = p.instructions[pc]
-        # Unwound copies carry their origin context explicitly; in the
-        # original program the context is the live iteration counters.
-        ctx = ins.ctx or tuple(counters.get(l.loop_id, 0) for l in enclosing[pc])
-        if ins.op == "ASSIGN":
-            store[ins.var] = eval_expr(ins.expr, store, provider, ctx)
-            pc += 1
-        elif ins.op == "HAVOC":
-            ty = p.symbols[ins.var]
-            store[ins.var] = ty.wrap(provider.draw(ins.nid, ctx, ty, "havoc"))
-            pc += 1
-        elif ins.op == "ASSUME":
-            if eval_expr(ins.expr, store, provider, ctx) == 0:
-                return RunResult(BLOCKED, store, states=states, steps=steps)
-            pc += 1
-        elif ins.op == "ASSERT":
-            if eval_expr(ins.expr, store, provider, ctx) == 0:
-                states.append(dict(store))
-                return RunResult(VIOLATION, store, violated=ins.loc,
-                                 states=states, steps=steps)
-            pc += 1
-        elif ins.op == "GOTO":
-            if ins.target < pc:
-                states.append(dict(store))
-            pc = ins.target
-        elif ins.op == "COND_GOTO":
-            if eval_expr(ins.expr, store, provider, ctx) != 0:
-                if ins.target < pc:
-                    states.append(dict(store))
-                pc = ins.target
-            else:
-                pc += 1
-        else:  # SKIP
-            pc += 1
+        status, nxt, write = step(p, pc, store, clock.ctx(pc, ins, counters), provider)
+        if status == BLOCKED:
+            return RunResult(BLOCKED, store, states=states, steps=steps)
+        if status == VIOLATION:
+            states.append(dict(store))
+            return RunResult(VIOLATION, store, violated=ins.loc,
+                             states=states, steps=steps)
+        if write is not None:
+            store[write[0]] = write[1]
+        if nxt < pc:
+            states.append(dict(store))
+        pc = nxt
     return RunResult(COMPLETED, store, states=states, steps=steps)
 
 

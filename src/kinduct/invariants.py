@@ -816,8 +816,7 @@ def synthesize_snapshots(source: str, markers: dict) -> str:
     containing an #init-marked comment line."""
     if not markers:
         return source
-    from .frontend import VarDecl, Node, parse
-    from dataclasses import fields as dc_fields
+    from .frontend import VarDecl, parse, walk
 
     prog = parse(source)
     spans = _function_spans(prog, source)
@@ -837,28 +836,12 @@ def synthesize_snapshots(source: str, markers: dict) -> str:
                 bucket[1].append(v)
 
     def decl_type(fn, name: str) -> IntType | None:
-        found: list = []
-
-        def walk(node):
-            if isinstance(node, VarDecl) and node.name == name:
-                found.append(node.decl_ty)
-            for f in dc_fields(node):
-                if f.name in ("loc", "ty"):
-                    continue
-                v = getattr(node, f.name)
-                if isinstance(v, Node):
-                    walk(v)
-                elif isinstance(v, list):
-                    for it in v:
-                        if isinstance(it, Node):
-                            walk(it)
-
         for param in fn.params:
             if param.name == name:
                 return param.decl_ty
-        walk(fn.body)
-        if found:
-            return found[0]
+        for node in walk(fn.body):
+            if isinstance(node, VarDecl) and node.name == name:
+                return node.decl_ty
         for g in prog.globals:
             if g.name == name:
                 return g.decl_ty

@@ -1,9 +1,10 @@
 """Explicit-state enumeration over small domains.
 
-An independent ground-truth engine used only by the test suite: it
-explores every execution of a GotoProgram by branching on each
+A ground-truth engine for the SAT pipeline, used only by the test suite:
+it explores every execution of a GotoProgram by branching on each
 nondeterministic draw over the full domain of its type (hence the domain
-width cap), deduplicating on (pc, store, counters).
+width cap), deduplicating on (pc, store, counters).  It runs on the
+interpreter's `step` and `LoopClock`, so it is no check of `run_goto`.
 
 With a bound k, paths are cut when any loop activation takes its guard
 more than k times; `sigma_failures` counts those cut paths, which is
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frontend import IntType
-from .goto_ir import GotoProgram, loops_enclosing
-from .interp import eval_expr
+from .goto_ir import GotoProgram
+from .interp import BLOCKED, VIOLATION, LoopClock, step
 
 
 class OracleLimit(Exception):
@@ -61,30 +62,11 @@ class Exploration:
 
 def explore(g: GotoProgram, k: int | None = None, max_states: int = 500_000,
             max_draw_width: int = 8) -> Exploration:
-    enclosing = loops_enclosing(g)
-    heads: dict = {}
-    for loop in g.loops:
-        heads.setdefault(loop.head, []).append(loop)
-    inner = {
-        loop.loop_id: [o.loop_id for o in g.loops
-                       if o is not loop and o.head >= loop.head
-                       and o.backjump <= loop.backjump]
-        for loop in g.loops
-    }
-    guard_of = {loop.guard_index: loop for loop in g.loops}
-
-    def land(pc: int, counters: dict) -> dict:
-        for loop in heads.get(pc, ()):
-            counters = dict(counters)
-            counters[loop.loop_id] = counters.get(loop.loop_id, 0) + 1
-            for lid in inner[loop.loop_id]:
-                counters[lid] = 0
-        return counters
-
+    clock = LoopClock(g)
+    guard_of = {loop.guard_index: loop.loop_id for loop in g.loops}
     out = Exploration()
     n = len(g.instructions)
-    init = (0, {}, land(0, {}), {})
-    stack = [init]
+    stack = [(0, {}, clock.arrive(0, {}), {})]
     seen = set()
 
     while stack:
@@ -102,43 +84,9 @@ def explore(g: GotoProgram, k: int | None = None, max_states: int = 500_000,
             out.completed += 1
             continue
         ins = g.instructions[pc]
-        ctx = ins.ctx or tuple(counters.get(l.loop_id, 0) for l in enclosing[pc])
-        asker = _Asker(pending)
-
-        def push(next_pc: int, next_store: dict):
-            stack.append((next_pc, next_store, land(next_pc, counters), {}))
-
         try:
-            if ins.op == "ASSIGN":
-                v = eval_expr(ins.expr, store, asker, ctx)
-                push(pc + 1, {**store, ins.var: v})
-            elif ins.op == "HAVOC":
-                ty = g.symbols[ins.var]
-                v = asker.draw(ins.nid, ctx, ty, "havoc")
-                push(pc + 1, {**store, ins.var: ty.wrap(v)})
-            elif ins.op == "ASSUME":
-                if eval_expr(ins.expr, store, asker, ctx) == 0:
-                    out.blocked += 1
-                else:
-                    push(pc + 1, store)
-            elif ins.op == "ASSERT":
-                if eval_expr(ins.expr, store, asker, ctx) == 0:
-                    out.violations.append(ins.loc)
-                else:
-                    push(pc + 1, store)
-            elif ins.op == "GOTO":
-                push(ins.target, store)
-            elif ins.op == "COND_GOTO":
-                taken = eval_expr(ins.expr, store, asker, ctx) != 0
-                loop = guard_of.get(pc)
-                if not taken and loop is not None and k is not None \
-                        and counters.get(loop.loop_id, 0) > k:
-                    # Guard still true after k full iterations.
-                    out.sigma_failures += 1
-                else:
-                    push(ins.target if taken else pc + 1, store)
-            else:  # SKIP
-                push(pc + 1, store)
+            status, nxt, write = step(g, pc, store, clock.ctx(pc, ins, counters),
+                                      _Asker(pending))
         except _NeedDraw as need:
             ty = need.ty
             if ty.width > max_draw_width:
@@ -146,6 +94,19 @@ def explore(g: GotoProgram, k: int | None = None, max_states: int = 500_000,
                     f"draw domain of width {ty.width} exceeds the cap") from None
             for v in range(ty.min, ty.max + 1):
                 stack.append((pc, store, counters, {**pending, need.key: v}))
+            continue
+        if status == BLOCKED:
+            out.blocked += 1
+        elif status == VIOLATION:
+            out.violations.append(ins.loc)
+        elif k is not None and nxt == pc + 1 and pc in guard_of \
+                and counters.get(guard_of[pc], 0) > k:
+            # The loop's guard still holds after k full iterations.
+            out.sigma_failures += 1
+        else:
+            if write is not None:
+                store = {**store, write[0]: write[1]}
+            stack.append((nxt, store, clock.arrive(nxt, counters), {}))
     return out
 
 

@@ -86,7 +86,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .frontend import (
-    Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
+    Binary, Cast, Cond, Const, Expr, Nondet, Unary, Var,
 )
 from .transform import DeadlineExceeded
 from .vcgen import VcFormula

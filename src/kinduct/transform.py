@@ -32,7 +32,7 @@ import enum
 import time
 from dataclasses import dataclass, replace
 
-from .frontend import Binary, Expr, IntType, Unary, Var
+from .frontend import Binary, IntType, Unary, Var
 from .goto_ir import (
     GotoProgram, IfItem, Instr, LoopItem, OpItem, _NidSource, flatten_tree,
 )
@@ -106,8 +106,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
         term_op, term_tag = (("ASSERT", "unwind_assertion") if phase is Phase.FORWARD
                              else ("ASSUME", "unwind_assumption"))
         inner: list = [OpItem(Instr(term_op, expr=sigma, tag=term_tag,
-                                    loop_id=loop.loop_id, loc=loop.loc,
-                                    ctx=ctx + (k + 1,)))]
+                                    loc=loop.loc, ctx=ctx + (k + 1,)))]
         for i in range(k, 0, -1):
             if copies % COPIES_PER_CHECK == 0 and deadline is not None \
                     and time.monotonic() > deadline:
@@ -134,13 +133,12 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                 for e in pairs[1:]:
                     changed = Binary("||", changed, e, ty=_BOOL, loc=loop.loc)
                 stutter = OpItem(Instr("ASSUME", expr=changed, tag="stutter",
-                                       loop_id=loop.loop_id, loc=loop.loc,
-                                       ctx=cctx))
+                                       loc=loop.loc, ctx=cctx))
                 seq = stores + body_i + [stutter]
             inner = pre_i + [IfItem(loop.guard, seq + inner, [],
                                     loc=loop.loc, ctx=cctx)]
         havocs = [OpItem(Instr("HAVOC", var=v, nid=nids.take(), tag="havoc",
-                               loop_id=loop.loop_id, loc=loop.loc, ctx=ctx))
+                               loc=loop.loc, ctx=ctx))
                   for v in lv] if inductive else []
         return havocs + inner
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frontend import (
-    Binary, Cast, Cond, Const, Expr, IntType, Loc, Nondet, Unary, Var,
+    Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
 )
 from .interp import eval_expr
 from .transform import Phase, UnwoundProgram

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from kinduct import bench
+from kinduct import bench, cli
 from kinduct.bench import (
     BenchReport, ManifestError, _classify, format_report, parse_manifest,
     report_to_csv, report_to_json, run_suite, score,
@@ -127,6 +129,31 @@ def test_internal_error_is_not_invalid(tmp_path, monkeypatch):
                for r in report.rows)
     assert (report.internal_errors, report.invalid, report.score) == (3, 0, 0)
     assert "internal errors     3" in format_report(report)
+
+
+def test_dead_worker_costs_one_row(tmp_path, monkeypatch, capsys):
+    # Forked workers inherit the patch: the worker given wrap_bug.mc dies,
+    # which breaks the pool and every future still pending in it.
+    real = bench.verify_file
+
+    def dying(path, cfg):
+        if path.endswith("wrap_bug.mc"):
+            os._exit(1)
+        return real(path, cfg)
+    monkeypatch.setattr(bench, "verify_file", dying)
+    manifest = toy_manifest(tmp_path)
+    report = run_suite(parse_manifest(str(manifest)), toy_cfg(), jobs=2)
+    rows = {Path(r.path).name: r for r in report.rows}
+    assert [(n, r.verdict, r.classification) for n, r in sorted(rows.items())] == [
+        ("count_up.mc", "UNKNOWN", "unknown_and_timeout"),
+        ("straightline_safe.mc", "TRUE", "correct_proof"),
+        ("wrap_bug.mc", "ERROR", "internal_error"),
+    ]
+    assert rows["wrap_bug.mc"].error == "worker process died"
+    assert (report.internal_errors, report.correct_proofs, report.score) == (1, 1, 2)
+    assert cli.main(["bench", str(manifest), "--jobs", "2",
+                     "--invariants", "none", "--k-max", "3"]) == cli.EXIT_INTERNAL
+    assert "internal errors     1" in capsys.readouterr().out
 
 
 def test_classification_matrix():

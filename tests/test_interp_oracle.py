@@ -112,3 +112,45 @@ def test_oracle_rejects_wide_draws():
     g = compile_mc(FIG1)   # 32-bit nondet
     with pytest.raises(oracle.OracleLimit):
         oracle.explore(g, k=2)
+
+
+NESTED_WHILE = """int main() {
+  unsigned int i = 0;
+  while (i < 2) {
+    unsigned int y = *;
+    unsigned int j = 0;
+    while (j < 2) { unsigned int x = *; j = j + 1; }
+    i = i + 1;
+  }
+  return 0;
+}"""
+
+NESTED_DO_WHILE = """int main() {
+  unsigned int i = 0;
+  do {
+    unsigned int y = *;
+    unsigned int j = 0;
+    while (j < 2) { unsigned int x = *; j = j + 1; }
+    i = i + 1;
+  } while (i < 3);
+  return 0;
+}"""
+
+
+@pytest.mark.parametrize("src", [NESTED_WHILE, NESTED_DO_WHILE],
+                         ids=["while", "do_while"])
+def test_replay_draws_are_the_unwound_draws(src):
+    # Every copy of the k=2 unwinding runs when each draw is zero, so the
+    # replay asks for exactly the unwinding's draws: an inner counter not
+    # reset by the outer loop would name the second outer iteration's
+    # draws (nid, (2, 3)) and (nid, (2, 4)).
+    from kinduct.transform import Phase, unwind
+    from kinduct.vcgen import to_ssa
+    g = compile_mc(src)
+    provider = MapProvider({})
+    assert run_goto(g, provider).status == COMPLETED
+    unwound = {(nid, ctx) for nid, ctx, _ty in
+               to_ssa(unwind(g, 2, Phase.BASE)).draw_symbols.values()}
+    assert len(set(provider.misses)) == len(provider.misses)
+    assert set(provider.misses) == unwound
+    assert {ctx for _nid, ctx in unwound} >= {(1, 1), (1, 2), (2, 1), (2, 2)}
