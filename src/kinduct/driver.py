@@ -15,15 +15,17 @@ it is blasted and solved in one of two solver sessions that live for
 the whole run: one for the concrete-start phases (BASE, FORWARD and the
 re-check) and one for INDUCTIVE.  The query at k+1 holds the copies of
 the query at k, so each copy's gates are built and loaded once per
-session, and learned clauses carry over.  Each query's goal is an
+session.  A later query still walks the copy, but takes each node's
+bits from the session's node table instead of going through the gates
+again.  Learned clauses carry over.  Each query's goal is an
 assumption.  An UNSAT answer keeps the goal's negation, so a repeated
 proof costs no search: a loop-free program poses one query as BASE
 k=1, FORWARD k=2 and the re-check, and once a constant-bound loop is
 fully unrolled the re-check at k+increment repeats the FORWARD query
 at k.
 
-The deadline is checked before each query, inside `unwind` and
-`bitblast`, and inside the search; running past it gives UNKNOWN.
+The deadline is checked before each query, inside `unwind`, `to_ssa`
+and `bitblast`, and inside the search; running past it gives UNKNOWN.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class _Checker:
         self.phase_log.append((phase.value, k))
         session = self.sessions[phase]
         u = unwind(self.p, k, phase, self.deadline)
-        f = encode(to_ssa(u), phase)
+        f = encode(to_ssa(u, self.deadline), phase)
         cnf = bitblast(f, session, self.deadline)
         self._emit(phase, k, f, cnf)
         out = solve(cnf, DEFAULT_CONFLICT_LIMIT, self.deadline, session)

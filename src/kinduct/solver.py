@@ -1,9 +1,10 @@
 """Bit-level decision procedure: Tseitin bitblasting plus a small CDCL solver.
 
 Words become vectors of propositional literals, least significant bit
-first.  Gates are cached per expression node so shared subterms blast
-once.  Propositional variable 1 is reserved as the constant TRUE, which
-lets constant bits be plain literals instead of special cases.
+first.  Within one formula each expression node blasts once, cached by
+its identity.  Propositional variable 1 is reserved as the constant
+TRUE, which lets constant bits be plain literals instead of special
+cases.
 
 The gates are exact Tseitin definitions: 2-input AND (3 clauses), XOR
 and if-then-else (4), majority (6), 3-input parity (8) and n-ary AND/OR
@@ -29,7 +30,17 @@ engine that live across the queries of a phase family (Een & Sorensson,
 "Temporal induction by incremental SAT solving", BMC 2003).  The gate
 caches persist and a free name (draw, havoc, read-before-write version)
 keeps its bits in every query, so a copy shared with an earlier query
-blasts to the gates that already exist and adds no clause.  The goal is
+blasts to the gates that already exist and adds no clause.  The node
+table goes one step further and skips the walk through those gates: it
+maps a node's structure to the bit vector the node blasted to, a
+structural hash over word-level nodes (Kuehlmann et al., "Robust Boolean
+reasoning for equivalence checking and functional property
+verification", IEEE TCAD 2002).  The key is what `_node` reads: kind,
+operator, result type, the operand's signedness where it matters, and
+the ids of the operand bit vectors.  Those vectors are table entries or
+free names' bits, both kept for the session's life, so their ids are
+never reused; and since the gate caches only grow, a hit returns
+exactly the literals blasting the node again would.  The goal is
 not a clause but a literal, `CnfInstance.goal`, passed to the search as
 its one assumption, as in MiniSat's solve(assumptions) (Een & Sorensson,
 "An Extensible SAT-solver", SAT 2003).  This is sound because every
@@ -131,7 +142,8 @@ class _Blaster:
     def __init__(self):
         self.num_vars = 1  # var 1 is constant TRUE
         self.clauses = [[TRUE_LIT]]
-        self.cache = {}      # id(expr) -> bit vector
+        self.cache = {}      # id(expr) -> bit vector, for one formula
+        self.nodes = {}      # structural key -> bit vector (shared: never mutate)
         self.and_cache = {}  # sorted input literals -> output literal
         self.xor_cache = {}
         self.ite_cache = {}
@@ -405,8 +417,12 @@ class _Blaster:
         """The bit vector of `root`.  The walk is an explicit post-order
         stack, not recursion: guard and assume-prefix chains grow with the
         unwinding depth and would pass Python's recursion limit.  Operands
-        are blasted left to right, each node once (cached by identity)."""
+        are blasted left to right, each node once (cached by identity).
+        A node whose structure the session has blasted before, in this
+        formula or an earlier one, gets that node's bit vector from the
+        node table without building its gates again."""
         cache = self.cache
+        nodes = self.nodes
         stack = [root]
         while stack:
             e = stack[-1]
@@ -421,19 +437,23 @@ class _Blaster:
                     ready = False
             if ready:
                 stack.pop()
-                bits = self._node(e, [cache[id(o)] for o in operands],
-                                  symbol_bits)
+                if isinstance(e, Var):
+                    bits = symbol_bits[e.rid or e.name]
+                else:
+                    args = [cache[id(o)] for o in operands]
+                    key = _node_key(e, args)
+                    bits = nodes.get(key)
+                    if bits is None:
+                        bits = nodes[key] = self._node(e, args)
                 assert len(bits) == e.ty.width
                 cache[id(e)] = bits
         return cache[id(root)]
 
-    def _node(self, e: Expr, args: list, symbol_bits: dict) -> list:
+    def _node(self, e: Expr, args: list) -> list:
         """Gates for one node, given the bit vectors of its operands."""
         ty = e.ty
         if isinstance(e, Const):
             return self.const_bits(e.value, ty.width)
-        if isinstance(e, Var):
-            return symbol_bits[e.rid or e.name]
         if isinstance(e, Nondet):
             raise SolverError("formula contains an unsubstituted nondet")
         if isinstance(e, Unary):
@@ -508,6 +528,23 @@ def _operands(e: Expr) -> tuple:
     return ()
 
 
+def _node_key(e: Expr, args: list):
+    """The node table's key: what `_node` reads of `e` and of its
+    operands' bit vectors `args`.  The ids are valid only while every
+    vector in `args` outlives the table, which `bitblast` ensures."""
+    if isinstance(e, Binary):
+        return (e.op, e.ty, e.left.ty.signed, id(args[0]), id(args[1]))
+    if isinstance(e, Unary):
+        return (e.op, e.ty, id(args[0]))
+    if isinstance(e, Const):
+        return (e.value, e.ty)
+    if isinstance(e, Cast):
+        return (Cast, e.ty, e.operand.ty.signed, id(args[0]))
+    if isinstance(e, Cond):
+        return (Cond, e.ty, id(args[0]), id(args[1]), id(args[2]))
+    return None   # a Nondet or an unknown node: `_node` rejects it
+
+
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector.  Building clause lists
@@ -547,13 +584,18 @@ def bitblast(f: VcFormula, session: Session | None = None,
     Only names without a definition (draws, carriers, havocked versions)
     get fresh variables, and only the first time the session meets them.
     Each definition, in order, binds its name to the literals its
-    right-hand side blasts to, so `bit_map` sends a (symbol, bit) to any
-    literal: a variable, a negated one, or the constant TRUE_LIT /
-    FALSE_LIT.  There is no root clause: the goal is returned as a
-    literal, and `clauses` lists every clause of the session so far, each
-    the definition of a gate.  Without a session the query gets a fresh
-    one.  Past `deadline` (checked every DEFS_PER_CHECK
-    definitions) it raises DeadlineExceeded.
+    right-hand side blasts to, taking every node the session has blasted
+    before from its node table.  The table's key is a node's kind,
+    operator, result type, operand signedness and the ids of its operand
+    bit vectors; each such vector is a table entry or a free name's bits,
+    which the session keeps, so no id in a key is ever reused.
+
+    `bit_map` sends a (symbol, bit) to any literal: a variable, a negated
+    one, or the constant TRUE_LIT / FALSE_LIT.  There is no root clause:
+    the goal is returned as a literal, and `clauses` lists every clause of
+    the session so far, each the definition of a gate.  Without a session
+    the query gets a fresh one.  Past `deadline` (checked every
+    DEFS_PER_CHECK definitions) it raises DeadlineExceeded.
     """
     for name, ty in f.symbols.items():
         if ty.width > 64:
@@ -563,8 +605,9 @@ def bitblast(f: VcFormula, session: Session | None = None,
     free = session.free
     defined = {name for name, _ in f.definitions}
     symbol_bits = {}
-    # The node cache is keyed by id(): it must not outlive the formula,
-    # whose dead nodes' ids get reused.
+    # The per-formula cache is keyed by the ids of expression nodes: it
+    # must not outlive the formula, whose dead nodes' ids get reused.  The
+    # node table's keys hold the ids of bit vectors the session keeps.
     try:
         with _gc_paused():
             for name, ty in f.symbols.items():

@@ -23,7 +23,8 @@ original program produces, which is what makes model replay possible.
 
 `unwind` takes an optional time.monotonic() deadline and raises
 DeadlineExceeded once it has run past it, checked every COPIES_PER_CHECK
-loop copies; `solver.bitblast` does the same for definitions.
+loop copies; `vcgen.to_ssa` does the same for instructions and
+`solver.bitblast` for definitions.
 """
 
 from __future__ import annotations

@@ -38,15 +38,18 @@ initial values no longer constrain the iterations.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
 )
 from .interp import eval_expr
-from .transform import Phase, UnwoundProgram
+from .transform import DeadlineExceeded, Phase, UnwoundProgram
 
 _BOOL = IntType(32, True)
+
+INSTRS_PER_CHECK = 256
 
 TRUE = Const(1, ty=_BOOL)
 FALSE = Const(0, ty=_BOOL)
@@ -176,12 +179,15 @@ class _SsaBuilder:
                         self.subst(e.els, ctx), ty=e.ty, loc=e.loc)
         raise TypeError(f"cannot convert {e!r}")
 
-    def run(self) -> SsaProgram:
+    def run(self, deadline: float | None = None) -> SsaProgram:
         guard: Expr = TRUE
         assumed: Expr = TRUE  # conjunction of assume terms seen so far
         pending: dict = {}  # target index -> accumulated incoming guard
         instrs = self.prog.instructions
         for i, ins in enumerate(instrs):
+            if i % INSTRS_PER_CHECK == 0 and deadline is not None \
+                    and time.monotonic() > deadline:
+                raise DeadlineExceeded
             if i in pending:
                 guard = Or(guard, pending.pop(i))
             if is_false(guard):
@@ -230,12 +236,14 @@ class _SsaBuilder:
         return self.out
 
 
-def to_ssa(u: UnwoundProgram) -> SsaProgram:
-    """Compile a loop-free unwound program into guarded definitions."""
+def to_ssa(u: UnwoundProgram, deadline: float | None = None) -> SsaProgram:
+    """Compile a loop-free unwound program into guarded definitions.
+    Past the time.monotonic() `deadline` (checked every INSTRS_PER_CHECK
+    instructions) it raises DeadlineExceeded."""
     from .goto_ir import count_backjumps
     if count_backjumps(u.body) != 0:
         raise ValueError("to_ssa requires a loop-free program")
-    return _SsaBuilder(u).run()
+    return _SsaBuilder(u).run(deadline)
 
 
 def encode(s: SsaProgram, phase: Phase) -> VcFormula:

@@ -328,6 +328,46 @@ def test_sessions_answer_a_repeated_unsat_goal_without_search(name, monkeypatch)
     assert {SAT, UNSAT} <= {out.status for *_, out in queries}
 
 
+# Every query's (vars, clauses, goal literal), recorded while each query
+# still re-blasted every copy it shares with earlier ones: taking those
+# copies from the session's node table must give the same literals.
+QUERY_GOLDENS = {
+    "off_by_one.mc": [
+        (33, 1, -1), (33, 1, 1),
+        (644, 1922, 644), (33, 1, -1), (33, 1, 1),
+        (939, 2930, 939), (33, 1, -1), (33, 1, 1),
+        (1234, 3938, 1234), (33, 1, -1), (33, 1, 1),
+        (1529, 4946, 1529), (33, 1, -1), (33, 1, 1),
+        (1824, 5954, 1824), (33, 1, -1), (33, 1, 1),
+        (2119, 6962, 2119), (33, 1, -1), (33, 1, 1),
+        (2414, 7970, 2414), (33, 1, -1), (33, 1, 1),
+        (2709, 8978, 2709), (33, 1, -1), (33, 1, 1),
+        (3004, 9986, 3004), (33, 1, 1),
+    ],
+    "fig1_unsigned.mc": [
+        (193, 478, 193), (326, 1002, -326), (554, 1556, 554), (847, 2942, 847),
+    ],
+    "deep_bug.mc": [
+        (33, 1, -1), (33, 1, 1),
+        (581, 1701, -581), (33, 1, -1), (33, 1, 1),
+        (876, 2709, -876), (33, 1, -1), (33, 1, 1),
+        (1171, 3717, -1171), (33, 1, -1), (33, 1, 1),
+        (1466, 4725, -1466), (33, 1, -1), (33, 1, 1),
+        (1761, 5733, -1761), (33, 1, -1), (33, 1, 1),
+        (2056, 6741, -2056), (33, 1, -1), (33, 1, 1),
+        (2351, 7749, -2351), (33, 1, 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_GOLDENS))
+def test_session_queries_match_goldens(name, monkeypatch):
+    queries = recorded(monkeypatch)
+    verify(name)
+    assert [(cnf.num_vars, len(cnf.clauses), cnf.goal)
+            for _, _, cnf, _ in queries] == QUERY_GOLDENS[name]
+
+
 def parse_dimacs(text):
     num_vars, clauses = 0, []
     for line in text.splitlines():
@@ -375,3 +415,25 @@ def test_deadline_inside_a_stage_gives_unknown(tmp_path, monkeypatch):
     v = checker.run()
     assert (v.status, v.phase_log) == (UNKNOWN, [("base", 1)])
     assert blasted == []
+
+
+def test_deadline_inside_to_ssa_gives_unknown(tmp_path, monkeypatch):
+    # The deadline passes after unwind has checked it, so to_ssa is the
+    # stage that meets it and nothing is encoded.
+    f = tmp_path / "deep.mc"
+    f.write_text(DEEP_LOOP)
+    g = load_program(str(f), KInductionConfig())
+    checker = _Checker(g, KInductionConfig())
+    real_unwind = driver.unwind
+
+    def expiring(*args):
+        u = real_unwind(*args)
+        checker.deadline = time.monotonic() - 1.0
+        return u
+
+    monkeypatch.setattr(driver, "unwind", expiring)
+    encoded = []
+    monkeypatch.setattr(driver, "encode", lambda *args: encoded.append(args))
+    v = checker.run()
+    assert (v.status, v.phase_log) == (UNKNOWN, [("base", 1)])
+    assert encoded == []

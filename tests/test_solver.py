@@ -16,7 +16,7 @@ import pytest
 
 from kinduct import solver
 from kinduct.driver import KInductionConfig, load_program
-from kinduct.frontend import Binary, Const, IntType, Unary, Var
+from kinduct.frontend import Binary, Cast, Const, IntType, Unary, Var
 from kinduct.solver import (
     BUDGET, FALSE_LIT, SAT, TRUE_LIT, UNSAT, CnfInstance, Session, SolverError,
     _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
@@ -642,6 +642,46 @@ def test_unary_operator_matches_evaluator(op, ty):
     assert_operator_matches_evaluator(e, ty, ("x",))
 
 
+U8 = IntType(8, False)
+S8 = IntType(8, True)
+
+
+def test_one_session_keeps_signedness_apart():
+    # The node table is keyed by operand bits, and x and y keep their
+    # free bits in every query of a session: U4 and S4 operators (and
+    # casts of unsigned and signed x) differ only in their key's type and
+    # signedness, so each must still blast to its own gates.
+    session = Session()
+    cnfs, results = [], {}
+    for ty in (U4, S4):
+        x, y = var("x", ty), var("y", ty)
+        exprs = [Binary(op, x, y, ty=B1 if op in BOOL_OPS else ty)
+                 for op in BINARY_OPS]
+        exprs += [Unary(op, x, ty=B1 if op == "!" else ty) for op in "-~!"]
+        for wide in (U8, S8):
+            up = Cast(wide, x, ty=wide)
+            exprs += [up, Cast(ty, up, ty=ty), Cast(ty, Cast(wide, y, ty=wide), ty=ty)]
+        names = {f"r{len(results) + i}": e for i, e in enumerate(exprs)}
+        cnfs.append(bitblast(formula(Const(1, ty=B1), {
+            "x": ty, "y": ty, **{n: e.ty for n, e in names.items()}},
+            list(names.items())), session))
+        results.update((n, (e, ty)) for n, e in names.items())
+    assert cnfs[0].bit_map[("x", 3)] == cnfs[1].bit_map[("x", 3)]
+    bit_map = {**cnfs[0].bit_map, **cnfs[1].bit_map}
+    cnf = CnfInstance(cnfs[1].num_vars, cnfs[1].clauses, bit_map,
+                      {n: e.ty for n, (e, _) in results.items()})
+    for vx, vy in itertools.product(range(16), repeat=2):
+        units = [[lit if (v >> i) & 1 else -lit]
+                 for v, bits in ((vx, session.free["x"]), (vy, session.free["y"]))
+                 for i, lit in enumerate(bits)]
+        out = solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
+                                cnf.bit_map, cnf.symbols))
+        assert out.status == SAT
+        for n, (e, ty) in results.items():
+            env = {"x": ty.wrap(vx), "y": ty.wrap(vy)}
+            assert out.model[n] == eval_formula(e, env), (n, e, env)
+
+
 def test_engine_growth_keeps_literal_slots():
     # Variable 2 is true at level 0 before the engine grows from 3 to 6
     # variables; the new clauses need the new slots and the old units.
@@ -678,6 +718,35 @@ def test_session_shares_copies_and_free_bits():
     assert sizes[1] - sizes[0] < len(fresh.clauses) / 2
 
 
+def test_session_blasts_shared_copies_once(monkeypatch):
+    # The node table outlives each query, so a copy that an earlier query
+    # of the session blasted costs no `_node` call: only the new copy and
+    # the new tail are built.
+    calls = []
+    real_node = _Blaster._node
+
+    def counting(self, e, args):
+        calls.append(e)
+        return real_node(self, e, args)
+
+    monkeypatch.setattr(_Blaster, "_node", counting)
+    g = compile_mc(DEEP_LOOP)
+
+    def node_calls(k, session=None):
+        calls.clear()
+        bitblast(encode(to_ssa(unwind(g, k, Phase.BASE)), Phase.BASE), session)
+        return len(calls)
+
+    session = Session()
+    n3 = node_calls(3, session)
+    n4 = node_calls(4, session)
+    assert node_calls(4, session) == 0
+    assert 0 < n4 < n3 / 2 and n4 < node_calls(4) / 2
+    # A copy is a fixed number of nodes, so its share drops as k grows.
+    n30 = node_calls(30, session)
+    assert node_calls(31, session) == n4 < n30 / 10
+
+
 def test_repeated_unsat_goal_is_not_searched():
     session = Session()
     f = fig1_formula(2, Phase.BASE)
@@ -690,12 +759,15 @@ def test_repeated_unsat_goal_is_not_searched():
 
 def test_expired_deadline_stops_bitblast_and_unwind():
     g = compile_mc(DEEP_LOOP)
-    f = encode(to_ssa(unwind(g, 400, Phase.BASE)), Phase.BASE)
+    u = unwind(g, 400, Phase.BASE)
+    f = encode(to_ssa(u), Phase.BASE)
     session = Session()
     start = time.monotonic()
     with pytest.raises(DeadlineExceeded):
         bitblast(f, session, deadline=time.monotonic() - 1.0)
     with pytest.raises(DeadlineExceeded):
         unwind(g, 400, Phase.BASE, deadline=time.monotonic() - 1.0)
+    with pytest.raises(DeadlineExceeded):
+        to_ssa(u, deadline=time.monotonic() - 1.0)
     assert time.monotonic() - start < 0.5
     assert session.blaster.num_vars < 100   # stopped before the copies
