@@ -403,6 +403,20 @@ class _Lowerer:
 # ---------------------------------------------------------------------------
 # flattening
 
+def walk_nested(items, tree: list):
+    """Run the generator function `items` over `tree`.  Unwinding nests
+    one IfItem per loop copy, so the walk keeps an explicit stack of
+    generators instead of recursing: each yields a nested list at the
+    point where it is to be walked, and resumes once that list is done."""
+    stack = [items(tree)]
+    while stack:
+        nested = next(stack[-1], None)
+        if nested is None:
+            stack.pop()
+        else:
+            stack.append(items(nested))
+
+
 class _Flattener:
     def __init__(self):
         self.instrs: list = []
@@ -412,18 +426,6 @@ class _Flattener:
     def emit(self, ins: Instr) -> int:
         self.instrs.append(ins)
         return len(self.instrs) - 1
-
-    def flatten(self, tree: list):
-        """Emit `tree`.  Unwinding nests one IfItem per loop copy, so the
-        walk keeps an explicit stack of `_items` generators instead of
-        recursing: each yields a nested list where it is to be emitted."""
-        stack = [self._items(tree)]
-        while stack:
-            nested = next(stack[-1], None)
-            if nested is None:
-                stack.pop()
-            else:
-                stack.append(self._items(nested))
 
     def _items(self, tree: list):
         for item in tree:
@@ -461,7 +463,7 @@ class _Flattener:
 def flatten_tree(tree: list, symbols: dict, name: str, file: str,
                  next_nid: int) -> GotoProgram:
     fl = _Flattener()
-    fl.flatten(tree)
+    walk_nested(fl._items, tree)
     prog = GotoProgram(fl.instrs, sorted(fl.loops, key=lambda l: l.head),
                        dict(symbols), tree, name=name, file=file, next_nid=next_nid)
     for loop in prog.loops:

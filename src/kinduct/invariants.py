@@ -377,7 +377,9 @@ def _eval_binary(e: Binary, s: _Abs) -> tuple:
             v = conc(stub, {}, None)
             return (v, v, True)
         if op == ">>" and alo >= 0 and 0 <= blo == bhi:
-            return _clip((alo >> blo, ahi >> blo), ty, ok)
+            # The effective amount is taken mod the width, as in interp.
+            sh = blo % ty.width
+            return _clip((alo >> sh, ahi >> sh), ty, ok)
         return (*_full(ty), False)
     return (*_full(ty), False)
 

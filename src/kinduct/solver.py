@@ -420,7 +420,9 @@ class _Blaster:
         are blasted left to right, each node once (cached by identity).
         A node whose structure the session has blasted before, in this
         formula or an earlier one, gets that node's bit vector from the
-        node table without building its gates again."""
+        node table without building its gates again.  A Cond blasts its
+        condition first; if that folds to a constant, the Cond is its
+        live branch's bit vector and the dead branch is not blasted."""
         cache = self.cache
         nodes = self.nodes
         stack = [root]
@@ -430,6 +432,16 @@ class _Blaster:
                 stack.pop()
                 continue
             operands = _operands(e)
+            live = None
+            if isinstance(e, Cond):
+                cond = cache.get(id(e.cond))
+                if cond is None:
+                    stack.append(e.cond)
+                    continue
+                if TRUE_LIT in cond:
+                    operands = live = (e.then,)
+                elif all(b == FALSE_LIT for b in cond):
+                    operands = live = (e.els,)
             ready = True
             for o in reversed(operands):
                 if id(o) not in cache:
@@ -439,6 +451,8 @@ class _Blaster:
                 stack.pop()
                 if isinstance(e, Var):
                     bits = symbol_bits[e.rid or e.name]
+                elif live:
+                    bits = cache[id(live[0])]
                 else:
                     args = [cache[id(o)] for o in operands]
                     key = _node_key(e, args)

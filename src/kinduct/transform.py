@@ -16,6 +16,9 @@ per-copy shadow (tag `shadow`), U is subsumed by SSA renaming
 downstream, and R assumes after each executed copy that some loop
 variable changed, banning stuttering iterations (tag `stutter`).
 
+Queries convert the unwound tree itself (`vcgen.to_ssa`); its flat GOTO
+view, `body`, is built only when read (`--dump-unwound`, tests).
+
 Every produced instruction carries `ctx`, the tuple of copy indices of
 its enclosing unwound loops (outermost first).  Nondeterministic draws
 are therefore named (nid, ctx), the same keys a concrete replay of the
@@ -23,7 +26,7 @@ original program produces, which is what makes model replay possible.
 
 `unwind` takes an optional time.monotonic() deadline and raises
 DeadlineExceeded once it has run past it, checked every COPIES_PER_CHECK
-loop copies; `vcgen.to_ssa` does the same for instructions and
+loop copies; `vcgen.to_ssa` does the same for tree items and
 `solver.bitblast` for definitions.
 """
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .frontend import Binary, IntType, Unary, Var
 from .goto_ir import (
@@ -61,10 +65,18 @@ _BOOL = IntType(32, True)
 
 @dataclass
 class UnwoundProgram:
-    body: GotoProgram
+    tree: list       # loop-free: OpItems and IfItems only
+    symbols: dict    # variable -> IntType, shadows included
+    next_nid: int
     phase: Phase
     k: int
     origin: GotoProgram | None = None  # the program that was unwound
+
+    @cached_property
+    def body(self) -> GotoProgram:
+        """The flat view of `tree`, built on first access."""
+        return flatten_tree(self.tree, self.symbols, self.origin.name,
+                            self.origin.file, self.next_nid)
 
 
 def shadow_name(var: str, ctx: tuple) -> str:
@@ -115,8 +127,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
             copies += 1
             cctx = ctx + (i,)
             pre_i = stamp(loop.pre, cctx)
-            body_i = stamp(loop.body, cctx)
-            seq = body_i
+            seq = stamp(loop.body, cctx)
             if inductive:
                 stores: list = []
                 pairs: list = []
@@ -135,7 +146,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                     changed = Binary("||", changed, e, ty=_BOOL, loc=loop.loc)
                 stutter = OpItem(Instr("ASSUME", expr=changed, tag="stutter",
                                        loc=loop.loc, ctx=cctx))
-                seq = stores + body_i + [stutter]
+                seq = stores + seq + [stutter]
             inner = pre_i + [IfItem(loop.guard, seq + inner, [],
                                     loc=loop.loc, ctx=cctx)]
         havocs = [OpItem(Instr("HAVOC", var=v, nid=nids.take(), tag="havoc",
@@ -143,9 +154,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                   for v in lv] if inductive else []
         return havocs + inner
 
-    tree = stamp(p.tree, ())
-    body = flatten_tree(tree, symbols, p.name, p.file, nids.next)
-    return UnwoundProgram(body, phase, k, p)
+    return UnwoundProgram(stamp(p.tree, ()), symbols, nids.next, phase, k, p)
 
 
 def dump_unwound(u: UnwoundProgram) -> str:

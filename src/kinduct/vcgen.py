@@ -1,12 +1,15 @@
 """Single-assignment conversion and verification-condition construction.
 
-A loop-free GotoProgram is compiled into a linear chain of guarded
-definitions: assignment under path guard g becomes
+The loop-free tree of an unwound program is compiled into a linear
+chain of guarded definitions: assignment under path guard g becomes
 
     v!n+1 = ite(g, rhs, v!n)
 
-with the guard dropped when g is trivially true.  Merge points restore
-the reach guard by OR-ing the guards parked on each incoming jump.
+with the guard dropped when g is trivially true.  An IfItem with
+condition c walks its branches under c && g and !c && g, skipping one
+whose guard folds to false.  The two split g, so after the item the
+guard is g again and each variable joins through its own ites (CBMC's
+guarded SSA: Clarke, Kroening & Lerda, TACAS 2004).
 Nondeterministic draws become free symbols named after their (nid, ctx)
 key; division and modulo route through ite(divisor == 0, fresh symbol,
 quotient) so a division by zero is a fresh unconstrained value, matching
@@ -40,10 +43,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
 )
+from .goto_ir import IfItem, OpItem, walk_nested
 from .interp import eval_expr
 from .transform import DeadlineExceeded, Phase, UnwoundProgram
 
@@ -91,22 +96,13 @@ def Or(a: Expr, b: Expr) -> Expr:
     return Binary("||", a, b, ty=_BOOL)
 
 
-def conjoin(terms: list) -> Expr:
-    out = TRUE
-    for t in terms:
-        out = And(out, t)
-    return out
-
-
 @dataclass
 class SsaProgram:
     definitions: list = field(default_factory=list)   # (versioned name, Expr)
-    assumptions: list = field(default_factory=list)   # guarded boolean Exprs
     obligations: list = field(default_factory=list)   # (guarded Expr, Loc)
     terminations: list = field(default_factory=list)  # guarded sigma terms
     symbols: dict = field(default_factory=dict)       # name -> IntType
     draw_symbols: dict = field(default_factory=dict)  # name -> (nid, ctx, IntType)
-    havocs: set = field(default_factory=set)          # versions born from HAVOC
 
 
 @dataclass
@@ -124,12 +120,15 @@ def _draw_name(prefix: str, nid: int, ctx: tuple) -> str:
 
 
 class _SsaBuilder:
-    def __init__(self, u: UnwoundProgram):
+    def __init__(self, u: UnwoundProgram, deadline: float | None):
         self.u = u
-        self.prog = u.body
+        self.deadline = deadline
         self.out = SsaProgram()
         self.versions: dict = {}  # var -> version count
         self.cur: dict = {}       # var -> current versioned name
+        self.guard: Expr = TRUE
+        self.assumed: Expr = TRUE  # conjunction of assume terms seen so far
+        self.visited = 0  # tree items so far, for the deadline check
 
     def fresh(self, var: str, ty: IntType) -> str:
         n = self.versions.get(var, -1) + 1
@@ -141,7 +140,7 @@ class _SsaBuilder:
     def read(self, var: str) -> str:
         if var not in self.cur:
             # Read before any write: an unconstrained initial version.
-            name = self.fresh(var, self.prog.symbols[var])
+            name = self.fresh(var, self.u.symbols[var])
             self.cur[var] = name
         return self.cur[var]
 
@@ -179,71 +178,62 @@ class _SsaBuilder:
                         self.subst(e.els, ctx), ty=e.ty, loc=e.loc)
         raise TypeError(f"cannot convert {e!r}")
 
-    def run(self, deadline: float | None = None) -> SsaProgram:
-        guard: Expr = TRUE
-        assumed: Expr = TRUE  # conjunction of assume terms seen so far
-        pending: dict = {}  # target index -> accumulated incoming guard
-        instrs = self.prog.instructions
-        for i, ins in enumerate(instrs):
-            if i % INSTRS_PER_CHECK == 0 and deadline is not None \
-                    and time.monotonic() > deadline:
+    def _items(self, items: list):
+        """Convert `items`, yielding each live branch of an IfItem after
+        setting the guard it is walked under."""
+        for item in items:
+            if self.visited % INSTRS_PER_CHECK == 0 and self.deadline is not None \
+                    and time.monotonic() > self.deadline:
                 raise DeadlineExceeded
-            if i in pending:
-                guard = Or(guard, pending.pop(i))
-            if is_false(guard):
-                continue  # unreachable stretch, e.g. right after a GOTO
+            self.visited += 1
+            if isinstance(item, IfItem):
+                g = self.guard
+                cond = self.subst(item.cond, item.ctx)
+                for branch, guard in ((item.then, And(cond, g)),
+                                      (item.els, And(Not(cond), g))):
+                    if branch and not is_false(guard):
+                        self.guard = guard
+                        yield branch
+                self.guard = g
+                continue
+            if not isinstance(item, OpItem):
+                raise TypeError(f"to_ssa requires a loop-free tree, got {item!r}")
+            ins, guard = item.instr, self.guard
             if ins.op == "ASSIGN":
                 rhs = self.subst(ins.expr, ins.ctx)
-                ty = self.prog.symbols[ins.var]
-                if is_true(guard):
-                    value = rhs
-                else:
+                ty = self.u.symbols[ins.var]
+                if not is_true(guard):
                     prev = self.read(ins.var)
-                    value = Cond(guard, rhs, Var(prev, rid=prev, ty=ty), ty=ty)
+                    rhs = Cond(guard, rhs, Var(prev, rid=prev, ty=ty), ty=ty)
                 name = self.fresh(ins.var, ty)
-                self.out.definitions.append((name, value))
+                self.out.definitions.append((name, rhs))
                 self.cur[ins.var] = name
             elif ins.op == "HAVOC":
-                ty = self.prog.symbols[ins.var]
-                name = self.fresh(ins.var, ty)
-                self.out.havocs.add(name)
-                self.cur[ins.var] = name  # free: no definition
+                # a fresh version without a definition: a free name
+                self.cur[ins.var] = self.fresh(ins.var, self.u.symbols[ins.var])
             elif ins.op == "ASSUME":
                 term = Or(Not(guard), self.subst(ins.expr, ins.ctx))
                 if ins.tag == "unwind_assumption":
                     self.out.terminations.append(term)
-                else:
-                    self.out.assumptions.append(term)
-                assumed = And(assumed, term)
+                self.assumed = And(self.assumed, term)
             elif ins.op == "ASSERT":
                 claim = Or(Not(guard), self.subst(ins.expr, ins.ctx))
-                term = Or(Not(assumed), claim)
+                term = Or(Not(self.assumed), claim)
                 if ins.tag == "unwind_assertion":
                     self.out.terminations.append(term)
                 else:
                     self.out.obligations.append((term, ins.loc))
-            elif ins.op == "GOTO":
-                if not is_false(guard):
-                    pending[ins.target] = Or(pending.get(ins.target, FALSE), guard)
-                guard = FALSE
-            elif ins.op == "COND_GOTO":
-                cond = self.subst(ins.expr, ins.ctx)
-                jump = And(cond, guard)
-                if not is_false(jump):
-                    pending[ins.target] = Or(pending.get(ins.target, FALSE), jump)
-                guard = And(Not(cond), guard)
             # SKIP: nothing
-        return self.out
 
 
 def to_ssa(u: UnwoundProgram, deadline: float | None = None) -> SsaProgram:
-    """Compile a loop-free unwound program into guarded definitions.
-    Past the time.monotonic() `deadline` (checked every INSTRS_PER_CHECK
-    instructions) it raises DeadlineExceeded."""
-    from .goto_ir import count_backjumps
-    if count_backjumps(u.body) != 0:
-        raise ValueError("to_ssa requires a loop-free program")
-    return _SsaBuilder(u).run(deadline)
+    """Compile the loop-free tree of an unwound program into guarded
+    definitions; a LoopItem left in the tree is a TypeError.  Past the
+    time.monotonic() `deadline` (checked at the first item and every
+    INSTRS_PER_CHECK items after it) it raises DeadlineExceeded."""
+    builder = _SsaBuilder(u, deadline)
+    walk_nested(builder._items, u.tree)
+    return builder.out
 
 
 def encode(s: SsaProgram, phase: Phase) -> VcFormula:
@@ -253,9 +243,9 @@ def encode(s: SsaProgram, phase: Phase) -> VcFormula:
     prefix of every obligation that follows them, which is what gives an
     assume no power over violations that precede it.
     """
-    prop = conjoin(term for term, _ in s.obligations)
+    prop = reduce(And, (term for term, _ in s.obligations), TRUE)
     if phase is Phase.FORWARD:
-        prop = And(conjoin(s.terminations), prop)
+        prop = And(reduce(And, s.terminations, TRUE), prop)
     return VcFormula(list(s.definitions), Not(prop), dict(s.symbols))
 
 
@@ -277,7 +267,6 @@ def eval_formula(e: Expr, assignment: dict) -> int:
 def dump_ssa(s: SsaProgram) -> str:
     from .frontend import pp_expr
     lines = [f"{name} = {pp_expr(expr)}" for name, expr in s.definitions]
-    lines += [f"assume {pp_expr(a)}" for a in s.assumptions]
     lines += [f"sigma {pp_expr(t)}" for t in s.terminations]
     lines += [f"assert {pp_expr(ob)}" for ob, _ in s.obligations]
     return "\n".join(lines)

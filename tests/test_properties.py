@@ -215,6 +215,7 @@ def test_lowering_preserves_statement_semantics(stmts, a, b, c):
 @given(st.lists(stmt_trees, min_size=1, max_size=3), byte, byte,
        st.integers(min_value=0, max_value=4))
 @example([("do", 2, [("while", None, [])])], 0, 0, 1)
+@example([("do", 1, [("assign", "a", (">>", ("-", "a"), "a"))])], 8, 0, 0)
 def test_instrumentation_never_blocks_a_plain_run(stmts, a, b, c):
     """Every invariant planted at a loop head holds on each run reaching
     that head, so the instrumented program completes where the plain one
@@ -230,20 +231,37 @@ guard_ops = st.sampled_from(("<", ">", "<=", ">=", "!="))
 small = st.integers(min_value=0, max_value=6)
 
 
-@settings(max_examples=40, deadline=None,
+# A loop body either steps x, or branches on x: the then-branch steps x,
+# the else-branch steps it twice as far and counts the detour in y, which
+# an assertion after the loop reads, so each join is checked on the
+# values it merges.
+splits = st.none() | st.tuples(guard_ops, small)
+
+
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(guard_ops, small, st.sampled_from(("+", "-")), small,
-       st.integers(min_value=1, max_value=3))
-def test_base_case_matches_oracle_on_generated_loops(op, bound, step, avoid, k):
+       st.integers(min_value=1, max_value=3), splits,
+       st.sampled_from((Phase.BASE, Phase.FORWARD)))
+@example("<", 4, "+", 6, 3, (">", 1), Phase.FORWARD)
+def test_base_case_matches_oracle_on_generated_loops(op, bound, step, avoid, k,
+                                                     split, phase):
+    update = f"x = x {step} 1;"
+    decl = check = ""
+    if split is not None:
+        update = (f"if (x {split[0]} {split[1]}) {{ {update} }} "
+                  f"else {{ y = y + 1; x = x {step} 2; }}")
+        decl, check = "\n  unsigned char y = 0;", "\n  assert(y != 2);"
     src = f"""int main() {{
-  unsigned char x = *;
+  unsigned char x = *;{decl}
   while (x {op} {bound}) {{
     assert(x != {avoid});
-    x = x {step} 1;
-  }}
+    {update}
+  }}{check}
   return 0;
 }}"""
     g = compile_mc(src, width=8)
-    f = encode(to_ssa(unwind(g, k, Phase.BASE)), Phase.BASE)
+    f = encode(to_ssa(unwind(g, k, phase)), phase)
     solver_sat = solve(bitblast(f)).status == SAT
-    assert solver_sat == (not oracle.base_case_holds(g, k))
+    holds = oracle.base_case_holds if phase is Phase.BASE else oracle.forward_holds
+    assert solver_sat == (not holds(g, k))
