@@ -1,10 +1,12 @@
 """Command line interface.
 
 Exit codes for `verify`: 0 the property holds, 1 a counterexample was
-found, 2 undecided, 3 usage or parse errors, 4 an internal error of the
-checker (such as a counterexample that fails to replay), whose traceback
-goes to stderr.  `bench` exits 0, or 3 on a usage error, or 4 when an
-entry hit an internal error of the checker.
+found, 2 undecided, 3 usage or parse errors (any `MiniCError`, errors in
+invariant comments included), 4 an internal error of the checker (such
+as a counterexample that fails to replay, or a `SolverError` from
+encoding a query), whose traceback goes to stderr.  `bench` exits 0, or
+3 on a usage error, or 4 when an entry hit an internal error of the
+checker.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .driver import (
 )
 from .frontend import MiniCError
 from .goto_ir import dump_goto
-from .invariants import InvariantError, dump_invariants, infer_invariants
-from .solver import SolverError
+from .invariants import dump_invariants, infer_invariants
 from .transform import Phase, dump_unwound, unwind
 
 EXIT_TRUE = 0
@@ -61,6 +62,13 @@ def _add_verify_options(p: argparse.ArgumentParser):
                    help="write one .smt2 file per discharged query")
     p.add_argument("--emit-cnf", metavar="DIR",
                    help="write one DIMACS file per discharged query")
+
+
+def _depth(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {k}")
+    return k
 
 
 def _config(args) -> KInductionConfig:
@@ -99,8 +107,7 @@ def _cmd_verify(args) -> int:
             if args.dump_invariants:
                 print(dump_invariants(g, infer_invariants(g)))
             if args.dump_unwound:
-                k = args.k if args.k else 1
-                print(dump_unwound(unwind(g, k, Phase(args.dump_unwound))))
+                print(dump_unwound(unwind(g, args.k, Phase(args.dump_unwound))))
             return EXIT_TRUE
         start = time.monotonic()
         verdict = verify_file(args.file, cfg)
@@ -108,7 +115,7 @@ def _cmd_verify(args) -> int:
     except FileNotFoundError as e:
         print(f"kinduct: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (MiniCError, InvariantError, SolverError) as e:
+    except MiniCError as e:
         print(f"kinduct: error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
@@ -172,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dump-unwound", choices=[p.value for p in Phase],
                     metavar="PHASE",
                     help="print the unwound program for PHASE and exit")
-    pv.add_argument("--k", type=int, metavar="K",
+    pv.add_argument("--k", type=_depth, default=1, metavar="K",
                     help="unwinding depth for --dump-unwound (default 1)")
     pv.set_defaults(func=_cmd_verify)
 

@@ -74,7 +74,7 @@ class MapProvider:
 # ---------------------------------------------------------------------------
 # expression evaluation
 
-def _trunc_div(a: int, b: int) -> tuple:
+def trunc_div(a: int, b: int) -> tuple:
     q = abs(a) // abs(b)
     if (a < 0) != (b < 0):
         q = -q
@@ -112,7 +112,7 @@ def eval_expr(e: Expr, store: dict, provider, ctx: tuple = ()) -> int:
         if op in ("/", "%"):
             if b == 0:
                 return ty.wrap(provider.draw(e.nid, ctx, ty, "divzero"))
-            q, r = _trunc_div(a, b)
+            q, r = trunc_div(a, b)
             return ty.wrap(q if op == "/" else r)
         if op in ("&", "|", "^"):
             v = a & b if op == "&" else a | b if op == "|" else a ^ b

@@ -2,9 +2,10 @@
 
 Two producers feed the same consumer:
 
-* `infer_invariants` runs a small abstract interpreter (intervals plus
-  constant-difference / constant-sum facts between variable pairs) over
-  a GotoProgram and emits affine constraints at every loop head.
+* `infer_invariants` runs a small abstract interpreter over a
+  GotoProgram and emits affine constraints at every loop head.  Its
+  domain is an interval per variable plus one table of pair facts
+  `a + b == c` and `a - b == c`, keyed by the pair and the sign.
 * `translate_invariants` accepts invariant comments of the form
   `// P(w,x) {w==0, x#init>10}` and rewrites them into
   `__ESBMC_assume(...)` statements, synthesizing `v_init` snapshot
@@ -27,6 +28,7 @@ from .frontend import (
 from .goto_ir import (
     GotoProgram, Instr, LoopItem, IfItem, OpItem, flatten_tree,
 )
+from .interp import eval_expr, trunc_div
 
 
 class InvariantError(MiniCError):
@@ -67,33 +69,32 @@ def point(v: str, c: int) -> AffineConstraint:
     return AffineConstraint(((1, v),), "==", c)
 
 
-def difference(a: str, b: str, c: int) -> AffineConstraint:
-    return AffineConstraint(((1, a), (-1, b)), "==", c)
+_SHAPES = {((1,), "<="), ((-1,), "<="), ((1,), "=="),
+           ((1, -1), "=="), ((1, 1), "==")}
 
 
-def var_sum(a: str, b: str, c: int) -> AffineConstraint:
-    return AffineConstraint(((1, a), (1, b)), "==", c)
+def _shape(c: AffineConstraint) -> tuple:
+    """(coefficients, relation) of c, which must be a shape that
+    `infer_invariants` emits: a bound, a point, a difference or a sum."""
+    shape = (tuple(coef for coef, _ in c.terms), c.relation)
+    if shape not in _SHAPES:
+        raise InvariantError(f"unsupported constraint shape {c}")
+    return shape
 
 
 def render_constraint(c: AffineConstraint) -> str:
-    terms = c.terms
-    if len(terms) == 1:
-        coef, v = terms[0]
-        if coef == 1:
-            return f"{v} {c.relation} {c.constant}"
-        if coef == -1 and c.relation in ("<=", "<"):
-            return f"{-c.constant} {c.relation} {v}"
-    if len(terms) == 2 and c.relation == "==":
-        (ca, a), (cb, b) = terms
-        if ca == 1 and cb == -1:
-            if c.constant == 0:
-                return f"{a} == {b}"
-            sign = "+" if c.constant > 0 else "-"
-            return f"{a} == {b} {sign} {abs(c.constant)}"
-        if ca == 1 and cb == 1:
-            return f"{a} + {b} == {c.constant}"
-    lhs = " + ".join(f"{coef}*{v}" for coef, v in terms)
-    return f"{lhs} {c.relation} {c.constant}"
+    coefs, relation = _shape(c)
+    names, k = [v for _, v in c.terms], c.constant
+    if coefs == (-1,):
+        return f"{-k} <= {names[0]}"
+    if len(coefs) == 1:
+        return f"{names[0]} {relation} {k}"
+    a, b = names
+    if coefs == (1, 1):
+        return f"{a} + {b} == {k}"
+    if k == 0:
+        return f"{a} == {b}"
+    return f"{a} == {b} {'+' if k > 0 else '-'} {abs(k)}"
 
 
 def constraint_to_expr(c: AffineConstraint, symbols: dict) -> Expr:
@@ -103,8 +104,10 @@ def constraint_to_expr(c: AffineConstraint, symbols: dict) -> Expr:
     for _, v in c.terms:
         if v not in symbols:
             raise InvariantError(f"constraint references unknown variable {v}")
-    ty = symbols[c.terms[0][1]]
-    for _, v in c.terms[1:]:
+    coefs, relation = _shape(c)
+    names, k = [v for _, v in c.terms], c.constant
+    ty = symbols[names[0]]
+    for v in names[1:]:
         ty = promote(ty, symbols[v])
 
     def var(name: str) -> Expr:
@@ -116,40 +119,22 @@ def constraint_to_expr(c: AffineConstraint, symbols: dict) -> Expr:
     def const(value: int) -> Expr:
         return Const(ty.wrap(value), ty=ty)
 
-    terms = c.terms
-    if len(terms) == 1:
-        coef, v = terms[0]
-        if coef == 1:
-            return Binary(c.relation, var(v), const(c.constant), ty=_BOOL)
-        if coef == -1:
-            return Binary(c.relation, const(-c.constant), var(v), ty=_BOOL)
-    if len(terms) == 2 and c.relation == "==":
-        (ca, a), (cb, b) = terms
-        if ca == 1 and cb == -1:
-            if c.constant == 0:
-                rhs: Expr = var(b)
-            else:
-                op = "+" if c.constant > 0 else "-"
-                rhs = Binary(op, var(b), const(abs(c.constant)), ty=ty)
-            return Binary("==", var(a), rhs, ty=_BOOL)
-        if ca == 1 and cb == 1:
-            return Binary("==", Binary("+", var(a), var(b), ty=ty),
-                          const(c.constant), ty=_BOOL)
-    lhs: Expr | None = None
-    for coef, v in terms:
-        term: Expr = var(v)
-        if coef != 1:
-            term = Binary("*", const(coef), term, ty=ty)
-        lhs = term if lhs is None else Binary("+", lhs, term, ty=ty)
-    return Binary(c.relation, lhs, const(c.constant), ty=_BOOL)
+    if coefs == (-1,):
+        return Binary("<=", const(-k), var(names[0]), ty=_BOOL)
+    if len(coefs) == 1:
+        return Binary(relation, var(names[0]), const(k), ty=_BOOL)
+    a, b = names
+    if coefs == (1, 1):
+        return Binary("==", Binary("+", var(a), var(b), ty=ty), const(k), ty=_BOOL)
+    rhs = var(b)
+    if k != 0:
+        rhs = Binary("+" if k > 0 else "-", rhs, const(abs(k)), ty=ty)
+    return Binary("==", var(a), rhs, ty=_BOOL)
 
 
 @dataclass
 class InvariantSet:
     by_location: dict = field(default_factory=dict)  # head index -> [AffineConstraint]
-
-    def __bool__(self):
-        return bool(self.by_location)
 
 
 def dump_invariants(p: GotoProgram, inv: InvariantSet) -> str:
@@ -162,7 +147,7 @@ def dump_invariants(p: GotoProgram, inv: InvariantSet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# abstract interpretation: intervals + pair equalities
+# abstract interpretation: intervals + one table of pair facts a ± b == c
 
 _WIDEN_AFTER = 3
 
@@ -170,23 +155,32 @@ _WIDEN_AFTER = 3
 @dataclass
 class _Abs:
     intervals: dict  # var -> (lo, hi) in the var's canonical value range
-    diffs: dict      # (a, b) with a < b -> a - b
-    sums: dict       # (a, b) with a < b -> a + b
+    pairs: dict      # (a, b, sign) with a < b, sign in (-1, 1) -> c: a + sign*b == c
 
     def copy(self) -> "_Abs":
-        return _Abs(dict(self.intervals), dict(self.diffs), dict(self.sums))
+        return _Abs(dict(self.intervals), dict(self.pairs))
 
 
 def _full(ty: IntType) -> tuple:
     return (ty.min, ty.max)
 
 
-def _canon_diff(a: str, b: str, c: int):
-    return ((a, b), c) if a < b else ((b, a), -c)
+def _pair(a: str, b: str, sign: int, c: int) -> tuple:
+    """The table entry (key, c) stating a + sign*b == c."""
+    return ((a, b, sign), c) if a < b else ((b, a, sign), sign * c)
 
 
-def _canon_sum(a: str, b: str, c: int):
-    return ((a, b) if a < b else (b, a), c)
+def _facts_of(pairs: dict, w: str):
+    """Each fact on w as (other, sign, c), meaning w + sign*other == c."""
+    for (a, b, sign), c in pairs.items():
+        if a == w:
+            yield (b, sign, c)
+        elif b == w:
+            yield (a, sign, sign * c)
+
+
+def _without(pairs: dict, var: str) -> dict:
+    return {k: c for k, c in pairs.items() if var not in k}
 
 
 def _point_pairs(s: _Abs) -> _Abs:
@@ -197,10 +191,8 @@ def _point_pairs(s: _Abs) -> _Abs:
     s = s.copy()
     for i, (a, av) in enumerate(pts):
         for b, bv in pts[i + 1:]:
-            k, c = _canon_diff(a, b, av - bv)
-            s.diffs.setdefault(k, c)
-            k, c = _canon_sum(a, b, av + bv)
-            s.sums.setdefault(k, c)
+            for sign in (-1, 1):
+                s.pairs.setdefault(*_pair(a, b, sign, av + sign * bv))
     return s
 
 
@@ -214,9 +206,7 @@ def _join(a: _Abs | None, b: _Abs | None) -> _Abs | None:
     for v in a.intervals.keys() & b.intervals.keys():
         (alo, ahi), (blo, bhi) = a.intervals[v], b.intervals[v]
         intervals[v] = (min(alo, blo), max(ahi, bhi))
-    diffs = {k: c for k, c in a.diffs.items() if b.diffs.get(k) == c}
-    sums = {k: c for k, c in a.sums.items() if b.sums.get(k) == c}
-    return _Abs(intervals, diffs, sums)
+    return _Abs(intervals, {k: c for k, c in a.pairs.items() if b.pairs.get(k) == c})
 
 
 def _meet_intervals(old: _Abs, new: _Abs | None) -> _Abs | None:
@@ -230,7 +220,7 @@ def _meet_intervals(old: _Abs, new: _Abs | None) -> _Abs | None:
         if lo > hi:
             return None
         intervals[v] = (lo, hi)
-    return _Abs(intervals, dict(old.diffs), dict(old.sums))
+    return _Abs(intervals, dict(old.pairs))
 
 
 def _widen(old: _Abs, new: _Abs, symbols: dict, counts: dict) -> _Abs:
@@ -251,26 +241,26 @@ def _widen(old: _Abs, new: _Abs, symbols: dict, counts: dict) -> _Abs:
             if cnt[1] >= _WIDEN_AFTER:
                 nhi = ty.max
         intervals[v] = (nlo, nhi)
-    return _Abs(intervals, dict(new.diffs), dict(new.sums))
+    return _Abs(intervals, dict(new.pairs))
 
 
 def _effective(s: _Abs, v: str, ty: IntType) -> tuple:
     """The interval of v sharpened through pair facts."""
     lo, hi = s.intervals.get(v, _full(ty))
-    for (a, b), c in s.diffs.items():
-        other = b if a == v else a if b == v else None
-        if other is None or other not in s.intervals:
-            continue
-        olo, ohi = s.intervals[other]
-        d = c if a == v else -c  # v - other
-        lo, hi = max(lo, olo + d), min(hi, ohi + d)
-    for (a, b), c in s.sums.items():
-        other = b if a == v else a if b == v else None
-        if other is None or other not in s.intervals:
-            continue
-        olo, ohi = s.intervals[other]
-        lo, hi = max(lo, c - ohi), min(hi, c - olo)
+    for other, sign, c in _facts_of(s.pairs, v):  # v == c - sign*other
+        if other in s.intervals:
+            ends = [c - sign * bound for bound in s.intervals[other]]
+            lo, hi = max(lo, min(ends)), min(hi, max(ends))
     return (lo, hi)
+
+
+def _truth(lo: int, hi: int) -> tuple:
+    """The truth values, as (lo, hi) in 0..1, of a value in [lo, hi]."""
+    if lo > 0 or hi < 0:
+        return (1, 1)
+    if lo == hi == 0:
+        return (0, 0)
+    return (0, 1)
 
 
 def _eval(e: Expr, s: _Abs) -> tuple:
@@ -290,11 +280,8 @@ def _eval(e: Expr, s: _Abs) -> tuple:
         if e.op == "-":
             return _clip((-hi, -lo), ty, ok)
         if e.op == "!":
-            if lo == hi == 0:
-                return (1, 1, ok)
-            if lo > 0 or hi < 0:
-                return (0, 0, ok)
-            return (0, 1, ok)
+            tlo, thi = _truth(lo, hi)
+            return (1 - thi, 1 - tlo, ok)
         return (*_full(ty), True)  # ~
     if isinstance(e, Cast):
         lo, hi, ok = _eval(e.operand, s)
@@ -303,9 +290,10 @@ def _eval(e: Expr, s: _Abs) -> tuple:
         clo, chi, _ = _eval(e.cond, s)
         tlo, thi, tok = _eval(e.then, s)
         elo, ehi, eok = _eval(e.els, s)
-        if clo > 0 or chi < 0:
+        truth = _truth(clo, chi)
+        if truth == (1, 1):
             return (tlo, thi, tok)
-        if clo == chi == 0:
+        if truth == (0, 0):
             return (elo, ehi, eok)
         return (min(tlo, elo), max(thi, ehi), tok and eok)
     if isinstance(e, Binary):
@@ -339,13 +327,10 @@ def _eval_binary(e: Binary, s: _Abs) -> tuple:
             return (0, 0, True)
         return (0, 1, True)
     if op in ("&&", "||"):
-        alo, ahi, _ = _eval(e.left, s)
-        blo, bhi, _ = _eval(e.right, s)
-        at = (1, 1) if (alo > 0 or ahi < 0) else (0, 0) if alo == ahi == 0 else (0, 1)
-        bt = (1, 1) if (blo > 0 or bhi < 0) else (0, 0) if blo == bhi == 0 else (0, 1)
-        if op == "&&":
-            return (min(at[0], bt[0]), min(at[1], bt[1]), True)
-        return (max(at[0], bt[0]), max(at[1], bt[1]), True)
+        at = _truth(*_eval(e.left, s)[:2])
+        bt = _truth(*_eval(e.right, s)[:2])
+        pick = min if op == "&&" else max
+        return (pick(at[0], bt[0]), pick(at[1], bt[1]), True)
     alo, ahi, aok = _eval(e.left, s)
     blo, bhi, bok = _eval(e.right, s)
     ok = aok and bok
@@ -358,7 +343,7 @@ def _eval_binary(e: Binary, s: _Abs) -> tuple:
         return _clip((min(cands), max(cands)), ty, ok)
     if op == "/":
         if blo > 0 or bhi < 0:
-            cands = [_tdiv(x, y) for x in (alo, ahi) for y in (blo, bhi)]
+            cands = [trunc_div(x, y)[0] for x in (alo, ahi) for y in (blo, bhi)]
             return _clip((min(cands), max(cands)), ty, ok)
         return (*_full(ty), False)
     if op == "%":
@@ -371,10 +356,9 @@ def _eval_binary(e: Binary, s: _Abs) -> tuple:
         return (*_full(ty), False)
     if op in ("|", "^", "<<", ">>"):
         if alo == ahi and blo == bhi:
-            from .interp import eval_expr as conc
             stub = replace(e, left=Const(alo, ty=e.left.ty),
                            right=Const(blo, ty=e.right.ty))
-            v = conc(stub, {}, None)
+            v = eval_expr(stub, {}, None)
             return (v, v, True)
         if op == ">>" and alo >= 0 and 0 <= blo == bhi:
             # The effective amount is taken mod the width, as in interp.
@@ -384,15 +368,10 @@ def _eval_binary(e: Binary, s: _Abs) -> tuple:
     return (*_full(ty), False)
 
 
-def _tdiv(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
 # condition refinement -------------------------------------------------------
 
 _FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
-_SWAP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+_SWAP = {">": "<", ">=": "<="}
 
 
 def _as_var(e: Expr):
@@ -416,6 +395,18 @@ def _as_const(e: Expr):
     return None
 
 
+def _operand(s: _Abs, e: Expr):
+    """A comparison operand that refinement can use: (var, type, lo, hi)
+    for a variable, (None, None, c, c) for a constant, else None."""
+    v = _as_var(e)
+    if v is not None:
+        while isinstance(e, Cast):
+            e = e.operand
+        return (v, e.ty, *_effective(s, v, e.ty))
+    c = _as_const(e)
+    return None if c is None else (None, None, c, c)
+
+
 def _refine(s: _Abs | None, cond: Expr, truth: bool) -> _Abs | None:
     """Constrain s with cond == truth; None means infeasible."""
     if s is None:
@@ -423,23 +414,34 @@ def _refine(s: _Abs | None, cond: Expr, truth: bool) -> _Abs | None:
     if isinstance(cond, Unary) and cond.op == "!":
         return _refine(s, cond.operand, not truth)
     if isinstance(cond, Binary) and cond.op in ("&&", "||"):
-        if (cond.op == "&&" and truth) or (cond.op == "||" and not truth):
-            s = _refine(s, cond.left, truth)
-            return _refine(s, cond.right, truth)
+        if (cond.op == "&&") == truth:
+            return _refine(_refine(s, cond.left, truth), cond.right, truth)
         return s  # disjunctive information is dropped
-    if not (isinstance(cond, Binary) and cond.op in _FLIP):
-        lo, hi, _ = _eval(cond, s)
-        if truth and lo == hi == 0:
-            return None
-        if not truth and (lo > 0 or hi < 0):
-            return None
-        return s
-    op = cond.op if truth else _FLIP[cond.op]
-    left, right = cond.left, cond.right
-    lv, rv = _as_var(left), _as_var(right)
-    lc, rc = _as_const(left), _as_const(right)
+    if isinstance(cond, Binary) and cond.op in _FLIP:
+        op = cond.op if truth else _FLIP[cond.op]
+        left, right = cond.left, cond.right
+        if op in _SWAP:
+            op, left, right = _SWAP[op], right, left
+        lside, rside = _operand(s, left), _operand(s, right)
+        if lside and rside and (lside[0] or rside[0]):
+            return _compare(s, op, lside, rside)
+    lo, hi = _truth(*_eval(cond, s)[:2])
+    return s if lo <= truth <= hi else None
 
-    def clamp(v: str, ty: IntType, lo=None, hi=None) -> bool:
+
+def _compare(s: _Abs, op: str, lside: tuple, rside: tuple) -> _Abs | None:
+    """Refine s with `left op right` for op in <, <=, ==, !=, where each
+    side is an `_operand` and at least one is a variable."""
+    s = s.copy()
+    if op == "!=":
+        return s
+    (lv, lt, llo, lhi), (rv, rt, rlo, rhi) = lside, rside
+    gap = 1 if op == "<" else 0
+    eq = op == "=="
+
+    def clamp(v, ty: IntType, lo, hi) -> bool:
+        if v is None:
+            return True
         clo, chi = s.intervals.get(v, _full(ty))
         if lo is not None:
             clo = max(clo, lo)
@@ -450,132 +452,47 @@ def _refine(s: _Abs | None, cond: Expr, truth: bool) -> _Abs | None:
         s.intervals[v] = (clo, chi)
         return True
 
-    s = s.copy()
-    if lv is not None and rc is not None:
-        ty = s_type(lv, left)
-        c = rc
-        ok = {"<": lambda: clamp(lv, ty, hi=c - 1),
-              "<=": lambda: clamp(lv, ty, hi=c),
-              ">": lambda: clamp(lv, ty, lo=c + 1),
-              ">=": lambda: clamp(lv, ty, lo=c),
-              "==": lambda: clamp(lv, ty, lo=c, hi=c),
-              "!=": lambda: True}[op]()
-        return s if ok else None
-    if rv is not None and lc is not None:
-        ty = s_type(rv, right)
-        c = lc
-        op2 = _SWAP[op]
-        ok = {"<": lambda: clamp(rv, ty, hi=c - 1),
-              "<=": lambda: clamp(rv, ty, hi=c),
-              ">": lambda: clamp(rv, ty, lo=c + 1),
-              ">=": lambda: clamp(rv, ty, lo=c),
-              "==": lambda: clamp(rv, ty, lo=c, hi=c),
-              "!=": lambda: True}[op2]()
-        return s if ok else None
-    if lv is not None and rv is not None:
-        lt, rt = s_type(lv, left), s_type(rv, right)
-        llo, lhi = _effective(s, lv, lt)
-        rlo, rhi = _effective(s, rv, rt)
-        ok = True
-        if op == "<":
-            ok = clamp(lv, lt, hi=rhi - 1) and clamp(rv, rt, lo=llo + 1)
-        elif op == "<=":
-            ok = clamp(lv, lt, hi=rhi) and clamp(rv, rt, lo=llo)
-        elif op == ">":
-            ok = clamp(lv, lt, lo=rlo + 1) and clamp(rv, rt, hi=lhi - 1)
-        elif op == ">=":
-            ok = clamp(lv, lt, lo=rlo) and clamp(rv, rt, hi=lhi)
-        elif op == "==":
-            ok = clamp(lv, lt, lo=rlo, hi=rhi) and clamp(rv, rt, lo=llo, hi=lhi)
-        return s if ok else None
-    lo, hi, _ = _eval(cond, s)
-    if truth and lo == hi == 0:
-        return None
-    if not truth and (lo > 0 or hi < 0):
-        return None
-    return s
-
-
-def s_type(name: str, e: Expr) -> IntType:
-    while isinstance(e, Cast):
-        e = e.operand
-    return e.ty
+    ok = (clamp(lv, lt, rlo if eq else None, rhi - gap)
+          and clamp(rv, rt, llo + gap, lhi if eq else None))
+    return s if ok else None
 
 
 # transfer ---------------------------------------------------------------------
 
 def _match_affine(e: Expr):
-    """Recognize v := w + k / w - k / k - w / w / k, looking through
-    casts.  Returns ("var+", w, k) | ("neg", w, k) | ("const", None, k) |
-    None.  Callers must separately prove the evaluation cannot wrap."""
+    """Recognize v := w + k / w - k / k - w / w, looking through casts,
+    as (sw, w, k) meaning sw*w + k.  Callers must separately prove the
+    evaluation cannot wrap."""
     while isinstance(e, Cast):
         e = e.operand
-    c = _as_const(e)
-    if c is not None:
-        return ("const", None, c)
     v = _as_var(e)
     if v is not None:
-        return ("var+", v, 0)
+        return (1, v, 0)
     if isinstance(e, Binary) and e.op in ("+", "-"):
         lv, rv = _as_var(e.left), _as_var(e.right)
         lc, rc = _as_const(e.left), _as_const(e.right)
         if lv is not None and rc is not None:
-            return ("var+", lv, rc if e.op == "+" else -rc)
+            return (1, lv, rc if e.op == "+" else -rc)
         if lc is not None and rv is not None:
-            return ("var+", rv, lc) if e.op == "+" else ("neg", rv, lc)
+            return (1 if e.op == "+" else -1, rv, lc)
     return None
 
 
 def _assign(s: _Abs, var: str, e: Expr, ty: IntType) -> _Abs:
     lo, hi, exact = _eval(e, s)
-    lo, hi = max(lo, ty.min), min(hi, ty.max)
-    out = s.copy()
-    old_diffs, old_sums = s.diffs, s.sums
-
-    def facts_of(w: str):
-        for (a, b), c in old_diffs.items():
-            if a == w or b == w:
-                other = b if a == w else a
-                yield ("diff", other, c if a == w else -c)  # w - other
-        for (a, b), c in old_sums.items():
-            if a == w or b == w:
-                yield ("sum", b if a == w else a, c)
-
-    out.diffs = {k: c for k, c in out.diffs.items() if var not in k}
-    out.sums = {k: c for k, c in out.sums.items() if var not in k}
-    out.intervals[var] = (lo, hi)
-    if not exact:
-        return out
-    m = _match_affine(e)
+    out = _Abs(dict(s.intervals), _without(s.pairs, var))
+    out.intervals[var] = (max(lo, ty.min), min(hi, ty.max))
+    m = _match_affine(e) if exact else None
     if m is None:
         return out
-    kind, w, k = m
-    if kind == "var+":
-        if w != var:
-            key, c = _canon_diff(var, w, k)
-            out.diffs[key] = c
-        for fk, other, c in facts_of(w):
-            if other == var:
-                continue
-            if fk == "diff":  # w - other = c, var = w + k
-                key, cc = _canon_diff(var, other, c + k)
-                out.diffs[key] = cc
-            else:             # w + other = c
-                key, cc = _canon_sum(var, other, c + k)
-                out.sums[key] = cc
-    elif kind == "neg":  # var = k - w
-        if w != var:
-            key, c = _canon_sum(var, w, k)
-            out.sums[key] = c
-        for fk, other, c in facts_of(w):
-            if other == var:
-                continue
-            if fk == "diff":  # w = other + c -> var + other = k - c
-                key, cc = _canon_sum(var, other, k - c)
-                out.sums[key] = cc
-            else:             # w = c - other -> var - other = k - c
-                key, cc = _canon_diff(var, other, k - c)
-                out.diffs[key] = cc
+    sw, w, k = m  # var == sw*w + k
+    if w != var:
+        key, c = _pair(var, w, -sw, k)
+        out.pairs[key] = c
+    for other, sign, c in _facts_of(s.pairs, w):  # w == c - sign*other
+        if other != var:
+            key, cc = _pair(var, other, sw * sign, sw * c + k)
+            out.pairs[key] = cc
     return out
 
 
@@ -585,10 +502,8 @@ def _successors(p: GotoProgram, i: int, s: _Abs):
     if ins.op == "ASSIGN":
         yield (i + 1, _assign(s, ins.var, ins.expr, p.symbols[ins.var]))
     elif ins.op == "HAVOC":
-        out = s.copy()
+        out = _Abs(dict(s.intervals), _without(s.pairs, ins.var))
         out.intervals[ins.var] = _full(p.symbols[ins.var])
-        out.diffs = {k: c for k, c in out.diffs.items() if ins.var not in k}
-        out.sums = {k: c for k, c in out.sums.items() if ins.var not in k}
         yield (i + 1, out)
     elif ins.op in ("ASSUME", "ASSERT"):
         refined = _refine(s, ins.expr, True)
@@ -612,7 +527,7 @@ def _analyze(p: GotoProgram) -> list:
     n = len(p.instructions)
     heads = {l.head for l in p.loops}
     state: list = [None] * (n + 1)
-    state[0] = _Abs({}, {}, {})
+    state[0] = _Abs({}, {})
     moves: dict = {h: {} for h in heads}
     work = [0]
     iterations = 0
@@ -670,7 +585,6 @@ def infer_invariants(p: GotoProgram) -> InvariantSet:
         s = states[loop.head]
         cs: list = []
         if s is not None:
-            pairs_done = set()
             for v in sorted(s.intervals):
                 ty = p.symbols[v]
                 lo, hi = _effective(s, v, ty)
@@ -682,15 +596,11 @@ def infer_invariants(p: GotoProgram) -> InvariantSet:
                     cs.append(lower_bound(v, lo))
                 if hi < ty.max:
                     cs.append(upper_bound(v, hi))
-            for (a, b), c in sorted(s.diffs.items()):
+            # differences first, then sums, each in (a, b) order
+            for (a, b, sign), c in sorted(s.pairs.items(), key=lambda f: (f[0][2], f[0])):
                 ia, ib = s.intervals.get(a), s.intervals.get(b)
                 if ia and ib and not (ia[0] == ia[1] and ib[0] == ib[1]):
-                    cs.append(difference(a, b, c))
-                    pairs_done.add((a, b))
-            for (a, b), c in sorted(s.sums.items()):
-                ia, ib = s.intervals.get(a), s.intervals.get(b)
-                if ia and ib and not (ia[0] == ia[1] and ib[0] == ib[1]):
-                    cs.append(var_sum(a, b, c))
+                    cs.append(AffineConstraint(((1, a), (sign, b)), "==", c))
         out.by_location[loop.head] = cs
     return out
 

@@ -11,6 +11,7 @@ from kinduct.cli import (
     EXIT_FALSE, EXIT_INTERNAL, EXIT_TRUE, EXIT_UNKNOWN, EXIT_USAGE, main,
 )
 from kinduct.driver import ReplayError
+from kinduct.solver import SolverError
 from conftest import CORPUS, corpus_path
 
 FIG1_DUMP = """\
@@ -56,6 +57,10 @@ def test_exit_code_usage_errors(capsys):
     assert run("verify") == EXIT_USAGE
     assert run("verify", "x.mc", "--width-override", "12") == EXIT_USAGE
     capsys.readouterr()
+    for k in ("0", "-1"):
+        assert run("verify", str(corpus_path("off_by_one.mc")),
+                   "--dump-unwound", "base", "--k", k) == EXIT_USAGE
+        assert "--k: must be at least 1" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -160,7 +165,8 @@ def test_bench_fails_on_internal_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("error", [
     ReplayError("replay ended with COMPLETED, not a violation"),
     RecursionError("maximum recursion depth exceeded"),
-], ids=["ReplayError", "RecursionError"])
+    SolverError("unsubstituted nondet in encoding"),
+], ids=["ReplayError", "RecursionError", "SolverError"])
 def test_verify_internal_error_exits_internal(error, capsys, monkeypatch):
     def broken(path, cfg):
         raise error

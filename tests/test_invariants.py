@@ -1,6 +1,7 @@
 """Built-in inference, comment translation, instrumentation."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,31 @@ def test_soundness_sampling_on_corpus():
             if plain.status != "BLOCKED":
                 assert inst.status != "BLOCKED", path.name
                 assert inst.status == plain.status, path.name
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_invariants.txt"
+
+
+def corpus_invariant_dump() -> str:
+    """dump_invariants of every corpus program at native and 8-bit width."""
+    out = []
+    for path, _expected, _cat in corpus_entries():
+        for width in (None, 8):
+            g = compile_mc(path.read_text(), width=width)
+            out.append(f"== {path.name} {'native' if width is None else f'{width}-bit'}")
+            text = dump_invariants(g, infer_invariants(g))
+            if text:
+                out.append(text)
+    return "\n".join(out) + "\n"
+
+
+def test_corpus_invariants_match_golden():
+    """The analysis' results on the corpus are pinned.  A change that
+    means to alter them re-records the file, from the repository root:
+    PYTHONPATH=src:tests python -c "import test_invariants as t;
+    t.GOLDEN.write_text(t.corpus_invariant_dump())"
+    """
+    assert corpus_invariant_dump() == GOLDEN.read_text()
 
 
 # ------------------------------------------------- Algorithm 1: golden suite

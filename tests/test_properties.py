@@ -210,12 +210,33 @@ def test_lowering_preserves_statement_semantics(stmts, a, b, c):
         assert ast_run.store[v] == goto_run.store[v]
 
 
+# The same statements plus the affine updates v = w + k, v = w - k and
+# v = k - w with small constants, from which the invariant analysis
+# derives its pair facts, also inside the bounded loops.
+small_k = st.integers(min_value=0, max_value=9).map(str)
+affine = st.tuples(
+    st.just("assign"), st.sampled_from(("a", "b")),
+    st.tuples(st.sampled_from(("+", "-")), st.sampled_from(VARS), small_k)
+    | st.tuples(st.just("-"), small_k, st.sampled_from(VARS)))
+affine_while = st.tuples(st.just("while"), st.just(None),
+                         st.lists(loop_free | affine, max_size=3))
+affine_stmts = st.one_of(
+    loop_free, affine, affine_while,
+    st.tuples(st.just("do"), st.integers(min_value=1, max_value=3),
+              st.lists(loop_free | affine | affine_while, max_size=3)),
+)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(stmt_trees, min_size=1, max_size=3), byte, byte,
+@given(st.lists(affine_stmts, min_size=1, max_size=3), byte, byte,
        st.integers(min_value=0, max_value=4))
 @example([("do", 2, [("while", None, [])])], 0, 0, 1)
 @example([("do", 1, [("assign", "a", (">>", ("-", "a"), "a"))])], 8, 0, 0)
+@example([("assign", "a", "a"),
+          ("while", None, [("assign", "a", ("-", "1", "b")),
+                           ("assign", "b", ("-", "0", "b")),
+                           ("assign", "a", "a")])], 0, 0, 1)
 def test_instrumentation_never_blocks_a_plain_run(stmts, a, b, c):
     """Every invariant planted at a loop head holds on each run reaching
     that head, so the instrumented program completes where the plain one
