@@ -24,8 +24,9 @@ k=1, FORWARD k=2 and the re-check, and once a constant-bound loop is
 fully unrolled the re-check at k+increment repeats the FORWARD query
 at k.
 
-The deadline is checked before each query, inside `unwind`, `to_ssa`
-and `bitblast`, and inside the search; running past it gives UNKNOWN.
+The deadline is checked before each query, inside `unwind`, `to_ssa`,
+`encode` and `bitblast`, and inside the search; running past it gives
+UNKNOWN.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class _Checker:
         self.phase_log.append((phase.value, k))
         session = self.sessions[phase]
         u = unwind(self.p, k, phase, self.deadline)
-        f = encode(to_ssa(u, self.deadline), phase)
+        f = encode(to_ssa(u, self.deadline), phase, self.deadline)
         cnf = bitblast(f, session, self.deadline)
         self._emit(phase, k, f, cnf)
         out = solve(cnf, DEFAULT_CONFLICT_LIMIT, self.deadline, session)

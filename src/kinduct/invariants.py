@@ -712,20 +712,22 @@ def rewrite_expression(raw: str) -> str:
 
 
 def _function_spans(prog, source: str) -> list:
-    """(fn, start line, end line, body brace line) per function."""
+    """(fn, start line, end line, body brace Loc) per function."""
     from .frontend import FunctionDef
     fns = [it for it in prog.items if isinstance(it, FunctionDef)]
     spans = []
     total = source.count("\n") + 1
     for i, fn in enumerate(fns):
         end = fns[i + 1].loc.line - 1 if i + 1 < len(fns) else total
-        spans.append((fn, fn.loc.line, end, fn.body.loc.line))
+        spans.append((fn, fn.loc.line, end, fn.body.loc))
     return spans
 
 
 def synthesize_snapshots(source: str, markers: dict) -> str:
     """Insert `T v_init = v;` declarations at the start of every function
-    containing an #init-marked comment line."""
+    containing an #init-marked comment line.  They go on the line of the
+    function's opening brace, right after it, so every later line keeps
+    its number and reported locations match the user's source."""
     if not markers:
         return source
     from .frontend import VarDecl, parse, walk
@@ -760,7 +762,7 @@ def synthesize_snapshots(source: str, markers: dict) -> str:
         return None
 
     lines = source.splitlines()
-    inserts = []  # (brace line, [decl text, ...])
+    inserts = []  # (brace line, brace column, decl text)
     for (fname, brace), (fn, names) in per_function.items():
         decls = []
         for v in names:
@@ -770,11 +772,11 @@ def synthesize_snapshots(source: str, markers: dict) -> str:
                 raise InvariantError(
                     f"variable {v} marked #init on line {marked_at} is not "
                     f"declared in function {fname}")
-            indent = "  "
-            decls.append(f"{indent}{ty} {v}_init = {v};")
-        inserts.append((brace, decls))
-    for brace, decls in sorted(inserts, reverse=True):
-        lines[brace:brace] = decls
+            decls.append(f" {ty} {v}_init = {v};")
+        inserts.append((brace.line, brace.col, "".join(decls)))
+    # Right to left, so two braces on one line keep their columns.
+    for line, col, text in sorted(inserts, reverse=True):
+        lines[line - 1] = lines[line - 1][:col] + text + lines[line - 1][col:]
     return "\n".join(lines) + ("\n" if source.endswith("\n") else "")
 
 

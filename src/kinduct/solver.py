@@ -95,6 +95,7 @@ import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, Nondet, Unary, Var,
@@ -127,11 +128,22 @@ class CnfInstance:
 
 @dataclass
 class SolverOutcome:
+    """A query's answer and this query's search counts.  A SAT answer
+    keeps a copy of the engine's values and decodes `model` from it on
+    first read: FORWARD and INDUCTIVE answers are never decoded."""
     status: str
-    model: dict | None = None   # symbol -> bit-exact integer
     decisions: int = 0
     conflicts: int = 0
     propagations: int = 0
+    values: list | None = field(default=None, init=False, repr=False)
+    cnf: CnfInstance | None = field(default=None, init=False, repr=False)
+
+    @cached_property
+    def model(self) -> dict | None:
+        """symbol -> bit-exact integer when SAT, else None."""
+        if self.values is None:
+            return None
+        return decode_model(self.values, self.cnf)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,8 +1083,9 @@ def solve(cnf: CnfInstance,
           conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
           deadline: float | None = None,
           session: Session | None = None) -> SolverOutcome:
-    """Decide a CNF instance under its goal; decode the model through
-    bit_map when SAT.  Counts and the conflict limit are this query's.
+    """Decide a CNF instance under its goal.  A SAT outcome decodes its
+    model through bit_map when `model` is first read.  Counts and the
+    conflict limit are this query's.
 
     `deadline` is a time.monotonic() timestamp; running past it yields
     the same BUDGET outcome as exceeding the conflict limit.
@@ -1089,11 +1102,11 @@ def solve(cnf: CnfInstance,
         session.loaded = len(cnf.clauses)
     before = (engine.decisions, engine.conflicts, engine.propagations)
     status = engine.solve(conflict_limit, deadline, cnf.goal)
-    outcome = SolverOutcome(status, None, engine.decisions - before[0],
+    outcome = SolverOutcome(status, engine.decisions - before[0],
                             engine.conflicts - before[1],
                             engine.propagations - before[2])
     if status == SAT:
-        outcome.model = decode_model(engine.val, cnf)
+        outcome.values, outcome.cnf = list(engine.val), cnf
     return outcome
 
 

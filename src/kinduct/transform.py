@@ -14,7 +14,12 @@ The inductive step additionally rewrites every loop per
 as part of copy 1's head), S snapshots each loop variable into a
 per-copy shadow (tag `shadow`), U is subsumed by SSA renaming
 downstream, and R assumes after each executed copy that some loop
-variable changed, banning stuttering iterations (tag `stutter`).
+variable changed, banning stuttering iterations (tag `stutter`).  The
+shadow stores open copy j's then-branch and its stutter assume closes
+it: they are siblings under the one guard G_j, and the assume is the
+shadows' only reader.  So `vcgen.to_ssa` defines a shadow without that
+guard, as a plain alias of the variable's current version; when G_j is
+false the assume holds whatever the shadow is.
 
 Queries convert the unwound tree itself (`vcgen.to_ssa`); its flat GOTO
 view, `body`, is built only when read (`--dump-unwound`, tests).
@@ -26,8 +31,8 @@ original program produces, which is what makes model replay possible.
 
 `unwind` takes an optional time.monotonic() deadline and raises
 DeadlineExceeded once it has run past it, checked every COPIES_PER_CHECK
-loop copies; `vcgen.to_ssa` does the same for tree items and
-`solver.bitblast` for definitions.
+loop copies; `vcgen.to_ssa` does the same for tree items, `vcgen.encode`
+for obligations and `solver.bitblast` for definitions.
 """
 
 from __future__ import annotations

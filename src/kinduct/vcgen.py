@@ -5,15 +5,23 @@ chain of guarded definitions: assignment under path guard g becomes
 
     v!n+1 = ite(g, rhs, v!n)
 
-with the guard dropped when g is trivially true.  An IfItem with
-condition c walks its branches under c && g and !c && g, skipping one
-whose guard folds to false.  The two split g, so after the item the
-guard is g again and each variable joins through its own ites (CBMC's
-guarded SSA: Clarke, Kroening & Lerda, TACAS 2004).
+with the guard dropped when g is trivially true, and for a stutter
+shadow (tag `shadow`).  A shadow's only reader is the stutter assume
+that closes the same loop copy, under the same guard, and that assume
+holds whenever the guard is false.  So `v__pre_j!1 = v!n` is enough, and
+the guarded form would only add an ite and a free fallback version per
+bit that each SAT answer has to decide.
+
+An IfItem with condition c walks its branches under c && g and !c && g,
+skipping one whose guard folds to false.  The two split g, so after the
+item the guard is g again and each variable joins through its own ites
+(CBMC's guarded SSA: Clarke, Kroening & Lerda, TACAS 2004).
 Nondeterministic draws become free symbols named after their (nid, ctx)
 key; division and modulo route through ite(divisor == 0, fresh symbol,
 quotient) so a division by zero is a fresh unconstrained value, matching
-the interpreter.
+the interpreter.  A divisor that is a nonzero constant after
+substitution cannot be zero, so it gets neither the ite nor the symbol,
+whose bits no clause would mention.
 
 Assumptions (including the unwinding assumptions) have sequential
 semantics: an execution that violates an assertion stops there, so an
@@ -43,7 +51,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
@@ -165,7 +172,8 @@ class _SsaBuilder:
             left = self.subst(e.left, ctx)
             right = self.subst(e.right, ctx)
             body = Binary(e.op, left, right, nid=e.nid, ty=e.ty, loc=e.loc)
-            if e.op in ("/", "%"):
+            if e.op in ("/", "%") and not (
+                    isinstance(right, Const) and right.ty.wrap(right.value)):
                 zero = Binary("==", right, Const(0, ty=right.ty), ty=_BOOL)
                 return Cond(zero, self.draw("dz", e.nid, ctx, e.ty), body,
                             ty=e.ty, loc=e.loc)
@@ -202,7 +210,7 @@ class _SsaBuilder:
             if ins.op == "ASSIGN":
                 rhs = self.subst(ins.expr, ins.ctx)
                 ty = self.u.symbols[ins.var]
-                if not is_true(guard):
+                if not is_true(guard) and ins.tag != "shadow":
                     prev = self.read(ins.var)
                     rhs = Cond(guard, rhs, Var(prev, rid=prev, ty=ty), ty=ty)
                 name = self.fresh(ins.var, ty)
@@ -236,16 +244,29 @@ def to_ssa(u: UnwoundProgram, deadline: float | None = None) -> SsaProgram:
     return builder.out
 
 
-def encode(s: SsaProgram, phase: Phase) -> VcFormula:
+def encode(s: SsaProgram, phase: Phase,
+           deadline: float | None = None) -> VcFormula:
     """Build the phase's satisfiability query from an SsaProgram.
 
     Assume terms are not conjoined globally: they already appear in the
     prefix of every obligation that follows them, which is what gives an
-    assume no power over violations that precede it.
+    assume no power over violations that precede it.  Past the
+    time.monotonic() `deadline` (checked at the first obligation and
+    termination term and every INSTRS_PER_CHECK after each) it raises
+    DeadlineExceeded.
     """
-    prop = reduce(And, (term for term, _ in s.obligations), TRUE)
+    def conjoin(terms: list) -> Expr:
+        out = TRUE
+        for i, term in enumerate(terms):
+            if i % INSTRS_PER_CHECK == 0 and deadline is not None \
+                    and time.monotonic() > deadline:
+                raise DeadlineExceeded
+            out = And(out, term)
+        return out
+
+    prop = conjoin([term for term, _ in s.obligations])
     if phase is Phase.FORWARD:
-        prop = And(reduce(And, s.terminations, TRUE), prop)
+        prop = And(conjoin(s.terminations), prop)
     return VcFormula(list(s.definitions), Not(prop), dict(s.symbols))
 
 

@@ -104,6 +104,29 @@ def test_show_cex(capsys):
     assert "s[0] x=0" in out
 
 
+SNAPSHOT_SHIFT = """\
+unsigned int x = 5;
+int main() {
+unsigned int i = 0;
+// P(x) {x#init == 5}
+while (i < 3) {
+i = i + 1;
+}
+assert(i != 3);
+return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["none", "comments"])
+def test_show_cex_line_ignores_snapshot_declarations(mode, tmp_path, capsys):
+    # The x_init declaration that `comments` adds must not shift line 8.
+    src = tmp_path / "shift.mc"
+    src.write_text(SNAPSHOT_SHIFT)
+    assert run("verify", str(src), "--show-cex", "--invariants", mode) == EXIT_FALSE
+    assert "violated assertion at line 8\n" in capsys.readouterr().out
+
+
 def test_dump_goto_golden(capsys):
     assert run("verify", str(corpus_path("fig1_unsigned.mc")),
                "--dump-goto", "--invariants", "none") == EXIT_TRUE

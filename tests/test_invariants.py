@@ -155,8 +155,7 @@ int main() {
 }
 """
 
-CANON_OUT = """int run(int w, int x) {
-  int x_init = x;
+CANON_OUT = """int run(int w, int x) { int x_init = x;
   __ESBMC_assume(w==0 && x_init>10);
   while (x > 0) {
     x = x - 1;

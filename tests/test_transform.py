@@ -4,7 +4,9 @@ import pytest
 
 from kinduct import oracle
 from kinduct.frontend import pp_expr
-from kinduct.goto_ir import count_backjumps, free_vars, loop_variables
+from kinduct.goto_ir import (
+    IfItem, OpItem, count_backjumps, free_vars, loop_variables,
+)
 from kinduct.interp import COMPLETED, SequentialProvider, run_goto
 from kinduct.transform import (
     Phase, TransformError, dump_unwound, shadow_name, unwind,
@@ -95,6 +97,37 @@ def test_inductive_rewrite_blocks(fig1_goto):
 def test_inductive_shadow_count_grows_with_k(fig1_goto):
     u = unwind(fig1_goto, 3, Phase.INDUCTIVE)
     assert [tags(u).count(t) for t in ("havoc", "shadow", "stutter")] == [1, 3, 3]
+
+
+def item_lists(items):
+    """`items` and every item list nested in it."""
+    yield items
+    for item in items:
+        if isinstance(item, IfItem):
+            yield from item_lists(item.then)
+            yield from item_lists(item.els)
+
+
+def test_shadow_stores_are_siblings_of_their_stutter_assume():
+    """A copy's shadow stores and its stutter assume share one item list,
+    hence one guard, and that assume is the only reader of a shadow:
+    what lets vcgen define a shadow without the guard."""
+    for path, _expected, _cat in corpus_entries():
+        u = unwind(compile_mc(path.read_text()), 3, Phase.INDUCTIVE)
+        for items in item_lists(u.tree):
+            ops = [i.instr for i in items if isinstance(i, OpItem)]
+            stores = [i for i in ops if i.tag == "shadow"]
+            stutters = [i for i in ops if i.tag == "stutter"]
+            assert len(stutters) == (1 if stores else 0), path.name
+            if stores:
+                (stutter,) = stutters
+                assert {i.var for i in stores} == {
+                    v for v in free_vars(stutter.expr) if "__pre_" in v}
+                assert all(i.ctx == stutter.ctx for i in stores)
+        for ins in u.body.instructions:
+            if ins.expr is not None and any(
+                    "__pre_" in v for v in free_vars(ins.expr)):
+                assert ins.tag == "stutter", (path.name, ins)
 
 
 def test_havoc_completeness_on_corpus():

@@ -3,12 +3,14 @@
 import pytest
 
 from kinduct import oracle
-from kinduct.driver import KInductionConfig, load_program
-from kinduct.frontend import pp_expr
+from kinduct.driver import FALSE, KInductionConfig, load_program, verify_file
+from kinduct.frontend import Var, pp_expr
 from kinduct.solver import SAT, UNSAT, bitblast, solve
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import dump_ssa, encode, to_ssa
-from conftest import COUNT_UP, FIG1, compile_mc, corpus_path, satisfies
+from conftest import (
+    COUNT_UP, FIG1, compile_mc, corpus_entries, corpus_path, satisfies,
+)
 
 
 def check(source, k, phase, width=8):
@@ -153,3 +155,41 @@ def test_eval_formula_matches_solver_verdict():
     assert satisfies(f, out.model)
     draws = [v for s, v in out.model.items() if s.startswith("nd")]
     assert any((v + 1) & 0xFF == 7 for v in draws)
+
+
+def test_stutter_shadows_alias_the_current_version():
+    """A shadow gets no free fallback version: its one definition is the
+    loop variable's version current at the store."""
+    for path, _expected, _cat in corpus_entries():
+        s = to_ssa(unwind(compile_mc(path.read_text()), 3, Phase.INDUCTIVE))
+        defined = dict(s.definitions)
+        assert not [n for n in s.symbols
+                    if "__pre_" in n and n not in defined], path.name
+        order = list(s.symbols)
+        for name, rhs in s.definitions:
+            if "__pre_" not in name:
+                continue
+            var = name.split("__pre_")[0]
+            versions = [n for n in order[:order.index(name)]
+                        if n.rsplit("!", 1)[0] == var]
+            assert isinstance(rhs, Var) and rhs.name == versions[-1], (
+                path.name, name, pp_expr(rhs))
+
+
+@pytest.mark.parametrize("expr,draws", [
+    ("x % 8", False), ("x / 2", False), ("x / 0", True), ("x / d", True),
+])
+def test_divide_by_zero_draw_only_for_a_divisor_that_can_be_zero(expr, draws):
+    s = to_ssa(unwind(compile_mc(f"""int main() {{
+      unsigned int x = *;
+      unsigned int d = *;
+      unsigned int q = {expr};
+      return 0;
+    }}"""), 1, Phase.BASE))
+    assert any(n.startswith("dz") for n in s.draw_symbols) == draws
+
+
+def test_nondet_divisor_by_zero_replays():
+    v = verify_file(str(corpus_path("div_bug.mc")))
+    assert (v.status, v.decided_by) == (FALSE, "BASE")
+    assert v.counterexample.violated is not None
