@@ -130,7 +130,8 @@ class CnfInstance:
 class SolverOutcome:
     """A query's answer and this query's search counts.  A SAT answer
     keeps a copy of the engine's values and decodes `model` from it on
-    first read: FORWARD and INDUCTIVE answers are never decoded."""
+    first read, so a caller that never reads the model (the driver's
+    FORWARD and INDUCTIVE phases) pays no decode."""
     status: str
     decisions: int = 0
     conflicts: int = 0
