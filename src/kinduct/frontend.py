@@ -1204,6 +1204,8 @@ class _TypeChecker:
             return Unary(e.op, operand, ty=operand.ty, loc=e.loc)
         if isinstance(e, Binary):
             if e.op in _LOGIC_OPS:
+                # Evaluation is eager, so a call C would skip is refused.
+                self.forbid_calls(e.right, f"right operand of '{e.op}'")
                 left = self.check_condition(e.left, scope)
                 right = self.check_condition(e.right, scope)
                 return Binary(e.op, left, right, ty=_BOOL_TY, loc=e.loc)
@@ -1219,6 +1221,8 @@ class _TypeChecker:
                 return Const(e.target.wrap(operand.value), ty=e.target, loc=e.loc)
             return Cast(e.target, operand, explicit=e.explicit, ty=e.target, loc=e.loc)
         if isinstance(e, Cond):
+            self.forbid_calls(e.then, "branch of '?:'")
+            self.forbid_calls(e.els, "branch of '?:'")
             cond = self.check_condition(e.cond, scope)
             then = self.check_expr(e.then, scope)
             els = self.check_expr(e.els, scope)

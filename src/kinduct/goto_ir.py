@@ -1,28 +1,33 @@
 """GOTO-style intermediate representation.
 
-`lower` turns a type-checked AST into a flat list of instructions
-(ASSIGN, ASSUME, ASSERT, GOTO, COND_GOTO, HAVOC, SKIP) with all calls
-inlined and every loop in a canonical top-test shape:
+`lower` turns a type-checked AST into a loop tree with all calls
+inlined: OpItems (ASSIGN, ASSUME, ASSERT, HAVOC, SKIP), IfItems and
+LoopItems.  for-loops lower as `B; while (c) { E; D; }` and do-while
+loops are peeled as `E; while (c) { E; }`: the lowerer lowers the body
+twice, so the peeled copy gets its own draw ids and its inner loops
+their own loop ids.
+
+The tree is the program: unwinding copies loop bodies from it.  The flat
+GOTO listing, every loop in the top-test shape
 
     head:  COND_GOTO !(guard) -> exit
            ...body...
            GOTO head
 
-for-loops lower as `B; while (c) { E; D; }` and do-while loops are
-peeled as `E; while (c) { E; }`: the lowerer lowers the body twice, so
-the peeled copy gets its own draw ids and its inner loops their own loop
-ids.  Alongside the flat view, a structured region tree is kept so later
-passes can copy loop bodies without re-discovering structure from jumps.
+is derived from the tree on first read, for the readers that run on
+program counters: the replay, the oracle, the interval analysis and the
+dumps.
 
-Every nondeterministic value in the IR (nondet expressions, havocs, and
-the fresh value produced by division by zero) carries a unique numeric id
-`nid`, which is how solver models are later mapped back onto concrete
-replays.
+Every nondeterministic value (nondet expressions and the fresh value
+produced by division by zero) carries a unique numeric id `nid`, which
+is how solver models are later mapped back onto concrete replays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .frontend import (
     Assert, Assign, Assume, Binary, Block, Call, Cast, Cond, Const, DoWhile,
@@ -38,9 +43,6 @@ class LoweringError(MiniCError):
 # ---------------------------------------------------------------------------
 # instructions and loop metadata
 
-OPS = ("ASSIGN", "ASSUME", "ASSERT", "GOTO", "COND_GOTO", "HAVOC", "SKIP")
-
-
 @dataclass
 class Instr:
     op: str
@@ -48,7 +50,6 @@ class Instr:
     expr: Expr | None = None
     target: int | None = None
     loc: Loc | None = None
-    nid: int | None = None  # draw id for HAVOC
     tag: str = ""           # provenance marker for transformed programs
     # Set on unwound copies: the copy indices of every enclosing loop,
     # outermost first.
@@ -76,8 +77,6 @@ class LoopInfo:
 
     head: int
     backjump: int
-    exit_condition: Expr  # the guard c; the loop exits when c is false
-    loop_vars: frozenset
     nesting_depth: int
     guard_index: int
     loop_id: int
@@ -110,13 +109,30 @@ class LoopItem:
 
 @dataclass
 class GotoProgram:
-    instructions: list
-    loops: list
-    symbols: dict  # variable -> IntType
+    """A program as its loop tree.  The flat listing, `instructions` and
+    `loops` (sorted by head), is built from the tree on first read."""
+
     tree: list
+    symbols: dict  # variable -> IntType
     name: str = "<program>"
     file: str = "<input>"
-    next_nid: int = 0
+
+    def __post_init__(self):
+        ids = [i.loop_id for i in items_in(self.tree) if isinstance(i, LoopItem)]
+        if len(ids) != len(set(ids)):
+            raise LoweringError("two loops share a loop id")
+
+    @cached_property
+    def _flat(self) -> tuple:
+        return flatten(self.tree)
+
+    @property
+    def instructions(self) -> list:
+        return self._flat[0]
+
+    @property
+    def loops(self) -> list:
+        return self._flat[1]
 
 
 def dump_goto(p: GotoProgram) -> str:
@@ -124,75 +140,41 @@ def dump_goto(p: GotoProgram) -> str:
     return "\n".join(f"{i}: {ins.render()}" for i, ins in enumerate(p.instructions))
 
 
-def count_backjumps(p: GotoProgram) -> int:
-    return sum(
-        1
-        for i, ins in enumerate(p.instructions)
-        if ins.op in ("GOTO", "COND_GOTO") and ins.target is not None and ins.target < i
-    )
-
-
 def free_vars(e: Expr) -> set:
     return {node.name for node in walk(e) if isinstance(node, Var)}
 
 
-def loop_variables(p: GotoProgram, loop: LoopInfo) -> frozenset:
+def items_in(tree: list):
+    """Every item of `tree`, nested ones included, in no fixed order."""
+    stack = [tree]
+    while stack:
+        for item in stack.pop():
+            yield item
+            if isinstance(item, IfItem):
+                stack += (item.then, item.els)
+            elif isinstance(item, LoopItem):
+                stack += (item.pre, item.body)
+
+
+def loop_variables(loop: LoopItem) -> frozenset:
     """Variables havocked in the inductive step: those used in the loop
-    guard or assigned anywhere in the loop (loop counters are assigned in
-    the body, so the two criteria cover all three)."""
-    out = set(free_vars(loop.exit_condition))
-    for ins in p.instructions[loop.head:loop.backjump + 1]:
-        if ins.op in ("ASSIGN", "HAVOC"):
-            out.add(ins.var)
-    return frozenset(out)
-
-
-def check_structure(p: GotoProgram):
-    """Validate jump targets, loop nesting and ids, and the backjump
-    count."""
-    n = len(p.instructions)
-    for i, ins in enumerate(p.instructions):
-        if ins.op in ("GOTO", "COND_GOTO"):
-            if ins.target is None or not (0 <= ins.target <= n):
-                raise LoweringError(f"instruction {i} jumps out of range")
-    for loop in p.loops:
-        if not loop.backjump > loop.head:
-            raise LoweringError(f"loop {loop.loop_id} backjump does not follow head")
-        if p.instructions[loop.backjump].target != loop.head:
-            raise LoweringError(f"loop {loop.loop_id} backjump does not target head")
-    if len({l.loop_id for l in p.loops}) != len(p.loops):
-        raise LoweringError("two loops share a loop id")
-    spans = sorted(((l.head, l.backjump) for l in p.loops))
-    stack: list = []
-    for lo, hi in spans:
-        while stack and stack[-1] < lo:
-            stack.pop()
-        if stack and hi > stack[-1]:
-            raise LoweringError("loops overlap without nesting")
-        stack.append(hi)
-    if count_backjumps(p) != len(p.loops):
-        raise LoweringError("backjump count does not match loop count")
+    guard or assigned anywhere in the loop, nested loops included (loop
+    counters are assigned in the body, so the two criteria cover all
+    three)."""
+    return frozenset(free_vars(loop.guard) | {
+        i.instr.var for i in items_in([loop])
+        if isinstance(i, OpItem) and i.instr.op == "ASSIGN"})
 
 
 # ---------------------------------------------------------------------------
 # lowering
 
-class _NidSource:
-    def __init__(self, start: int = 0):
-        self.next = start
-
-    def take(self) -> int:
-        nid = self.next
-        self.next += 1
-        return nid
-
-
 class _Lowerer:
     def __init__(self, prog: Program):
         self.prog = prog
         self.symbols: dict = {}
-        self.nids = _NidSource()
-        self.loop_ids = _NidSource()
+        self.nids = itertools.count()
+        self.loop_ids = itertools.count()
         self.site_count = 0
 
     def fail(self, msg: str, loc):
@@ -307,21 +289,21 @@ class _Lowerer:
         if isinstance(s, While):
             guard = self.lower_call_free(s.cond, rename)
             body = self.lower_stmt(s.body, rename, ret_var)
-            return [LoopItem(guard, body, loc=s.loc, loop_id=self.loop_ids.take())]
+            return [LoopItem(guard, body, loc=s.loc, loop_id=next(self.loop_ids))]
         if isinstance(s, For):
             out = self.lower_stmt(s.init, rename, ret_var) if s.init is not None else []
             guard = self.lower_call_free(s.cond, rename)
             body = self.lower_stmt(s.body, rename, ret_var)
             if s.step is not None:
                 body.extend(self.lower_stmt(s.step, rename, ret_var))
-            out.append(LoopItem(guard, body, loc=s.loc, loop_id=self.loop_ids.take()))
+            out.append(LoopItem(guard, body, loc=s.loc, loop_id=next(self.loop_ids)))
             return out
         if isinstance(s, DoWhile):
             peeled = self.lower_stmt(s.body, rename, ret_var)
             guard = self.lower_call_free(s.cond, rename)
             body = self.lower_stmt(s.body, rename, ret_var)
             return peeled + [LoopItem(guard, body, loc=s.loc,
-                                      loop_id=self.loop_ids.take())]
+                                      loop_id=next(self.loop_ids))]
         if isinstance(s, Return):
             if s.value is None:
                 return []
@@ -350,11 +332,11 @@ class _Lowerer:
                 name = rename.get(name, name)
                 return Var(name, rid=name, ty=node.ty, loc=node.loc)
             if isinstance(node, Nondet):
-                return replace(node, nid=self.nids.take())
+                return replace(node, nid=next(self.nids))
             if isinstance(node, Unary):
                 return Unary(node.op, copy(node.operand), ty=node.ty, loc=node.loc)
             if isinstance(node, Binary):
-                nid = self.nids.take() if node.op in ("/", "%") else None
+                nid = next(self.nids) if node.op in ("/", "%") else None
                 return Binary(node.op, copy(node.left), copy(node.right),
                               nid=nid, ty=node.ty, loc=node.loc)
             if isinstance(node, Cast):
@@ -393,7 +375,7 @@ class _Lowerer:
             self.declare(ret_var, fn.ret_ty)
             out.append(OpItem(Instr(
                 "ASSIGN", var=ret_var,
-                expr=Nondet(star=True, ty=fn.ret_ty, nid=self.nids.take()), loc=call.loc)))
+                expr=Nondet(star=True, ty=fn.ret_ty, nid=next(self.nids)), loc=call.loc)))
         body, _ = self.single_exit(fn.body.stmts)
         out.extend(self.lower_stmts(body, sub, ret_var))
         result = Var(ret_var, rid=ret_var, ty=fn.ret_ty, loc=call.loc)
@@ -454,26 +436,20 @@ class _Flattener:
                 self.instrs[guard_idx].target = len(self.instrs)
                 self.depth -= 1
                 self.loops.append(LoopInfo(
-                    head, backjump, item.guard, frozenset(),
-                    self.depth, guard_idx, item.loop_id))
+                    head, backjump, self.depth, guard_idx, item.loop_id))
             else:
                 raise TypeError(f"unexpected tree item {item!r}")
 
 
-def flatten_tree(tree: list, symbols: dict, name: str, file: str,
-                 next_nid: int) -> GotoProgram:
+def flatten(tree: list) -> tuple:
+    """The flat listing of `tree`: (instructions, loops sorted by head)."""
     fl = _Flattener()
     walk_nested(fl._items, tree)
-    prog = GotoProgram(fl.instrs, sorted(fl.loops, key=lambda l: l.head),
-                       dict(symbols), tree, name=name, file=file, next_nid=next_nid)
-    for loop in prog.loops:
-        loop.loop_vars = loop_variables(prog, loop)
-    check_structure(prog)
-    return prog
+    return fl.instrs, sorted(fl.loops, key=lambda l: l.head)
 
 
 def lower(prog: Program) -> GotoProgram:
     """Lower a type-checked Program to a GotoProgram; do-while loops come
     out peeled into top-test form."""
     lo = _Lowerer(prog)
-    return flatten_tree(lo.run(), lo.symbols, prog.entry, prog.file, lo.nids.next)
+    return GotoProgram(lo.run(), lo.symbols, prog.entry, prog.file)

@@ -12,7 +12,10 @@ executes one instruction; `run_goto` and the explicit-state
 
 Evaluation semantics: fixed-width two's-complement wrapping on every
 operation, truncating division, shift amounts taken modulo the width,
-and eager (non-short-circuiting) `&&`/`||`.  Division or modulo by zero
+and eager (non-short-circuiting) `&&`/`||`.  Eager evaluation gives C's
+answer: the type checker rejects a call in an operand that C may skip
+(the right operand of `&&`/`||`, either branch of `?:`), and a call-free
+operand changes no variable.  Division or modulo by zero
 yields a fresh nondeterministic value instead of halting.
 """
 
@@ -214,9 +217,6 @@ def step(p: GotoProgram, pc: int, store: dict, ctx: tuple, provider) -> tuple:
     op = ins.op
     if op == "ASSIGN":
         return None, pc + 1, (ins.var, eval_expr(ins.expr, store, provider, ctx))
-    if op == "HAVOC":
-        ty = p.symbols[ins.var]
-        return None, pc + 1, (ins.var, ty.wrap(provider.draw(ins.nid, ctx, ty, "havoc")))
     if op in ("ASSUME", "ASSERT"):
         if eval_expr(ins.expr, store, provider, ctx) == 0:
             return (BLOCKED if op == "ASSUME" else VIOLATION), pc, None
@@ -226,7 +226,9 @@ def step(p: GotoProgram, pc: int, store: dict, ctx: tuple, provider) -> tuple:
     if op == "COND_GOTO":
         taken = eval_expr(ins.expr, store, provider, ctx) != 0
         return None, ins.target if taken else pc + 1, None
-    return None, pc + 1, None  # SKIP
+    if op == "SKIP":
+        return None, pc + 1, None
+    raise ValueError(f"cannot execute a {op} instruction")
 
 
 def run_goto(p: GotoProgram, provider, max_steps: int = 1_000_000) -> RunResult:

@@ -25,9 +25,7 @@ from .frontend import (
     Binary, Cast, Cond, Const, Expr, IntType, MiniCError, Nondet, Unary, Var,
     lex, promote, _Parser,
 )
-from .goto_ir import (
-    GotoProgram, Instr, LoopItem, IfItem, OpItem, flatten_tree,
-)
+from .goto_ir import GotoProgram, Instr, LoopItem, IfItem, OpItem
 from .interp import eval_expr, trunc_div
 
 
@@ -177,10 +175,6 @@ def _facts_of(pairs: dict, w: str):
             yield (b, sign, c)
         elif b == w:
             yield (a, sign, sign * c)
-
-
-def _without(pairs: dict, var: str) -> dict:
-    return {k: c for k, c in pairs.items() if var not in k}
 
 
 def _point_pairs(s: _Abs) -> _Abs:
@@ -480,7 +474,7 @@ def _match_affine(e: Expr):
 
 def _assign(s: _Abs, var: str, e: Expr, ty: IntType) -> _Abs:
     lo, hi, exact = _eval(e, s)
-    out = _Abs(dict(s.intervals), _without(s.pairs, var))
+    out = _Abs(dict(s.intervals), {k: c for k, c in s.pairs.items() if var not in k})
     out.intervals[var] = (max(lo, ty.min), min(hi, ty.max))
     m = _match_affine(e) if exact else None
     if m is None:
@@ -501,10 +495,6 @@ def _successors(p: GotoProgram, i: int, s: _Abs):
     ins = p.instructions[i]
     if ins.op == "ASSIGN":
         yield (i + 1, _assign(s, ins.var, ins.expr, p.symbols[ins.var]))
-    elif ins.op == "HAVOC":
-        out = _Abs(dict(s.intervals), _without(s.pairs, ins.var))
-        out.intervals[ins.var] = _full(p.symbols[ins.var])
-        yield (i + 1, out)
     elif ins.op in ("ASSUME", "ASSERT"):
         refined = _refine(s, ins.expr, True)
         if refined is not None:
@@ -518,8 +508,10 @@ def _successors(p: GotoProgram, i: int, s: _Abs):
         fall = _refine(s, ins.expr, False)
         if fall is not None:
             yield (i + 1, fall)
-    else:
+    elif ins.op == "SKIP":
         yield (i + 1, s.copy())
+    else:
+        raise ValueError(f"cannot analyse a {ins.op} instruction")
 
 
 def _analyze(p: GotoProgram) -> list:
@@ -643,8 +635,7 @@ def instrument(p: GotoProgram, inv: InvariantSet) -> GotoProgram:
                 out.append(item)
         return out
 
-    tree = rebuild(p.tree)
-    return flatten_tree(tree, p.symbols, p.name, p.file, p.next_nid)
+    return GotoProgram(rebuild(p.tree), p.symbols, p.name, p.file)
 
 
 # ---------------------------------------------------------------------------
@@ -711,72 +702,60 @@ def rewrite_expression(raw: str) -> str:
     return out
 
 
-def _function_spans(prog, source: str) -> list:
-    """(fn, start line, end line, body brace Loc) per function."""
-    from .frontend import FunctionDef
-    fns = [it for it in prog.items if isinstance(it, FunctionDef)]
-    spans = []
-    total = source.count("\n") + 1
-    for i, fn in enumerate(fns):
-        end = fns[i + 1].loc.line - 1 if i + 1 < len(fns) else total
-        spans.append((fn, fn.loc.line, end, fn.body.loc))
-    return spans
-
-
 def synthesize_snapshots(source: str, markers: dict) -> str:
-    """Insert `T v_init = v;` declarations at the start of every function
-    containing an #init-marked comment line.  They go on the line of the
-    function's opening brace, right after it, so every later line keeps
-    its number and reported locations match the user's source."""
+    """Insert a `T v_init = v;` declaration for every #init-marked
+    variable.  A local's goes right after the statement that declares
+    it; a parameter's or a global's right after the opening brace of the
+    function holding the comment.  Each goes on a line that is already
+    there, so every later line keeps its number and reported locations
+    match the user's source."""
     if not markers:
         return source
-    from .frontend import VarDecl, parse, walk
+    from .frontend import For, VarDecl, parse, walk
 
     prog = parse(source)
-    spans = _function_spans(prog, source)
-    per_function: dict = {}
+    semicolons = [t.loc for t in lex(source) if t.value == ";"]
+    inserts: dict = {}  # (line, col) -> declarations to put after that column
+    done: set = set()   # (function, variable)
     for line in sorted(markers):
-        home = None
-        for fn, start, end, brace in spans:
-            if start <= line <= end:
-                home = (fn, brace)
-                break
-        if home is None:
+        homes = [fn for fn in prog.functions if fn.loc.line <= line]
+        if not homes:
             raise InvariantError(
                 f"invariant comment on line {line} is outside any function")
-        bucket = per_function.setdefault((home[0].name, home[1]), (home[0], []))
+        fn = homes[-1]
+        headers = {id(n.init) for n in walk(fn.body) if isinstance(n, For)}
         for v in markers[line]:
-            if v not in bucket[1]:
-                bucket[1].append(v)
-
-    def decl_type(fn, name: str) -> IntType | None:
-        for param in fn.params:
-            if param.name == name:
-                return param.decl_ty
-        for node in walk(fn.body):
-            if isinstance(node, VarDecl) and node.name == name:
-                return node.decl_ty
-        for g in prog.globals:
-            if g.name == name:
-                return g.decl_ty
-        return None
+            if (fn.name, v) in done:
+                continue
+            done.add((fn.name, v))
+            decls = [n for n in walk(fn.body) if isinstance(n, VarDecl) and n.name == v]
+            above = [d for d in decls if d.loc.line < line]
+            outer = [d for d in fn.params + prog.globals if d.name == v]
+            if above:
+                decl = max(above, key=lambda d: (d.loc.line, d.loc.col))
+                if id(decl) in headers:
+                    raise InvariantError(
+                        f"variable {v} marked #init on line {line} is "
+                        f"declared in a for header on line {decl.loc.line}")
+                end = next(s for s in semicolons
+                           if (s.line, s.col) > (decl.loc.line, decl.loc.col))
+                at = (end.line, end.col)
+            elif outer:
+                decl, at = outer[0], (fn.body.loc.line, fn.body.loc.col)
+            elif decls:
+                raise InvariantError(
+                    f"variable {v} marked #init on line {line} is declared "
+                    f"below it, on line {decls[0].loc.line}")
+            else:
+                raise InvariantError(
+                    f"variable {v} marked #init on line {line} is not "
+                    f"declared in function {fn.name}")
+            inserts.setdefault(at, []).append(f" {decl.decl_ty} {v}_init = {v};")
 
     lines = source.splitlines()
-    inserts = []  # (brace line, brace column, decl text)
-    for (fname, brace), (fn, names) in per_function.items():
-        decls = []
-        for v in names:
-            ty = decl_type(fn, v)
-            if ty is None:
-                marked_at = min(l for l in markers if v in markers[l])
-                raise InvariantError(
-                    f"variable {v} marked #init on line {marked_at} is not "
-                    f"declared in function {fname}")
-            decls.append(f" {ty} {v}_init = {v};")
-        inserts.append((brace.line, brace.col, "".join(decls)))
-    # Right to left, so two braces on one line keep their columns.
-    for line, col, text in sorted(inserts, reverse=True):
-        lines[line - 1] = lines[line - 1][:col] + text + lines[line - 1][col:]
+    # Right to left, so two insertions on one line keep their columns.
+    for (line, col), texts in sorted(inserts.items(), reverse=True):
+        lines[line - 1] = lines[line - 1][:col] + "".join(texts) + lines[line - 1][col:]
     return "\n".join(lines) + ("\n" if source.endswith("\n") else "")
 
 

@@ -15,6 +15,9 @@ as part of copy 1's head), S snapshots each loop variable into a
 per-copy shadow (tag `shadow`), U is subsumed by SSA renaming
 downstream, and R assumes after each executed copy that some loop
 variable changed, banning stuttering iterations (tag `stutter`).  The
+loop variables are read off the loop's tree item
+(`goto_ir.loop_variables`).  A HAVOC carries no draw id: only INDUCTIVE
+unwindings hold one, and nothing replays them.  The
 shadow stores open copy j's then-branch and its stutter assume closes
 it: they are siblings under the one guard G_j, and the assume is the
 shadows' only reader.  So `vcgen.to_ssa` defines a shadow without that
@@ -44,7 +47,7 @@ from functools import cached_property
 
 from .frontend import Binary, IntType, Unary, Var
 from .goto_ir import (
-    GotoProgram, IfItem, Instr, LoopItem, OpItem, _NidSource, flatten_tree,
+    GotoProgram, IfItem, Instr, LoopItem, OpItem, loop_variables,
 )
 
 
@@ -72,7 +75,6 @@ _BOOL = IntType(32, True)
 class UnwoundProgram:
     tree: list       # loop-free: OpItems and IfItems only
     symbols: dict    # variable -> IntType, shadows included
-    next_nid: int
     phase: Phase
     k: int
     origin: GotoProgram | None = None  # the program that was unwound
@@ -80,8 +82,8 @@ class UnwoundProgram:
     @cached_property
     def body(self) -> GotoProgram:
         """The flat view of `tree`, built on first access."""
-        return flatten_tree(self.tree, self.symbols, self.origin.name,
-                            self.origin.file, self.next_nid)
+        return GotoProgram(self.tree, self.symbols, self.origin.name,
+                           self.origin.file)
 
 
 def shadow_name(var: str, ctx: tuple) -> str:
@@ -98,9 +100,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
     if k < 1:
         raise TransformError(f"unwinding depth must be >= 1, got {k}")
     copies = 0
-    nids = _NidSource(p.next_nid)
     symbols = dict(p.symbols)
-    loop_vars = {l.loop_id: l.loop_vars for l in p.loops}
     inductive = phase is Phase.INDUCTIVE
 
     def stamp(items: list, ctx: tuple) -> list:
@@ -120,7 +120,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
     def unwind_loop(loop: LoopItem, ctx: tuple) -> list:
         nonlocal copies
         sigma = Unary("!", loop.guard, ty=_BOOL, loc=loop.loc)
-        lv = sorted(loop_vars[loop.loop_id])
+        lv = sorted(loop_variables(loop))
         term_op, term_tag = (("ASSERT", "unwind_assertion") if phase is Phase.FORWARD
                              else ("ASSUME", "unwind_assumption"))
         inner: list = [OpItem(Instr(term_op, expr=sigma, tag=term_tag,
@@ -154,12 +154,12 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                 seq = stores + seq + [stutter]
             inner = pre_i + [IfItem(loop.guard, seq + inner, [],
                                     loc=loop.loc, ctx=cctx)]
-        havocs = [OpItem(Instr("HAVOC", var=v, nid=nids.take(), tag="havoc",
+        havocs = [OpItem(Instr("HAVOC", var=v, tag="havoc",
                                loc=loop.loc, ctx=ctx))
                   for v in lv] if inductive else []
         return havocs + inner
 
-    return UnwoundProgram(stamp(p.tree, ()), symbols, nids.next, phase, k, p)
+    return UnwoundProgram(stamp(p.tree, ()), symbols, phase, k, p)
 
 
 def dump_unwound(u: UnwoundProgram) -> str:

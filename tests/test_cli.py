@@ -1,8 +1,11 @@
 """Command line behavior: exit codes, JSON output, dumps, bench."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +64,57 @@ def test_exit_code_usage_errors(capsys):
         assert run("verify", str(corpus_path("off_by_one.mc")),
                    "--dump-unwound", "base", "--k", k) == EXIT_USAGE
         assert "--k: must be at least 1" in capsys.readouterr().err
+
+
+# Calls in operands that C may skip.  Evaluation is eager, so each call
+# used to run unconditionally.  The first two gave TRUE (forward, k=2),
+# where C reaches the failing assertion with c == 0 because it skips f.
+# The third gave FALSE (base, k=1) with g == 11, although C runs only one
+# of f and h.
+ASSUME_FALSE = "int f() {\n  __VERIFIER_assume(0);\n  return 1;\n}\n"
+SKIPPED_CALLS = {
+    "and": (ASSUME_FALSE + """int main() {
+  int c = *;
+  if (c != 0 && f() == 1) {
+    c = 1;
+  }
+  assert(c != 0);
+  return 0;
+}
+""", "right operand of '&&'"),
+    "cond": (ASSUME_FALSE + """int main() {
+  int c = *;
+  int x = c != 0 ? f() : 0;
+  assert(c != 0);
+  return 0;
+}
+""", "branch of '?:'"),
+    "cond_both": ("""int g = 0;
+int f() {
+  g = g + 1;
+  return 1;
+}
+int h() {
+  g = g + 10;
+  return 0;
+}
+int main() {
+  int c = *;
+  int x = c ? f() : h();
+  assert(g == 1 || g == 10);
+  return 0;
+}
+""", "branch of '?:'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIPPED_CALLS))
+def test_call_in_an_operand_c_may_skip_is_rejected(name, tmp_path, capsys):
+    source, construct = SKIPPED_CALLS[name]
+    f = tmp_path / f"{name}.mc"
+    f.write_text(source)
+    assert run("verify", str(f)) == EXIT_USAGE
+    assert f"function call in {construct} is not supported" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -214,3 +268,21 @@ def test_installed_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "TRUE" in proc.stdout
+
+
+def test_module_entry_point():
+    # The same command as the console script, run as a module, so the
+    # process exit codes are checked wherever the package is not installed.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def verify(name):
+        return subprocess.run(
+            [sys.executable, "-m", "kinduct.cli", "verify", str(corpus_path(name))],
+            capture_output=True, text=True, env=env)
+
+    proc = verify("fig1_unsigned.mc")
+    assert proc.returncode == EXIT_TRUE
+    assert "TRUE" in proc.stdout
+    proc = verify("wrap_bug.mc")
+    assert proc.returncode == EXIT_FALSE
+    assert "FALSE" in proc.stdout

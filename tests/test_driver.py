@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from kinduct import driver, solver, transform
+from kinduct import driver, goto_ir, solver
 from kinduct.driver import (
     FALSE, INVARIANT_MODES, TRUE, UNKNOWN, KInductionConfig, ReplayError,
     Trace, _Checker, kinduction, load_program, reconstruct, verify_file,
@@ -220,18 +220,99 @@ def test_kinduction_accepts_default_config():
     assert v.status == FALSE
 
 
-def test_checker_never_flattens_an_unwinding(monkeypatch):
-    # Queries convert the unwound tree; only dumps and tests read the
-    # flat view, which `UnwoundProgram.body` builds on first access.
-    cfg = KInductionConfig()
-    programs = [load_program(str(path), cfg) for path, _, _ in corpus_entries()]
+def test_flat_listings_are_built_only_for_their_readers(monkeypatch):
+    # Queries convert loop trees.  Only a reader that runs on program
+    # counters builds a flat listing, once per program: the interval
+    # analysis reads the lowered program's, the replay of a counterexample
+    # the loaded program's.  No unwinding is ever flattened.
+    built, lowered = [], []
+    real_flatten, real_lower = goto_ir.flatten, driver.lower
 
-    def refuse(*args):
-        raise AssertionError("an unwinding was flattened")
+    def flatten(tree):
+        built.append(tree)
+        return real_flatten(tree)
 
-    monkeypatch.setattr(transform, "flatten_tree", refuse)
-    for g in programs:
-        assert _Checker(g, cfg).run().status in (TRUE, FALSE)
+    def lower(prog):
+        lowered.append(real_lower(prog))
+        return lowered[-1]
+
+    monkeypatch.setattr(goto_ir, "flatten", flatten)
+    monkeypatch.setattr(driver, "lower", lower)
+    statuses = set()
+    for mode in ("none", "builtin"):
+        cfg = KInductionConfig(max_iterations=6, invariants_mode=mode)
+        for path, _, _ in corpus_entries():
+            built.clear()
+            lowered.clear()
+            g = load_program(str(path), cfg)
+            status = _Checker(g, cfg).run().status
+            statuses.add((mode, status))
+            readers = {id(lowered[0]): lowered[0]} if mode == "builtin" else {}
+            if status == FALSE:
+                readers[id(g)] = g
+            assert [id(t) for t in built] == [id(p.tree) for p in readers.values()], \
+                (mode, path.name)
+    assert {s for _, s in statuses} == {TRUE, FALSE, UNKNOWN}
+
+
+# Frontend features no corpus program uses: a conditional expression,
+# compound assignments, prefix and postfix increments and decrements, a
+# call statement to a void function, returns inside then-branches,
+# else-branches and both, and hex literals.
+FEATURES = """unsigned int g = 0;
+
+void bump(unsigned int d) {
+  g += d;
+}
+
+int sign(int v) {
+  if (v < 0) {
+    return -1;
+  }
+  if (v != 0) {
+    v = 1;
+  } else {
+    return 0;
+  }
+  if (v == 1) {
+    return 1;
+  } else {
+    return 2;
+  }
+}
+
+int main() {
+  int s = 0;
+  int i = 0;
+  g = 0x10;
+  while (i < 6) {
+    s += (i % 2 == 0) ? 2 : -1;
+    i++;
+    --s;
+    ++s;
+    bump(1);
+  }
+  assert(s == 3);
+  assert(g == 0x16);
+  assert(sign(s) == 1);
+  assert(sign(-s) == -1);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", INVARIANT_MODES)
+def test_frontend_features_end_to_end(mode, tmp_path):
+    cfg = KInductionConfig(invariants_mode=mode)
+    safe, bug = tmp_path / "features.mc", tmp_path / "features_bug.mc"
+    safe.write_text(FEATURES)
+    bug.write_text(FEATURES.replace("assert(s == 3);", "assert(s != 3);"))
+    v = verify_file(str(safe), cfg)
+    assert (v.status, v.decided_by, v.k_at_decision) == (TRUE, "FORWARD", 6)
+    v = verify_file(str(bug), cfg)
+    assert (v.status, v.decided_by, v.k_at_decision) == (FALSE, "BASE", 6)
+    last = v.counterexample.states[-1]
+    assert (last["s"], last["i"], last["g"]) == (3, 6, 0x16)
 
 
 # The comment invariant is false at loop entry (x == 0), yet it is assumed

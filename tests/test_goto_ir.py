@@ -4,7 +4,7 @@ import pytest
 
 from kinduct.frontend import parse, typecheck
 from kinduct.goto_ir import (
-    LoweringError, check_structure, count_backjumps, dump_goto, free_vars,
+    GotoProgram, LoopItem, LoweringError, dump_goto, free_vars,
     loop_variables, lower,
 )
 from kinduct.interp import RandomProvider, SequentialProvider, run_ast, run_goto
@@ -17,6 +17,11 @@ FIG1_GOTO = """\
 3: GOTO 1
 4: ASSERT x == 0
 5: ASSIGN main.ret := 0"""
+
+
+def count_backjumps(g):
+    return sum(1 for i, ins in enumerate(g.instructions)
+               if ins.op in ("GOTO", "COND_GOTO") and ins.target < i)
 
 
 def test_fig1_golden_dump(fig1_goto):
@@ -101,9 +106,23 @@ def test_do_while_peeled_copy_gets_its_own_loop_ids():
     # the peeled while and for, then the do-while holding its own two
     assert [l.nesting_depth for l in g.loops] == [0, 0, 0, 1, 1]
     assert len({l.loop_id for l in g.loops}) == 5
-    g.loops[3].loop_id = g.loops[0].loop_id
+
+
+def test_two_loops_sharing_an_id_are_rejected():
+    g = compile_mc("""int main() {
+      unsigned int i = 0;
+      while (i < 2) {
+        unsigned int j = 0;
+        while (j < 2) { j = j + 1; }
+        i = i + 1;
+      }
+      return 0;
+    }""")
+    (outer,) = [item for item in g.tree if isinstance(item, LoopItem)]
+    (inner,) = [item for item in outer.body if isinstance(item, LoopItem)]
+    inner.loop_id = outer.loop_id
     with pytest.raises(LoweringError, match="loop id"):
-        check_structure(g)
+        GotoProgram(g.tree, g.symbols)
 
 
 @pytest.mark.parametrize("x0", range(0, 11))
@@ -119,9 +138,13 @@ def test_do_while_equivalence_oracle(x0):
     assert len({r.store["x"] for r in runs}) == 1
 
 
+def tree_loop(g):
+    (loop,) = [item for item in g.tree if isinstance(item, LoopItem)]
+    return loop
+
+
 def test_loop_variables_fig1(fig1_goto):
-    (loop,) = fig1_goto.loops
-    assert loop_variables(fig1_goto, loop) == {"x"}
+    assert loop_variables(tree_loop(fig1_goto)) == {"x"}
 
 
 def test_loop_variables_guard_and_body():
@@ -132,8 +155,7 @@ def test_loop_variables_guard_and_body():
       while (c > 0) { y = z; c = c - 1; }
       return 0;
     }""")
-    (loop,) = g.loops
-    assert loop_variables(g, loop) == {"c", "y"}
+    assert loop_variables(tree_loop(g)) == {"c", "y"}
 
 
 def test_loop_variables_read_only_excluded():
@@ -144,10 +166,26 @@ def test_loop_variables_read_only_excluded():
       while (n > 0) { acc = acc + w; n = n - 1; }
       return 0;
     }""")
-    (loop,) = g.loops
-    vars_ = loop_variables(g, loop)
+    vars_ = loop_variables(tree_loop(g))
     assert "w" not in vars_
     assert vars_ == {"n", "acc"}
+
+
+def test_loop_variables_include_nested_loops():
+    g = compile_mc("""int main() {
+      int i = 0;
+      int s = 0;
+      while (i < 3) {
+        int j = 0;
+        while (j < i) { s = s + j; j = j + 1; }
+        i = i + 1;
+      }
+      return 0;
+    }""")
+    outer = tree_loop(g)
+    (inner,) = [item for item in outer.body if isinstance(item, LoopItem)]
+    assert loop_variables(outer) == {"i", "j", "s"}
+    assert loop_variables(inner) == {"i", "j", "s"}
 
 
 def test_call_inlining_no_calls_left():

@@ -5,17 +5,25 @@ import pytest
 from kinduct import oracle
 from kinduct.interp import (
     BLOCKED, COMPLETED, MapProvider, SequentialProvider, STEP_LIMIT,
-    VIOLATION, run_goto,
+    VIOLATION, run_goto, step,
 )
+from kinduct.transform import Phase, unwind
 from conftest import FIG1, compile_mc, corpus_path
 
 
 def draws_of(g):
     """Map draw sites so tests can seed MapProvider by position."""
     from kinduct.vcgen import to_ssa
-    from kinduct.transform import unwind, Phase
     s = to_ssa(unwind(g, 1, Phase.BASE))
     return s.draw_symbols
+
+
+def test_step_rejects_a_havoc(fig1_goto):
+    # Only INDUCTIVE unwindings hold HAVOC, and nothing replays them.
+    body = unwind(fig1_goto, 1, Phase.INDUCTIVE).body
+    (pc,) = [i for i, ins in enumerate(body.instructions) if ins.op == "HAVOC"]
+    with pytest.raises(ValueError, match="HAVOC"):
+        step(body, pc, {}, (), SequentialProvider([]))
 
 
 def test_violation_reported_with_location(fig1_goto):

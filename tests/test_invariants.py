@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from kinduct.driver import KInductionConfig, verify_file
 from kinduct.frontend import parse, typecheck
 from kinduct.goto_ir import lower
 from kinduct.interp import RandomProvider, eval_expr, run_goto
@@ -17,6 +18,13 @@ from conftest import FIG1, compile_mc, corpus_entries
 
 
 # ---------------------------------------------------------------- inference
+
+def test_analysis_rejects_a_havoc(fig1_goto):
+    # Only INDUCTIVE unwindings hold HAVOC, and nothing analyses them.
+    from kinduct.transform import Phase, unwind
+    with pytest.raises(ValueError, match="HAVOC"):
+        infer_invariants(unwind(fig1_goto, 1, Phase.INDUCTIVE).body)
+
 
 def test_bounded_counter_intervals():
     g = compile_mc("int main() { int i = 0; while (i < 10) { i = i + 1; } return 0; }")
@@ -242,6 +250,45 @@ def test_golden_10_unknown_marked_variable_errors():
     with pytest.raises(InvariantError) as exc:
         translate_invariants(src)
     assert "q" in str(exc.value) and "3" in str(exc.value)
+
+
+LOCAL_INIT = """int main() {
+  int x = 5;
+  // P(x) {x#init == 5}
+  while (x < 8) {
+    x = x + 1;
+  }
+  assert(x == 8);
+  return 0;
+}
+"""
+
+
+def test_init_marker_on_a_local_follows_its_declaration(tmp_path):
+    out = translate_invariants(LOCAL_INIT)
+    assert out.splitlines()[1] == "  int x = 5; int x_init = x;"
+    assert out.count("\n") == LOCAL_INIT.count("\n")
+    f = tmp_path / "local.mc"
+    f.write_text(LOCAL_INIT)
+    verdicts = {(v.status, v.decided_by, v.k_at_decision) for v in (
+        verify_file(str(f), KInductionConfig(invariants_mode=mode))
+        for mode in ("none", "comments"))}
+    assert verdicts == {("TRUE", "FORWARD", 3)}
+
+
+def test_init_marker_on_a_local_declared_below_errors():
+    src = ("int main() {\n  // P(x) {x#init == 5}\n  int x = 5;\n"
+           "  return 0;\n}\n")
+    with pytest.raises(InvariantError, match="line 2 .* line 3"):
+        translate_invariants(src)
+
+
+def test_init_marker_on_a_for_header_variable_errors():
+    # The snapshot would land inside the header, after its first ';'.
+    src = ("int main() {\n  for (int i = 0; i < 3; i++) {\n"
+           "    // P(i) {i#init == 0}\n  }\n  return 0;\n}\n")
+    with pytest.raises(InvariantError, match="line 3 .* for header on line 2"):
+        translate_invariants(src)
 
 
 def test_golden_11_idempotent():

@@ -24,6 +24,7 @@ expr_trees = st.recursive(
     lambda child: st.one_of(
         st.tuples(st.sampled_from(BIN_OPS), child, child),
         st.tuples(st.sampled_from(UN_OPS), child),
+        st.tuples(st.just("?:"), child, child, child),
     ),
     max_leaves=12,
 )
@@ -34,6 +35,8 @@ def render(t):
         return t
     if len(t) == 2:
         return f"({t[0]}{render(t[1])})"
+    if len(t) == 4:
+        return f"({render(t[1])} ? {render(t[2])} : {render(t[3])})"
     return f"({render(t[1])} {t[0]} {render(t[2])})"
 
 
@@ -54,8 +57,9 @@ def ev(t, env):
 
     Returns (value, width, signed).  Variables are 8-bit unsigned;
     comparisons and logical forms yield 32-bit signed 0/1; everything
-    else works in the wider common type, unsigned if either side is,
-    with wraparound arithmetic and mod-width shift amounts.
+    else, `?:` included, works in the wider common type of its two
+    value operands, unsigned if either is, with wraparound arithmetic
+    and mod-width shift amounts.
     """
     if isinstance(t, str):
         return env[t], 8, False
@@ -65,6 +69,11 @@ def ev(t, env):
         if op == "!":
             return (0 if v else 1), 32, True
         return wrap(-v if op == "-" else ~v, w, s), w, s
+    if len(t) == 4:
+        _, c, a, b = t
+        (av, aw, as_), (bv, bw, bs) = ev(a, env), ev(b, env)
+        w, s = max(aw, bw), as_ and bs
+        return wrap(av if ev(c, env)[0] else bv, w, s), w, s
     op, l, r = t
     lv, lw, ls = ev(l, env)
     rv, rw, rs = ev(r, env)
@@ -130,8 +139,9 @@ def test_parse_pretty_round_trip(tree, a, b, c):
     assert pretty_print(again) == pretty_print(first)
 
 
-# Statement-level generator: assignments, if/else, bounded while and
-# do-while loops over the fixed prelude variables.
+# Statement-level generator: assignments, compound assignments,
+# increments and decrements, if/else, bounded while and do-while loops
+# over the fixed prelude variables.
 
 assignments = st.tuples(st.sampled_from(VARS), expr_trees)
 
@@ -141,6 +151,10 @@ def stmt_render(s, indent):
     kind = s[0]
     if kind == "assign":
         return f"{pad}{s[1]} = {render(s[2])};"
+    if kind == "compound":
+        return f"{pad}{s[1]} {s[2]}= {render(s[3])};"
+    if kind == "step":
+        return pad + s[2].replace("v", s[1]) + ";"
     if kind == "if":
         body = "\n".join(stmt_render(x, indent + 2) for x in s[2])
         if s[3] is not None:
@@ -157,8 +171,19 @@ def stmt_render(s, indent):
     return f"{pad}while (c > 0) {{\n{body}\n{pad}  c = c - 1;\n{pad}}}"
 
 
-loop_free = st.recursive(
+# Straight-line updates of a and b: plain and compound assignments and
+# the four increment and decrement forms.
+COMPOUND_OPS = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>")
+updates = st.one_of(
     st.tuples(st.just("assign"), st.sampled_from(("a", "b")), expr_trees),
+    st.tuples(st.just("compound"), st.sampled_from(("a", "b")),
+              st.sampled_from(COMPOUND_OPS), expr_trees),
+    st.tuples(st.just("step"), st.sampled_from(("a", "b")),
+              st.sampled_from(("v++", "v--", "++v", "--v"))),
+)
+
+loop_free = st.recursive(
+    updates,
     lambda child: st.tuples(
         st.just("if"), expr_trees,
         st.lists(child, min_size=1, max_size=3),

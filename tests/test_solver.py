@@ -194,6 +194,34 @@ def test_emit_smtlib_wellformed():
     assert sum(l.startswith("(assert ") for l in lines) == 1
 
 
+# Every operator `fig1_formula` leaves out, and a cast between two types
+# of one width, which emits its operand unchanged.
+OPERATORS = """int main() {
+  unsigned int x = *;
+  int y = *;
+  unsigned int q = x / (x - 3);
+  int r = y % (y + 1);
+  unsigned int sh = (x << 2) >> (x & 7);
+  int sr = y >> 1;
+  unsigned int c = (unsigned int)(-y);
+  assert(q + r + sh + sr + c != 7);
+  return 0;
+}
+"""
+
+
+def test_emit_smtlib_wellformed_on_every_operator():
+    g = compile_mc(OPERATORS)
+    text = emit_smtlib(encode(to_ssa(unwind(g, 1, Phase.BASE)), Phase.BASE))
+    depth = 0
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        assert depth >= 0
+    assert depth == 0
+    for word in ("bvudiv", "bvsrem", "bvshl", "bvlshr", "bvashr", "bvneg"):
+        assert f"({word} " in text, word
+
+
 @pytest.mark.skipif(shutil.which("z3") is None, reason="no external solver")
 def test_smtlib_agrees_with_external_solver(tmp_path):
     cases = [
