@@ -481,6 +481,21 @@ QUERY_GOLDENS = {
         (1366, 5023, -1366), (1, 1, -1), (1, 1, 1),
         (1562, 5766, -1562), (1, 1, 1),
     ],
+    # The second loop stays in the tail after the first loop's copies.
+    "two_loops.mc": [
+        (1, 1, -1), (1, 1, 1), (926, 3146, 926), (1, 1, -1),
+    ],
+    # The first loop holds an inner loop, so no query resumes.
+    "nested_sum.mc": [
+        (33, 1, -1), (33, 1, -1), (33, 1, -1),
+    ],
+    # An assertion inside the loop: the copies carry prefix obligations.
+    "assert_inside.mc": [
+        (1, 1, -1), (1, 1, 1),
+        (386, 1308, -386), (1, 1, -1), (1, 1, 1),
+        (582, 2051, -582), (1, 1, -1), (1, 1, 1),
+        (778, 2794, -778), (1, 1, 1),
+    ],
 }
 
 
