@@ -10,15 +10,19 @@ after a strengthened base case at k+increment finds no counterexample.
 force_basecase is never reset, so the algorithm always terminates at
 that re-check.
 
-Every query is still unwound, converted and encoded from nothing, but
-it is blasted and solved in one of two solver sessions that live for
-the whole run: one for the concrete-start phases (BASE, FORWARD and the
-re-check) and one for INDUCTIVE.  The query at k+1 holds the copies of
-the query at k, so each copy's gates are built and loaded once per
-session.  A later query still walks the copy, but takes each node's
-bits from the session's node table instead of going through the gates
-again.  Learned clauses carry over.  Each query's goal is an
-assumption.  An UNSAT answer keeps the goal's negation, so a repeated
+Every query is blasted and solved in one of two solver sessions that
+live for the whole run: one for the concrete-start phases (BASE,
+FORWARD and the re-check) and one for INDUCTIVE.  The query at k+1
+holds the copies of the query at k, so each copy's gates are built and
+loaded once per session.  Each session has an SSA checkpoint
+(`vcgen.SsaCheckpoint`): when the program's first top-level loop has
+no inner loop, a query is still unwound in full, but converted only
+from the deepest copy an earlier query of the session converted, and
+blasted only from there, so its conversion and blasting cost tracks the
+copies it adds and the code after the loop.  A query resumes from a
+converted state only when it is no deeper than k, and it leaves its own
+state after copy k.  Learned clauses carry over.  Each query's goal is
+an assumption.  An UNSAT answer keeps the goal's negation, so a repeated
 proof costs no search: a loop-free program poses one query as BASE
 k=1, FORWARD k=2 and the re-check, and once a constant-bound loop is
 fully unrolled the re-check at k+increment repeats the FORWARD query
@@ -44,7 +48,7 @@ from .solver import (
     emit_smtlib, solve,
 )
 from .transform import DeadlineExceeded, Phase, UnwoundProgram, unwind
-from .vcgen import to_ssa, encode
+from .vcgen import SsaCheckpoint, encode, to_ssa
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -104,6 +108,9 @@ class _Checker:
         concrete = Session()
         self.sessions = {Phase.BASE: concrete, Phase.FORWARD: concrete,
                          Phase.INDUCTIVE: Session()}
+        concrete = SsaCheckpoint()
+        self.checkpoints = {Phase.BASE: concrete, Phase.FORWARD: concrete,
+                            Phase.INDUCTIVE: SsaCheckpoint()}
 
     def _discharge(self, phase: Phase, k: int):
         if time.monotonic() > self.deadline:
@@ -111,7 +118,8 @@ class _Checker:
         self.phase_log.append((phase.value, k))
         session = self.sessions[phase]
         u = unwind(self.p, k, phase, self.deadline)
-        f = encode(to_ssa(u, self.deadline), phase, self.deadline)
+        f = encode(to_ssa(u, self.deadline, self.checkpoints[phase]), phase,
+                   self.deadline)
         cnf = bitblast(f, session, self.deadline)
         self._emit(phase, k, f, cnf)
         out = solve(cnf, DEFAULT_CONFLICT_LIMIT, self.deadline, session)

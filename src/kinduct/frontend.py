@@ -186,6 +186,9 @@ class Stmt(Node):
 @dataclass
 class Block(Stmt):
     stmts: list = field(default_factory=list)
+    # False for the declarators of one declaration, `int a = 1, b = 2;`,
+    # which declare their names in the enclosing scope.
+    scoped: bool = field(default=True, kw_only=True)
 
 
 @dataclass
@@ -516,13 +519,15 @@ class _Parser:
     def parse_program(self) -> Program:
         items = []
         while self.peek().kind != "EOF":
-            items.append(self.parse_toplevel())
+            items.extend(self.parse_toplevel())
         prog = Program(items, file=self.file)
         self._check_entry(prog)
         self._check_recursion(prog)
         return prog
 
-    def parse_toplevel(self):
+    def parse_toplevel(self) -> list:
+        """A function definition, or the declarators of one global
+        declaration."""
         loc = self.peek().loc
         if not self.at_type():
             raise self.error(f"expected a declaration, found '{self.peek().value}'")
@@ -534,12 +539,12 @@ class _Parser:
             raise self.error(f"expected an identifier, found '{name_tok.value}'")
         self.next()
         if self.at("("):
-            return self.parse_function(ty, name_tok.value, loc)
+            return [self.parse_function(ty, name_tok.value, loc)]
         if ty is None:
             raise MiniCSyntaxError("void is only valid as a return type", loc, self.file)
-        decl = self.finish_declarator(ty, name_tok.value, name_tok.loc)
+        decls = self.parse_declarators(ty, name_tok)
         self.expect(";")
-        return decl
+        return decls
 
     def parse_function(self, ret_ty, name, loc) -> FunctionDef:
         self.expect("(")
@@ -613,15 +618,9 @@ class _Parser:
         if self.at_type():
             if tok.value == "void":
                 raise self.error("void is only valid as a return type")
-            ty = self.parse_type()
-            decls = []
-            while True:
-                name_tok = self.expect_declarator_name()
-                decls.append(self.finish_declarator(ty, name_tok.value, name_tok.loc))
-                if not self.accept(","):
-                    break
+            decl = self.parse_declaration(loc)
             self.expect(";")
-            return decls[0] if len(decls) == 1 else Block(decls, loc=loc)
+            return decl
         if tok.value == "if":
             self.next()
             self.expect("(")
@@ -651,9 +650,7 @@ class _Parser:
             init = None
             if not self.at(";"):
                 if self.at_type():
-                    ty = self.parse_type()
-                    name_tok = self.expect_declarator_name()
-                    init = self.finish_declarator(ty, name_tok.value, name_tok.loc)
+                    init = self.parse_declaration(self.peek().loc)
                 else:
                     init = self.parse_simple_stmt()
             self.expect(";")
@@ -685,6 +682,22 @@ class _Parser:
         stmt = self.parse_simple_stmt()
         self.expect(";")
         return stmt
+
+    def parse_declarators(self, ty: IntType, name_tok: Token) -> list:
+        """The VarDecls of a declaration whose type and first name are
+        read, up to the ';'."""
+        decls = [self.finish_declarator(ty, name_tok.value, name_tok.loc)]
+        while self.accept(","):
+            name_tok = self.expect_declarator_name()
+            decls.append(self.finish_declarator(ty, name_tok.value, name_tok.loc))
+        return decls
+
+    def parse_declaration(self, loc) -> Stmt:
+        """A local declaration without the ';': one VarDecl, or an
+        unscoped Block of them."""
+        ty = self.parse_type()
+        decls = self.parse_declarators(ty, self.expect_declarator_name())
+        return decls[0] if len(decls) == 1 else Block(decls, loc=loc, scoped=False)
 
     def parse_simple_stmt(self) -> Stmt:
         """An assignment, increment/decrement, or call, without the ';'."""
@@ -939,7 +952,11 @@ def pp_expr(e: Expr) -> str:
 
 def _pp_stmt(s: Stmt, indent: int, out: list):
     pad = "    " * indent
-    if isinstance(s, Block):
+    if isinstance(s, Block) and not s.scoped:
+        parts = [d.name if d.init is None else f"{d.name} = {pp_expr(d.init)}"
+                 for d in s.stmts]
+        out.append(f"{pad}{s.stmts[0].decl_ty} {', '.join(parts)};")
+    elif isinstance(s, Block):
         out.append(pad + "{")
         for inner in s.stmts:
             _pp_stmt(inner, indent + 1, out)
@@ -1107,8 +1124,9 @@ class _TypeChecker:
     # statements -----------------------------------------------------------
     def check_stmt(self, s: Stmt, scope: _Scope, fn: FunctionDef) -> Stmt:
         if isinstance(s, Block):
-            inner = _Scope(scope)
-            return Block([self.check_stmt(st, inner, fn) for st in s.stmts], loc=s.loc)
+            inner = _Scope(scope) if s.scoped else scope
+            return Block([self.check_stmt(st, inner, fn) for st in s.stmts],
+                         loc=s.loc, scoped=s.scoped)
         if isinstance(s, VarDecl):
             if s.name in scope.names:
                 self.fail(f"redeclaration of '{s.name}'", s.loc)

@@ -723,7 +723,8 @@ def synthesize_snapshots(source: str, markers: dict) -> str:
             raise InvariantError(
                 f"invariant comment on line {line} is outside any function")
         fn = homes[-1]
-        headers = {id(n.init) for n in walk(fn.body) if isinstance(n, For)}
+        headers = {id(d) for n in walk(fn.body) if isinstance(n, For)
+                   and n.init is not None for d in walk(n.init)}
         for v in markers[line]:
             if (fn.name, v) in done:
                 continue

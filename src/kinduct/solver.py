@@ -40,7 +40,13 @@ operator, result type, the operand's signedness where it matters, and
 the ids of the operand bit vectors.  Those vectors are table entries or
 free names' bits, both kept for the session's life, so their ids are
 never reused; and since the gate caches only grow, a hit returns
-exactly the literals blasting the node again would.  The goal is
+exactly the literals blasting the node again would.  A query converted
+from a checkpoint (`vcgen.SsaCheckpoint`) skips the walk as well: the
+session keeps the bits of the checkpointed names, and the id-cache
+entries of the checkpoint's guard, assume prefix and obligation
+conjunction, whose nodes it keeps alive so no id is reused; such a
+query blasts only the definitions past the checkpoint and walks only
+its new nodes.  The goal is
 not a clause but a literal, `CnfInstance.goal`, passed to the search as
 its one assumption, as in MiniSat's solve(assumptions) (Een & Sorensson,
 "An Extensible SAT-solver", SAT 2003).  This is sound because every
@@ -84,8 +90,12 @@ when it is bumped while free, or freed by backtracking after a bump or
 after pick_branch popped its newest entry; otherwise its entry is still
 there.  So every free variable has an entry keyed by its current
 activity, the heap holds no duplicates, and the pick is always the free
-variable of highest activity, ties to the lowest index.  When activities
-are rescaled past 1e100 the heap is rebuilt from the scaled values.
+variable of highest activity, ties to the lowest index.  The heap may
+also hold entries of assigned variables: pick_branch drops them only
+from the top while it looks for a free one, and once every variable is
+assigned (a SAT answer) it pops nothing, so the entries stay and the
+next query's backtrack need not push them again.  When activities are
+rescaled past 1e100 the heap is rebuilt from the scaled values.
 """
 
 from __future__ import annotations
@@ -93,9 +103,12 @@ from __future__ import annotations
 import gc
 import heapq
 import time
+from collections import ChainMap
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, Nondet, Unary, Var,
@@ -121,7 +134,7 @@ class SolverError(Exception):
 class CnfInstance:
     num_vars: int = 1
     clauses: list = field(default_factory=list)
-    bit_map: dict = field(default_factory=dict)   # (symbol, bit) -> literal
+    bit_map: Mapping = field(default_factory=dict)   # (symbol, bit) -> literal
     symbols: dict = field(default_factory=dict)   # symbol -> IntType
     goal: int | None = None   # the literal the query assumes, if any
 
@@ -156,6 +169,8 @@ class _Blaster:
         self.num_vars = 1  # var 1 is constant TRUE
         self.clauses = [[TRUE_LIT]]
         self.cache = {}      # id(expr) -> bit vector, for one formula
+        self.kept = {}       # the entries of the `pinned` nodes, for the session
+        self.pinned = []     # nodes kept alive, so their ids are not reused
         self.nodes = {}      # structural key -> bit vector (shared: never mutate)
         self.and_cache = {}  # sorted input literals -> output literal
         self.xor_cache = {}
@@ -592,13 +607,20 @@ class Session:
     queries.  A free name keeps its bits in every query of the session,
     so the copies a query shares with earlier ones blast to the gates
     that already exist and add no clause.  `loaded` counts the blaster's
-    clauses the engine has taken."""
+    clauses the engine has taken.
+
+    `snapshot` is the last conversion state (`vcgen.SsaCheckpoint`) a
+    query of the session left behind, and `shared` maps each name of its
+    SsaProgram to its bits, so a query resumed from it blasts none of
+    those definitions."""
 
     def __init__(self):
         self.blaster = _Blaster()
         self.free = {}   # free name -> its bits
         self.engine = _Cdcl()
         self.loaded = 0
+        self.snapshot = None
+        self.shared = {}   # name of `snapshot` -> its bits
 
 
 DEFS_PER_CHECK = 256
@@ -617,44 +639,105 @@ def bitblast(f: VcFormula, session: Session | None = None,
     bit vectors; each such vector is a table entry or a free name's bits,
     which the session keeps, so no id in a key is ever reused.
 
+    A formula converted from the state the session's last query left
+    behind (`f.resumed is session.snapshot`) takes the bits of that
+    state's names from `session.shared` and blasts only the definitions
+    after them.  Its new nodes meet the checkpointed guard, assume prefix
+    and obligation conjunction, whose bits `blaster.kept` holds, so the
+    walk stops there too.  When the conversion leaves a new state
+    (`f.captured`), its names' bits and those three nodes' bits are kept
+    for the next query.
+
     `bit_map` sends a (symbol, bit) to any literal: a variable, a negated
-    one, or the constant TRUE_LIT / FALSE_LIT.  There is no root clause:
-    the goal is returned as a literal, and `clauses` lists every clause of
-    the session so far, each the definition of a gate.  Without a session
-    the query gets a fresh one.  Past `deadline` (checked every
-    DEFS_PER_CHECK definitions) it raises DeadlineExceeded.
+    one, or the constant TRUE_LIT / FALSE_LIT.  It is a view of the
+    query's bits, read only by `decode_model` and `emit_dimacs`.  There is
+    no root clause: the goal is returned as a literal, and `clauses`
+    lists every clause of the session so far, each the definition of a
+    gate.  Without a session the query gets a fresh one.  Past `deadline`
+    (checked every DEFS_PER_CHECK definitions) it raises
+    DeadlineExceeded.
     """
-    for name, ty in f.symbols.items():
-        if ty.width > 64:
-            raise SolverError(f"width {ty.width} of {name} not supported")
     session = session or Session()
     bl = session.blaster
     free = session.free
-    defined = {name for name, _ in f.definitions}
-    symbol_bits = {}
-    # The per-formula cache is keyed by the ids of expression nodes: it
-    # must not outlive the formula, whose dead nodes' ids get reused.  The
-    # node table's keys hold the ids of bit vectors the session keeps.
+    snap = f.resumed
+    resumed = snap is not None and snap is session.snapshot
+    if resumed:
+        done, known = len(snap.ssa.definitions), len(snap.ssa.symbols)
+        symbol_bits = ChainMap({}, session.shared)
+    else:
+        done = known = 0
+        symbol_bits = {}
+    new_symbols = list(islice(f.symbols.items(), known, None))
+    for name, ty in new_symbols:
+        if ty.width > 64:
+            raise SolverError(f"width {ty.width} of {name} not supported")
+    definitions = list(islice(f.definitions, done, None))
+    defined = {name for name, _ in definitions}
+    # The per-formula cache is keyed by the ids of expression nodes: only
+    # the pinned ones may outlive the formula, whose dead nodes' ids get
+    # reused.  The node table's keys hold the ids of bit vectors the
+    # session keeps.
     try:
         with _gc_paused():
-            for name, ty in f.symbols.items():
+            for name, ty in new_symbols:
                 if name not in defined:
                     bits = free.get(name)
                     if bits is None:
                         bits = free[name] = [bl.new_var() for _ in range(ty.width)]
                     symbol_bits[name] = bits
-            for i, (name, expr) in enumerate(f.definitions):
+            for i, (name, expr) in enumerate(definitions):
                 if i % DEFS_PER_CHECK == 0 and deadline is not None \
                         and time.monotonic() > deadline:
                     raise DeadlineExceeded
                 symbol_bits[name] = bl.blast(expr, symbol_bits)
             goal = bl.v_nonzero(bl.blast(f.goal, symbol_bits))
-            bit_map = {(name, i): lit for name in f.symbols
-                       for i, lit in enumerate(symbol_bits[name])}
+            if f.captured is not None:
+                if not resumed:
+                    session.shared = {}
+                _keep(session, f.captured, symbol_bits, known)
     finally:
-        bl.cache.clear()
-    return CnfInstance(bl.num_vars, list(bl.clauses), bit_map,
-                       dict(f.symbols), goal)
+        bl.cache = dict(bl.kept)
+    return CnfInstance(bl.num_vars, list(bl.clauses),
+                       _BitMap(f.symbols, symbol_bits), f.symbols, goal)
+
+
+def _keep(session: Session, cap, symbol_bits, known: int):
+    """Keep the bits of the names and shared nodes of `cap`, the state a
+    query's conversion left behind, for the queries resumed from it.  The
+    first `known` names are in `session.shared` already."""
+    shared = session.shared
+    for name in islice(cap.ssa.symbols, known, None):
+        shared[name] = symbol_bits[name]
+    session.snapshot = cap
+    bl = session.blaster
+    for node in (cap.guard, cap.assumed, cap.ssa.prop):
+        bits = bl.cache.get(id(node))
+        if bits is not None and id(node) not in bl.kept:
+            bl.kept[id(node)] = bits
+            bl.pinned.append(node)
+
+
+class _BitMap(Mapping):
+    """(symbol, bit) -> literal, read through a query's symbol bits."""
+
+    def __init__(self, symbols: dict, symbol_bits):
+        self.symbols = symbols
+        self.symbol_bits = symbol_bits
+
+    def __getitem__(self, key):
+        name, bit = key
+        if name not in self.symbols or not 0 <= bit < self.symbols[name].width:
+            raise KeyError(key)
+        return self.symbol_bits[name][bit]
+
+    def __iter__(self):
+        for name, ty in self.symbols.items():
+            for i in range(ty.width):
+                yield name, i
+
+    def __len__(self):
+        return sum(ty.width for ty in self.symbols.values())
 
 
 def decode_model(val: list, cnf: CnfInstance) -> dict:
@@ -988,7 +1071,10 @@ class _Cdcl:
     def pick_branch(self):
         # Lazy heap: entries for assigned variables are popped and
         # dropped; the module docstring says why the top free entry is
-        # the free variable of highest activity.
+        # the free variable of highest activity.  With every variable
+        # assigned there is nothing to pick, and the entries stay.
+        if len(self.trail) == self.n:
+            return 0
         order = self.order
         val = self.val
         pushed = self.pushed

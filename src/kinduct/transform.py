@@ -35,7 +35,7 @@ original program produces, which is what makes model replay possible.
 `unwind` takes an optional time.monotonic() deadline and raises
 DeadlineExceeded once it has run past it, checked every COPIES_PER_CHECK
 loop copies; `vcgen.to_ssa` does the same for tree items, `vcgen.encode`
-for obligations and `solver.bitblast` for definitions.
+for termination terms and `solver.bitblast` for definitions.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import cached_property
 
 from .frontend import Binary, IntType, Unary, Var
 from .goto_ir import (
-    GotoProgram, IfItem, Instr, LoopItem, OpItem, loop_variables,
+    GotoProgram, IfItem, Instr, LoopItem, OpItem, items_in, loop_variables,
 )
 
 
@@ -160,6 +160,32 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
         return havocs + inner
 
     return UnwoundProgram(stamp(p.tree, ()), symbols, phase, k, p)
+
+
+def copy_layout(p: GotoProgram, phase: Phase) -> tuple | None:
+    """Where `unwind(p, k, phase)` puts the copies of p's first top-level
+    loop, the same for every k: (i, n), where `tree[i]` is copy 1's
+    IfItem and the then-branch of copy j's IfItem opens with the n items
+    of copy j itself (shadows, body, stutter assume), followed by copy
+    j+1 (its `pre` items, then its IfItem) or by the terminator.  None
+    when that loop holds an inner loop, or an item before it holds a
+    loop: their unwinding, and with it the copies, changes with k."""
+    def has_loop(items: list) -> bool:
+        return any(isinstance(i, LoopItem) for i in items_in(items))
+
+    for i, item in enumerate(p.tree):
+        if isinstance(item, LoopItem):
+            if has_loop(item.pre + item.body):
+                return None
+            inductive = phase is Phase.INDUCTIVE
+            havocs = len(loop_variables(item)) if inductive else 0
+            # an INDUCTIVE copy is a shadow per havocked variable, the
+            # body and the stutter assume
+            return (i + havocs + len(item.pre),
+                    havocs + len(item.body) + inductive)
+        if has_loop([item]):
+            return None
+    return None
 
 
 def dump_unwound(u: UnwoundProgram) -> str:

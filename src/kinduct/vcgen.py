@@ -29,7 +29,24 @@ assume appearing after the assertion must not mask the violation.  Each
 obligation therefore embeds the conjunction of the assume terms that
 precede it, instead of every assume being conjoined globally.  The
 prefix is grown as one shared expression node, so bitblasting stays
-linear despite every obligation referencing it.
+linear despite every obligation referencing it.  The conjunction of the
+obligations is grown the same way, as they are added.
+
+Queries of one phase family unwind the same program again and again,
+each one copy deeper.  When the program's first top-level loop has no
+inner loop, copies 1..j of that loop, and everything before it, are the
+same in every unwinding at k >= j: BASE and FORWARD differ only in the
+terminator after copy k, and the inductive step's havocs and shadows
+are the same at every k.  So the converter's whole state after copy j
+(versions, current names, guard, assume prefix, obligation conjunction
+and the output so far) is the same too.  An `SsaCheckpoint` keeps that
+state after the deepest copy converted; `to_ssa` resumes from it,
+converts the new copies, the terminator and the code after the loop,
+and returns the same SsaProgram a conversion from nothing would.  The
+new parts share the checkpoint's guard, prefix and conjunction nodes,
+which is what lets `solver.bitblast` skip the checkpointed part too.  A
+nested first loop is unwound k times in each outer copy, so it changes
+with k and such programs convert in full.
 
 The phase query is the negation of the phase's implication, so UNSAT
 means the phase succeeded.  Definitions are not part of it: the solver
@@ -57,7 +74,7 @@ from .frontend import (
 )
 from .goto_ir import IfItem, OpItem, walk_nested
 from .interp import eval_expr
-from .transform import DeadlineExceeded, Phase, UnwoundProgram
+from .transform import DeadlineExceeded, Phase, UnwoundProgram, copy_layout
 
 _BOOL = IntType(32, True)
 
@@ -110,6 +127,10 @@ class SsaProgram:
     terminations: list = field(default_factory=list)  # guarded sigma terms
     symbols: dict = field(default_factory=dict)       # name -> IntType
     draw_symbols: dict = field(default_factory=dict)  # name -> (nid, ctx, IntType)
+    # the conjunction of the obligations, grown as they are added
+    prop: Expr = field(default_factory=lambda: TRUE)
+    resumed: _Snapshot | None = None   # the state the conversion resumed from
+    captured: _Snapshot | None = None  # the state it left in the checkpoint
 
 
 @dataclass
@@ -117,6 +138,46 @@ class VcFormula:
     definitions: list  # (versioned name, Expr), each reading only earlier names
     goal: Expr         # the satisfiability query, given the definitions
     symbols: dict      # name -> IntType, defined and free
+    resumed: _Snapshot | None = None   # as in the SsaProgram it encodes
+    captured: _Snapshot | None = None
+
+
+@dataclass
+class _Snapshot:
+    """A converter's state after the own items of copy `copies` of the
+    first top-level loop.  `ssa` holds the output so far; its lists and
+    dicts are never changed, a resumed conversion copies them."""
+    copies: int
+    ssa: SsaProgram
+    versions: dict
+    cur: dict
+    guard: Expr
+    assumed: Expr
+
+
+class SsaCheckpoint:
+    """One phase family's conversion state after the deepest converted
+    copy of a program's first top-level loop, when that loop has no
+    inner loop (`transform.copy_layout`).  Copies 1..j of that loop, and
+    everything before it, are the same in every unwinding at k >= j, and
+    BASE and FORWARD differ only past the last copy; INDUCTIVE has its
+    own havocs and shadows, so it needs its own checkpoint."""
+
+    def __init__(self):
+        self.family = None     # (origin program, inductive?) once bound
+        self.layout = None
+        self.snapshot: _Snapshot | None = None
+
+    def bind(self, u: UnwoundProgram) -> tuple | None:
+        """The copy layout of `u`'s program; a checkpoint serves one
+        program and one phase family."""
+        family = (u.origin, u.phase is Phase.INDUCTIVE)
+        if self.family is None:
+            self.family = family
+            self.layout = copy_layout(u.origin, u.phase)
+        elif self.family[0] is not family[0] or self.family[1] != family[1]:
+            raise ValueError("a checkpoint serves one program and phase family")
+        return self.layout
 
 
 def _draw_name(prefix: str, nid: int, ctx: tuple) -> str:
@@ -186,14 +247,17 @@ class _SsaBuilder:
                         self.subst(e.els, ctx), ty=e.ty, loc=e.loc)
         raise TypeError(f"cannot convert {e!r}")
 
+    def tick(self):
+        if self.visited % INSTRS_PER_CHECK == 0 and self.deadline is not None \
+                and time.monotonic() > self.deadline:
+            raise DeadlineExceeded
+        self.visited += 1
+
     def _items(self, items: list):
         """Convert `items`, yielding each live branch of an IfItem after
         setting the guard it is walked under."""
         for item in items:
-            if self.visited % INSTRS_PER_CHECK == 0 and self.deadline is not None \
-                    and time.monotonic() > self.deadline:
-                raise DeadlineExceeded
-            self.visited += 1
+            self.tick()
             if isinstance(item, IfItem):
                 g = self.guard
                 cond = self.subst(item.cond, item.ctx)
@@ -231,16 +295,88 @@ class _SsaBuilder:
                     self.out.terminations.append(term)
                 else:
                     self.out.obligations.append((term, ins.loc))
+                    self.out.prop = And(self.out.prop, term)
             # SKIP: nothing
 
+    def walk(self, items: list):
+        walk_nested(self._items, items)
 
-def to_ssa(u: UnwoundProgram, deadline: float | None = None) -> SsaProgram:
+    def copies(self, items: list, j: int, own: int, checkpoint: SsaCheckpoint):
+        """Convert `items`, which end with copy j's IfItem (or with the
+        terminator), and the copies nested in it.  The walk goes down the
+        chain of copies in a loop: each copy's IfItem is the last item of
+        the one before.  After the own items of copy k, the deepest, the
+        state goes into `checkpoint` unless it holds a deeper one.  Each
+        copy's IfItem has no else branch, so the guard it leaves behind
+        is the caller's to restore."""
+        while True:
+            self.walk(items[:-1])
+            item = items[-1]
+            if not isinstance(item, IfItem):
+                self.walk([item])   # the terminator
+                return
+            self.tick()
+            self.guard = And(self.subst(item.cond, item.ctx), self.guard)
+            if is_false(self.guard):
+                return
+            self.walk(item.then[:own])
+            if j == self.u.k and (checkpoint.snapshot is None
+                                  or checkpoint.snapshot.copies < j):
+                checkpoint.snapshot = self.out.captured = self.save(j)
+            items = item.then[own:]
+            j += 1
+
+    def save(self, copies: int) -> _Snapshot:
+        return _Snapshot(copies, _copied(self.out), dict(self.versions),
+                         dict(self.cur), self.guard, self.assumed)
+
+    def restore(self, snap: _Snapshot):
+        self.out = _copied(snap.ssa, snap)
+        self.versions = dict(snap.versions)
+        self.cur = dict(snap.cur)
+        self.guard = snap.guard
+        self.assumed = snap.assumed
+
+
+def _copied(o: SsaProgram, resumed: _Snapshot | None = None) -> SsaProgram:
+    """`o` with its own lists and dicts."""
+    return SsaProgram(list(o.definitions), list(o.obligations),
+                      list(o.terminations), dict(o.symbols),
+                      dict(o.draw_symbols), o.prop, resumed)
+
+
+def to_ssa(u: UnwoundProgram, deadline: float | None = None,
+           checkpoint: SsaCheckpoint | None = None) -> SsaProgram:
     """Compile the loop-free tree of an unwound program into guarded
     definitions; a LoopItem left in the tree is a TypeError.  Past the
     time.monotonic() `deadline` (checked at the first item and every
-    INSTRS_PER_CHECK items after it) it raises DeadlineExceeded."""
+    INSTRS_PER_CHECK items after it) it raises DeadlineExceeded.
+
+    With a `checkpoint` of the same program and phase family, the
+    conversion resumes from its state when it is no deeper than k,
+    converts only the copies past it and the items after the loop, and
+    leaves the state after copy k in it.  The result is the same
+    SsaProgram a conversion from nothing gives; `resumed` and `captured`
+    name the states it started from and left behind.
+    """
     builder = _SsaBuilder(u, deadline)
-    walk_nested(builder._items, u.tree)
+    layout = checkpoint.bind(u) if checkpoint is not None else None
+    if layout is None:
+        builder.walk(u.tree)
+        return builder.out
+    first, own = layout
+    snap = checkpoint.snapshot
+    if snap is not None and snap.copies <= u.k:
+        builder.restore(snap)
+        copy = u.tree[first]
+        for _ in range(snap.copies - 1):
+            copy = copy.then[-1]
+        builder.copies(copy.then[own:], snap.copies + 1, own, checkpoint)
+    else:
+        builder.walk(u.tree[:first])
+        builder.copies(u.tree[first:first + 1], 1, own, checkpoint)
+    builder.guard = TRUE
+    builder.walk(u.tree[first + 1:])
     return builder.out
 
 
@@ -250,24 +386,25 @@ def encode(s: SsaProgram, phase: Phase,
 
     Assume terms are not conjoined globally: they already appear in the
     prefix of every obligation that follows them, which is what gives an
-    assume no power over violations that precede it.  Past the
-    time.monotonic() `deadline` (checked at the first obligation and
-    termination term and every INSTRS_PER_CHECK after each) it raises
-    DeadlineExceeded.
+    assume no power over violations that precede it.  The obligations'
+    conjunction is `s.prop`, grown by the converter, so a resumed
+    conversion shares the node of the checkpointed obligations.  Past
+    the time.monotonic() `deadline` (checked on entry and every
+    INSTRS_PER_CHECK termination terms) it raises DeadlineExceeded.
     """
-    def conjoin(terms: list) -> Expr:
-        out = TRUE
-        for i, term in enumerate(terms):
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded
+    prop = s.prop
+    if phase is Phase.FORWARD:
+        sigma = TRUE
+        for i, term in enumerate(s.terminations, 1):
             if i % INSTRS_PER_CHECK == 0 and deadline is not None \
                     and time.monotonic() > deadline:
                 raise DeadlineExceeded
-            out = And(out, term)
-        return out
-
-    prop = conjoin([term for term, _ in s.obligations])
-    if phase is Phase.FORWARD:
-        prop = And(conjoin(s.terminations), prop)
-    return VcFormula(list(s.definitions), Not(prop), dict(s.symbols))
+            sigma = And(sigma, term)
+        prop = And(sigma, prop)
+    return VcFormula(list(s.definitions), Not(prop), dict(s.symbols),
+                     s.resumed, s.captured)
 
 
 class _NoDraws:

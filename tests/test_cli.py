@@ -286,3 +286,17 @@ def test_module_entry_point():
     proc = verify("wrap_bug.mc")
     assert proc.returncode == EXIT_FALSE
     assert "FALSE" in proc.stdout
+
+
+@pytest.mark.parametrize("body,code", [
+    ("int a = 1, b = 2;\n  assert(a + b == 3);", EXIT_TRUE),
+    ("unsigned int s = 0;\n  for (unsigned int i = 0, j = 10; i < 4; i++)"
+     " { s = s + j; j = j - 1; }\n  assert(s == 34);", EXIT_TRUE),
+    ("unsigned int s = 0;\n  for (unsigned int i = 0, j = 10; i < 4; i++)"
+     " { s = s + j; j = j - 1; }\n  assert(s != 34);", EXIT_FALSE),
+], ids=["locals", "for_header", "for_header_bug"])
+def test_verify_declaration_with_two_declarators(body, code, tmp_path):
+    # The declarators were once a scoped block: `a` was undeclared below.
+    f = tmp_path / "multi.mc"
+    f.write_text(f"int main() {{\n  {body}\n  return 0;\n}}\n")
+    assert run("verify", str(f)) == code

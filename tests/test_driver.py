@@ -551,6 +551,41 @@ def test_session_answers_match_emitted_dimacs(name, status, tmp_path, monkeypatc
         assert solver.solve(parse_dimacs(text)).status == out.status, (phase, k)
 
 
+@pytest.mark.parametrize("mode", ["none", "builtin"])
+def test_work_per_query_tracks_the_new_copy(mode, tmp_path, monkeypatch):
+    # Each BASE query resumes from the copies the last one converted: it
+    # converts one copy, the terminator and the tail, and its blast walks
+    # only their nodes, whatever k is.
+    f = tmp_path / "deep.mc"
+    f.write_text(DEEP_LOOP)
+    checker = _Checker(load_program(str(f), KInductionConfig(invariants_mode=mode)),
+                       KInductionConfig())
+    walked = []
+    real_operands = solver._operands
+
+    def operands(e):
+        walked[-1] += 1
+        return real_operands(e)
+
+    converted = []
+    real_to_ssa = driver.to_ssa
+
+    def converting(*args):
+        s = real_to_ssa(*args)
+        start = len(s.resumed.ssa.definitions) if s.resumed else 0
+        converted.append(len(s.definitions) - start)
+        return s
+
+    monkeypatch.setattr(solver, "_operands", operands)
+    monkeypatch.setattr(driver, "to_ssa", converting)
+    for k in range(9, 31):
+        walked.append(0)
+        assert checker.base_case(k) is None
+    assert converted[0] > 40 and walked[0] > 300     # k=9: from nothing
+    assert len(set(converted[1:])) == 1 and converted[1] <= 5
+    assert len(set(walked[1:])) == 1 and walked[1] < 100
+
+
 def test_deadline_inside_a_stage_gives_unknown(tmp_path, monkeypatch):
     # The deadline passes after the check before the query, so bitblast
     # is the stage that meets it.

@@ -170,3 +170,40 @@ def test_rejection_names_the_construct(name, needle):
 
 def test_negative_corpus_has_twenty_files():
     assert len(list(NEGATIVE.glob("*.mc"))) == 20
+
+
+MULTI_DECL = """unsigned int g = 3, h;
+int main() {
+  int a = 1, b = a + 1;
+  unsigned int s = 0;
+  for (unsigned int i = 0, j = 10; i < 4; i++) {
+    s = s + j;
+    j = j - 1;
+  }
+  assert(a + b == 3 && s == 34 && g + h == 3);
+  return 0;
+}
+"""
+
+
+def test_declarators_of_one_declaration_share_its_scope():
+    # Each declarator is visible after the declaration, a later one's
+    # initialiser included; a for header's are visible in the loop.
+    from kinduct.interp import SequentialProvider, run_ast
+    prog = typecheck(parse(MULTI_DECL))
+    assert [g.name for g in prog.globals] == ["g", "h"]
+    res = run_ast(prog, SequentialProvider([]))
+    assert res.status == "COMPLETED"
+    assert parse(pretty_print(prog)) == parse(MULTI_DECL)
+
+
+@pytest.mark.parametrize("src,needle", [
+    ("int main() { for (int i = 0, j = 1; i < 2; i++) { } return j; }",
+     "undeclared variable 'j'"),
+    ("int main() { { int a = 1, b = 2; } return a; }",
+     "undeclared variable 'a'"),
+    ("int main() { int a = 1, a = 2; return 0; }", "redeclaration of 'a'"),
+], ids=["for_header", "block", "twice"])
+def test_declarators_stay_in_their_scope(src, needle):
+    with pytest.raises(MiniCError, match=needle):
+        typecheck(parse(src))

@@ -22,7 +22,7 @@ from kinduct.solver import (
     _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
 )
 from kinduct.transform import DeadlineExceeded, Phase, unwind
-from kinduct.vcgen import VcFormula, encode, eval_formula, to_ssa
+from kinduct.vcgen import SsaCheckpoint, VcFormula, encode, eval_formula, to_ssa
 from conftest import compile_mc, corpus_path, satisfies
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -775,6 +775,50 @@ def test_session_blasts_shared_copies_once(monkeypatch):
     # A copy is a fixed number of nodes, so its share drops as k grows.
     n30 = node_calls(30, session)
     assert node_calls(31, session) == n4 < n30 / 10
+
+
+def test_sat_answer_keeps_its_heap_entries():
+    # A SAT answer assigns every variable and pops no heap entry, so the
+    # next query's backtrack has none to push again; the heap must still
+    # key every freed variable by its activity.
+    g = compile_mc(DEEP_LOOP)
+    session = Session()
+    engine = session.engine
+
+    def query(k, phase):
+        f = encode(to_ssa(unwind(g, k, phase)), phase)
+        return solve(bitblast(f, session), session=session).status
+
+    assert query(3, Phase.FORWARD) == SAT     # the loop runs on past k
+    assert len(engine.trail) == engine.n and engine.order
+    assert query(3, Phase.BASE) == UNSAT      # no exit within 3 copies
+    assert not engine.trail_lim and any(v == 0 for v in engine.val[1:engine.n + 1])
+    assert_heap_exact(engine)
+    assert query(4, Phase.FORWARD) == SAT
+    engine.backtrack(0)
+    assert_heap_exact(engine)
+
+
+@pytest.mark.parametrize("name", ["fig1_unsigned.mc", "assert_inside.mc",
+                                  "mod_wrong_bug.mc", "two_loops.mc"])
+def test_resumed_queries_blast_to_the_same_cnf(name):
+    # One session resumes each conversion from its family's checkpoint,
+    # the other converts and blasts every query in full.  Both see every
+    # phase, so the first switches between the two families' states and
+    # blasts in full a query whose state it did not keep last.
+    g = load_program(str(corpus_path(name)), KInductionConfig())
+    resumed, full = Session(), Session()
+    checkpoints = {Phase.BASE: SsaCheckpoint(), Phase.INDUCTIVE: SsaCheckpoint()}
+    checkpoints[Phase.FORWARD] = checkpoints[Phase.BASE]
+    for k in range(1, 9):
+        for phase in (Phase.FORWARD, Phase.INDUCTIVE, Phase.BASE):
+            if k == 1 and phase is not Phase.BASE:
+                continue
+            u = unwind(g, k, phase)
+            a = bitblast(encode(to_ssa(u, None, checkpoints[phase]), phase), resumed)
+            b = bitblast(encode(to_ssa(u), phase), full)
+            assert (a.num_vars, a.clauses, a.goal) == (b.num_vars, b.clauses, b.goal)
+            assert dict(a.bit_map) == dict(b.bit_map)
 
 
 def test_repeated_unsat_goal_is_not_searched():

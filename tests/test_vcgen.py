@@ -6,8 +6,8 @@ from kinduct import oracle
 from kinduct.driver import FALSE, KInductionConfig, load_program, verify_file
 from kinduct.frontend import Var, pp_expr
 from kinduct.solver import SAT, UNSAT, bitblast, solve
-from kinduct.transform import Phase, unwind
-from kinduct.vcgen import dump_ssa, encode, to_ssa
+from kinduct.transform import Phase, copy_layout, unwind
+from kinduct.vcgen import SsaCheckpoint, dump_ssa, encode, to_ssa
 from conftest import (
     COUNT_UP, FIG1, compile_mc, corpus_entries, corpus_path, satisfies,
 )
@@ -193,3 +193,67 @@ def test_nondet_divisor_by_zero_replays():
     v = verify_file(str(corpus_path("div_bug.mc")))
     assert (v.status, v.decided_by) == (FALSE, "BASE")
     assert v.counterexample.violated is not None
+
+
+def ssa_text(s):
+    """Everything a consumer reads of an SsaProgram, as comparable text."""
+    return (dump_ssa(s), list(s.symbols.items()), list(s.draw_symbols.items()),
+            [name for name, _ in s.definitions], pp_expr(s.prop))
+
+
+@pytest.mark.parametrize("mode", ["none", "builtin"])
+def test_resumed_conversion_equals_a_fresh_one(mode):
+    # The driver's query order, then a re-check jump, a shallower query
+    # (converted in full) and a deeper one after it.
+    order = [(Phase.BASE, 1)]
+    for k in range(2, 6):
+        order += [(Phase.FORWARD, k), (Phase.INDUCTIVE, k), (Phase.BASE, k)]
+    order += [(Phase.BASE, 10), (Phase.FORWARD, 3), (Phase.INDUCTIVE, 12),
+              (Phase.BASE, 11)]
+    resumed = 0
+    for path, _, _ in corpus_entries():
+        g = load_program(str(path), KInductionConfig(invariants_mode=mode))
+        concrete, inductive = SsaCheckpoint(), SsaCheckpoint()
+        for phase, k in order:
+            cp = inductive if phase is Phase.INDUCTIVE else concrete
+            s = to_ssa(unwind(g, k, phase), None, cp)
+            fresh = to_ssa(unwind(g, k, phase))
+            assert ssa_text(s) == ssa_text(fresh), (path.name, phase, k)
+            assert pp_expr(encode(s, phase).goal) == pp_expr(encode(fresh, phase).goal)
+            if s.resumed is not None:
+                resumed += 1
+                assert s.resumed.copies <= k
+                assert s.definitions[:len(s.resumed.ssa.definitions)] \
+                    == s.resumed.ssa.definitions
+            if s.captured is not None:
+                assert s.captured is cp.snapshot and s.captured.copies == k
+        assert (concrete.snapshot is None) == (copy_layout(g, Phase.BASE) is None)
+    assert resumed > 100
+
+
+def test_copy_layout_needs_a_first_loop_without_inner_loops():
+    def layout(name, phase=Phase.BASE):
+        return copy_layout(load_program(str(corpus_path(name)),
+                                        KInductionConfig(invariants_mode="none")), phase)
+    assert layout("nested_sum.mc") is None        # an inner loop
+    assert layout("straightline_safe.mc") is None  # no loop
+    # two_loops: a, b initialised, then the first loop; a copy is its body
+    assert layout("two_loops.mc") == (2, 1)
+    # INDUCTIVE: one havoc before copy 1, a shadow and a stutter per copy
+    assert layout("two_loops.mc", Phase.INDUCTIVE) == (3, 3)
+    g = compile_mc("""int main() { unsigned int x = 0; unsigned int c = *;
+      if (c) { while (x < 2) { x = x + 1; } }
+      while (x < 3) { x = x + 1; }
+      assert(x <= 3); return 0; }""")
+    assert copy_layout(g, Phase.BASE) is None     # a loop before it
+
+
+def test_checkpoint_serves_one_program_and_phase_family():
+    g = compile_mc(FIG1)
+    cp = SsaCheckpoint()
+    to_ssa(unwind(g, 2, Phase.BASE), None, cp)
+    to_ssa(unwind(g, 3, Phase.FORWARD), None, cp)
+    with pytest.raises(ValueError):
+        to_ssa(unwind(g, 3, Phase.INDUCTIVE), None, cp)
+    with pytest.raises(ValueError):
+        to_ssa(unwind(compile_mc(FIG1), 3, Phase.BASE), None, cp)
