@@ -17,6 +17,18 @@ gates, outside the goal's cone but still loaded and propagated by the
 solver.  Each gate first folds constant, repeated and complementary
 inputs, then looks itself up in its cache.
 
+Division and remainder build a restoring divider, except by a divisor
+whose bits are all constant with value c = 2^s, positive when signed,
+which is wired instead (Warren, "Hacker's Delight", 2nd ed., 2012,
+ch. 10).  Unsigned, the quotient is the dividend's bits from s up and the
+remainder its low s bits, zero filled: slices, with no gate.  Signed, C
+truncates toward zero, so a negative dividend first gets the bias c-1
+(its sign bit in each of the low s bits); the sum shifted right
+arithmetically by s is the quotient, and the remainder is a - (q << s).
+The test reads the blasted bits, not the node, so a cast constant or a
+name bound to constant bits qualifies as well.  Modular counters and
+ring-buffer indices (`i % 8`) thus cost a few gates, not 32 subtractors.
+
 Only names without a definition get fresh variables.  A defined name is
 bound to the literals its right-hand side blasts to, so a constant
 initialiser and everything computed from it fold into constant bits at
@@ -53,6 +65,9 @@ its one assumption, as in MiniSat's solve(assumptions) (Een & Sorensson,
 session clause is the Tseitin definition of a fresh gate variable: for
 any values of the free bits the clauses have exactly one satisfying
 extension, so each query is equisatisfiable with "clauses and goal".
+A wired division keeps this: its slices add no variable and no clause,
+and its signed bias and subtraction are adder gates like any other, so
+there is still exactly one extension per input.
 An UNSAT answer keeps -goal at level 0, so asking the same goal again
 costs no search.
 
@@ -413,7 +428,24 @@ class _Blaster:
         return quo, rem
 
     def v_divmod(self, a: list, b: list, signed: bool):
+        """Quotient and remainder bits of a / b, truncating toward zero
+        as C does; both are zero when b is zero.  A divisor whose bits
+        are the constant 2^s (positive when signed) is wired: unsigned,
+        q is a[s:] and r is a[:s], zero filled, with no gate; signed, q
+        is (a + bias) >> s, arithmetic, with the bias 2^s - 1 for a
+        negative a, and r is a - (q << s).  Any other divisor builds a
+        restoring divider (see the module docstring)."""
         width = len(a)
+        shift = _pow2_shift(b, signed)
+        if shift is not None:
+            low = [FALSE_LIT] * shift
+            if not signed:
+                return (a[shift:] + low,
+                        a[:shift] + [FALSE_LIT] * (width - shift))
+            t, _ = self.v_add(a, [a[-1]] * shift + [FALSE_LIT] * (width - shift))
+            q = t[shift:] + [t[-1]] * shift
+            r, _ = self.v_sub(a, low + q[:width - shift])
+            return q, r
         if signed:
             sa, sb = a[-1], b[-1]
             abs_a = self.v_ite(sa, self.v_neg(a), a)
@@ -558,6 +590,20 @@ class _Blaster:
         if op == ">=":
             return self.bool_word(-self.v_lt(a, b, signed), width)
         raise SolverError(f"unknown binary {op}")
+
+
+def _pow2_shift(b: list, signed: bool) -> int | None:
+    """s when the bits `b` are all constant with value 2^s, and that value
+    is positive read as `signed`; else None."""
+    value = 0
+    for i, bit in enumerate(b):
+        if bit == TRUE_LIT:
+            value |= 1 << i
+        elif bit != FALSE_LIT:
+            return None
+    if value == 0 or value & (value - 1) or (signed and b[-1] == TRUE_LIT):
+        return None
+    return value.bit_length() - 1
 
 
 def _operands(e: Expr) -> tuple:

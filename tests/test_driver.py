@@ -195,6 +195,41 @@ def test_do_while_peeled_loop_keeps_its_own_invariant(tmp_path, mode):
     assert (replay.status, replay.violated) == (VIOLATION, t.violated)
 
 
+# Signed division by a power of two truncates toward zero, so a remainder
+# takes the dividend's sign.
+SIGNED_POW2 = """int main() {
+  int x = *;
+  assert(x / 4 * 4 + x % 4 == x);
+  assert(x % 8 > -8 && x % 8 < 8);
+  return 0;
+}
+"""
+SIGNED_REM_BUG = """int main() {
+  int x = *;
+  int r = x % 4;
+  assert(r >= 0);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", INVARIANT_MODES)
+def test_signed_power_of_two_division_end_to_end(mode, tmp_path):
+    cfg = KInductionConfig(invariants_mode=mode)
+    safe, bug = tmp_path / "signed_pow2.mc", tmp_path / "signed_rem_bug.mc"
+    safe.write_text(SIGNED_POW2)
+    bug.write_text(SIGNED_REM_BUG)
+    v = verify_file(str(safe), cfg)
+    assert (v.status, v.decided_by, v.k_at_decision) == (TRUE, "FORWARD", 2)
+    v = verify_file(str(bug), cfg)
+    assert (v.status, v.decided_by, v.k_at_decision) == (FALSE, "BASE", 1)
+    t = v.counterexample
+    x = t.states[-1]["x"]
+    assert x < 0 and x % 4 != 0
+    replay = run_goto(load_program(str(bug), cfg), SequentialProvider([x]))
+    assert (replay.status, replay.violated) == (VIOLATION, t.violated)
+
+
 def test_width_override_narrows_symbols():
     cfg = KInductionConfig(invariants_mode="none", width_override=8)
     g = load_program(str(corpus_path("fig1_unsigned.mc")), cfg)

@@ -237,6 +237,46 @@ def test_smtlib_agrees_with_external_solver(tmp_path):
         assert got == expected.lower()
 
 
+S32 = IntType(32, True)
+POW2_DIVISORS = (1, 2, 4, 8, 1 << 30)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_power_of_two_division_agrees_with_gcc(tmp_path):
+    cases = [(x, c) for c in POW2_DIVISORS
+             for x in sorted({0, 1, -1, c - 1, 1 - c, c, -c, S32.min, S32.max})]
+    rows = ", ".join(f"{{{x}LL, {c}}}" for x, c in cases)
+    src = tmp_path / "divmod.c"
+    src.write_text(
+        "#include <stdio.h>\n"
+        f"static const long long cases[][2] = {{{rows}}};\n"
+        "int main(void) {\n"
+        "  for (unsigned i = 0; i < sizeof cases / sizeof cases[0]; i++) {\n"
+        "    int x = (int)cases[i][0], c = (int)cases[i][1];\n"
+        '    printf("%d %d\\n", x / c, x % c);\n'
+        "  }\n"
+        "  return 0;\n"
+        "}\n")
+    exe = tmp_path / "divmod"
+    subprocess.run(["gcc", "-fwrapv", "-o", str(exe), str(src)], check=True)
+    expected = [tuple(map(int, line.split())) for line in subprocess.run(
+        [str(exe)], capture_output=True, text=True, check=True).stdout.splitlines()]
+    x = var("x", S32)
+    cnfs = {c: bitblast(formula(Const(1, ty=B1), {"x": S32, "q": S32, "r": S32}, [
+        ("q", Binary("/", x, Const(c, ty=S32), ty=S32)),
+        ("r", Binary("%", x, Const(c, ty=S32), ty=S32))])) for c in POW2_DIVISORS}
+    got = []
+    for v, c in cases:
+        cnf = cnfs[c]
+        units = [[lit if (v >> i) & 1 else -lit]
+                 for i, lit in enumerate(cnf.bit_map[("x", b)] for b in range(32))]
+        out = solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
+                                cnf.bit_map, cnf.symbols))
+        assert out.status == SAT
+        got.append((out.model["q"], out.model["r"]))
+    assert got == expected
+
+
 def brute_sat(num_vars, clauses):
     """Truth-table check, bit-parallel over all 2**num_vars rows."""
     rows = 1 << num_vars
@@ -372,8 +412,10 @@ def test_stored_queries_have_their_recorded_size():
 # guard instead of OR-ing the guards of its branches.  Re-recorded when a
 # constant divisor stopped drawing a divide-by-zero symbol (fewer free
 # variables, same clauses) and stutter shadows became unguarded aliases.
+# Re-recorded when a power-of-two divisor became bit slices: the BASE
+# query's `% 8` is wired, not divided.
 @pytest.mark.parametrize("name,phase,k,size,expected", [
-    ("mod_wrong_bug.mc", Phase.BASE, 7, (2120, 7624), (SAT, 36, 5, 2941)),
+    ("mod_wrong_bug.mc", Phase.BASE, 7, (767, 2670), (SAT, 37, 6, 1185)),
     ("fig1_unsigned.mc", Phase.INDUCTIVE, 2, (358, 1160), (UNSAT, 65, 34, 6942)),
 ])
 def test_bound_query_goldens(name, phase, k, size, expected):
@@ -647,11 +689,13 @@ BINARY_OPS = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>") + BOOL_OPS
 def assert_operator_matches_evaluator(e, ty, names):
     cnf = bitblast(formula(Const(1, ty=B1), {**{n: ty for n in names},
                                              "r": e.ty}, [("r", e)]))
-    for values in itertools.product(range(16), repeat=len(names)):
+    width = ty.width
+    for values in itertools.product(range(1 << width), repeat=len(names)):
         model = {n: ty.wrap(v) for n, v in zip(names, values)}
         units = [[lit if (v >> i) & 1 else -lit]
                  for n, v in zip(names, values)
-                 for i, lit in enumerate(cnf.bit_map[(n, b)] for b in range(4))]
+                 for i, lit in enumerate(cnf.bit_map[(n, b)]
+                                         for b in range(width))]
         out = solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
                                 cnf.bit_map, cnf.symbols))
         assert out.status == SAT
@@ -674,6 +718,35 @@ def test_unary_operator_matches_evaluator(op, ty):
 
 U8 = IntType(8, False)
 S8 = IntType(8, True)
+
+
+# A constant divisor over every dividend: each divisor at width 4 (zero,
+# powers of two, the rest, and negative ones signed), each power-of-two
+# bit pattern at width 8 (signed 128 is -128 and takes the divider).
+@pytest.mark.parametrize("ty", [U4, S4, U8, S8], ids=["u4", "s4", "u8", "s8"])
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_constant_divisor_matches_evaluator(op, ty):
+    divisors = range(16) if ty.width == 4 else [1 << s for s in range(8)]
+    for c in divisors:
+        e = Binary(op, var("x", ty), Const(c, ty=ty), ty=ty)
+        assert_operator_matches_evaluator(e, ty, ("x",))
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_unsigned_power_of_two_divisor_adds_no_gate(op):
+    # The divisor may be a cast constant or a name bound to constant bits:
+    # the blaster reads the bits, not the node.
+    x = var("x", U8)
+    plain = bitblast(formula(Const(1, ty=B1), {"x": U8, "r": U8}, [("r", x)]))
+    for divisor in (Const(8, ty=U8), Cast(U8, Const(8, ty=S8), ty=U8),
+                    var("c", U8)):
+        cnf = bitblast(formula(Const(1, ty=B1), {"x": U8, "c": U8, "r": U8}, [
+            ("c", Const(8, ty=U8)), ("r", Binary(op, x, divisor, ty=U8))]))
+        assert (cnf.num_vars, cnf.clauses) == (plain.num_vars, plain.clauses)
+        x_bits = [cnf.bit_map[("x", i)] for i in range(8)]
+        r_bits = [cnf.bit_map[("r", i)] for i in range(8)]
+        assert r_bits == (x_bits[3:] + [FALSE_LIT] * 3 if op == "/"
+                          else x_bits[:3] + [FALSE_LIT] * 5)
 
 
 def test_one_session_keeps_signedness_apart():
