@@ -438,13 +438,13 @@ class _Blaster:
         width = len(a)
         shift = _pow2_shift(b, signed)
         if shift is not None:
-            low = [FALSE_LIT] * shift
+            pad = [FALSE_LIT] * shift
             if not signed:
-                return (a[shift:] + low,
+                return (a[shift:] + pad,
                         a[:shift] + [FALSE_LIT] * (width - shift))
             t, _ = self.v_add(a, [a[-1]] * shift + [FALSE_LIT] * (width - shift))
             q = t[shift:] + [t[-1]] * shift
-            r, _ = self.v_sub(a, low + q[:width - shift])
+            r, _ = self.v_sub(a, pad + q[:width - shift])
             return q, r
         if signed:
             sa, sb = a[-1], b[-1]

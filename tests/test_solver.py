@@ -267,11 +267,7 @@ def test_power_of_two_division_agrees_with_gcc(tmp_path):
         ("r", Binary("%", x, Const(c, ty=S32), ty=S32))])) for c in POW2_DIVISORS}
     got = []
     for v, c in cases:
-        cnf = cnfs[c]
-        units = [[lit if (v >> i) & 1 else -lit]
-                 for i, lit in enumerate(cnf.bit_map[("x", b)] for b in range(32))]
-        out = solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
-                                cnf.bit_map, cnf.symbols))
+        out = solve_with_inputs(cnfs[c], {"x": v}, 32)
         assert out.status == SAT
         got.append((out.model["q"], out.model["r"]))
     assert got == expected
@@ -686,18 +682,21 @@ BOOL_OPS = ("==", "!=", "<", ">", "<=", ">=", "&&", "||")
 BINARY_OPS = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>") + BOOL_OPS
 
 
+def solve_with_inputs(cnf, values, width):
+    """Solve `cnf` with each named input's `width` bits fixed by units."""
+    units = [[lit if (v >> i) & 1 else -lit]
+             for n, v in values.items()
+             for i, lit in enumerate(cnf.bit_map[(n, b)] for b in range(width))]
+    return solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
+                             cnf.bit_map, cnf.symbols))
+
+
 def assert_operator_matches_evaluator(e, ty, names):
     cnf = bitblast(formula(Const(1, ty=B1), {**{n: ty for n in names},
                                              "r": e.ty}, [("r", e)]))
-    width = ty.width
-    for values in itertools.product(range(1 << width), repeat=len(names)):
+    for values in itertools.product(range(1 << ty.width), repeat=len(names)):
         model = {n: ty.wrap(v) for n, v in zip(names, values)}
-        units = [[lit if (v >> i) & 1 else -lit]
-                 for n, v in zip(names, values)
-                 for i, lit in enumerate(cnf.bit_map[(n, b)]
-                                         for b in range(width))]
-        out = solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
-                                cnf.bit_map, cnf.symbols))
+        out = solve_with_inputs(cnf, dict(zip(names, values)), ty.width)
         assert out.status == SAT
         assert out.model == {**model, "r": eval_formula(e, model)}, model
 
