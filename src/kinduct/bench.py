@@ -9,9 +9,10 @@ relative to the manifest file.  Scoring follows the competition rules:
 +1 per bug found, +2 per correct proof, -6 per false alarm, -12 per
 wrong proof; unknowns and timeouts score nothing.
 
-A missing file or a program the front end rejects (syntax, type, lowering
-or invariant errors) is an invalid entry.  Any other exception is a bug in
-the checker, not in the input: its row is an internal error, counted apart.
+A missing or unreadable file or a program the front end rejects (syntax,
+type, lowering or invariant errors) is an invalid entry.  Any other
+exception is a bug in the checker, not in the input: its row is an
+internal error, counted apart.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Exit codes for `verify`: 0 the property holds, 1 a counterexample was
 found, 2 undecided, 3 usage or parse errors (any `MiniCError`, errors in
-invariant comments included), 4 an internal error of the checker (such
-as a counterexample that fails to replay, or a `SolverError` from
-encoding a query), whose traceback goes to stderr.  `bench` exits 0, or
+invariant comments and a source that cannot be read as UTF-8 text
+included), 4 an internal error of the checker (such as a counterexample
+that fails to replay, or a `SolverError` from encoding a query), whose
+traceback goes to stderr.  `bench` exits 0, or
 3 on a usage error, or 4 when an entry hit an internal error of the
 checker.
 """
@@ -112,9 +113,6 @@ def _cmd_verify(args) -> int:
         start = time.monotonic()
         verdict = verify_file(args.file, cfg)
         elapsed_ms = int((time.monotonic() - start) * 1000)
-    except FileNotFoundError as e:
-        print(f"kinduct: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except MiniCError as e:
         print(f"kinduct: error: {e}", file=sys.stderr)
         return EXIT_USAGE

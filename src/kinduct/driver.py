@@ -14,19 +14,20 @@ Every query is blasted and solved in one of two solver sessions that
 live for the whole run: one for the concrete-start phases (BASE,
 FORWARD and the re-check) and one for INDUCTIVE.  The query at k+1
 holds the copies of the query at k, so each copy's gates are built and
-loaded once per session.  Each session has an SSA checkpoint
-(`vcgen.SsaCheckpoint`): when the program's first top-level loop has
-no inner loop, a query is still unwound in full, but converted only
-from the deepest copy an earlier query of the session converted, and
-blasted only from there, so its conversion and blasting cost tracks the
-copies it adds and the code after the loop.  A query resumes from a
-converted state only when it is no deeper than k, and it leaves its own
-state after copy k.  Learned clauses carry over.  Each query's goal is
-an assumption.  An UNSAT answer keeps the goal's negation, so a repeated
-proof costs no search: a loop-free program poses one query as BASE
-k=1, FORWARD k=2 and the re-check, and once a constant-bound loop is
-fully unrolled the re-check at k+increment repeats the FORWARD query
-at k.
+loaded once per session.  When `unwind` records where the copies of the
+program's first top-level loop sit (`UnwoundProgram.layout`), a query
+is still unwound in full, but converted and blasted only from the
+session's snapshot (`Session.snapshot`): the conversion state after the
+deepest copy an earlier query of the session converted.  So its
+conversion and blasting cost tracks the copies it adds and the code
+after the loop.  A query resumes from the snapshot only when it is no
+deeper than k, and it leaves its own state after copy k, which
+`bitblast` makes the session's new snapshot.  Learned clauses carry
+over.  Each query's goal is an assumption.  An UNSAT answer keeps the
+goal's negation, so a repeated proof costs no search: a loop-free
+program poses one query as BASE k=1, FORWARD k=2 and the re-check, and
+once a constant-bound loop is fully unrolled the re-check at
+k+increment repeats the FORWARD query at k.
 
 The deadline is checked before each query, inside `unwind`, `to_ssa`,
 `encode` and `bitblast`, and inside the search; running past it gives
@@ -39,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .frontend import Loc, parse, typecheck, override_widths
+from .frontend import Loc, MiniCError, parse, typecheck, override_widths
 from .goto_ir import GotoProgram, lower
 from .interp import MapProvider, RunResult, VIOLATION, run_goto
 from .invariants import infer_invariants, instrument, translate_invariants
@@ -48,7 +49,7 @@ from .solver import (
     emit_smtlib, solve,
 )
 from .transform import DeadlineExceeded, Phase, UnwoundProgram, unwind
-from .vcgen import SsaCheckpoint, encode, to_ssa
+from .vcgen import encode, to_ssa
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -59,6 +60,10 @@ INVARIANT_MODES = ("none", "builtin", "comments")
 
 class ReplayError(Exception):
     """A counterexample model failed to replay: an encoding bug."""
+
+
+class UnreadableSourceError(MiniCError):
+    """The source file cannot be read as UTF-8 text: an input error."""
 
 
 @dataclass
@@ -108,9 +113,6 @@ class _Checker:
         concrete = Session()
         self.sessions = {Phase.BASE: concrete, Phase.FORWARD: concrete,
                          Phase.INDUCTIVE: Session()}
-        concrete = SsaCheckpoint()
-        self.checkpoints = {Phase.BASE: concrete, Phase.FORWARD: concrete,
-                            Phase.INDUCTIVE: SsaCheckpoint()}
 
     def _discharge(self, phase: Phase, k: int):
         if time.monotonic() > self.deadline:
@@ -118,7 +120,7 @@ class _Checker:
         self.phase_log.append((phase.value, k))
         session = self.sessions[phase]
         u = unwind(self.p, k, phase, self.deadline)
-        f = encode(to_ssa(u, self.deadline, self.checkpoints[phase]), phase,
+        f = encode(to_ssa(u, self.deadline, session.snapshot), phase,
                    self.deadline)
         cnf = bitblast(f, session, self.deadline)
         self._emit(phase, k, f, cnf)
@@ -228,7 +230,11 @@ def reconstruct(model: dict, u: UnwoundProgram) -> Trace:
 def load_program(path: str, cfg: KInductionConfig) -> GotoProgram:
     """Front half of the pipeline: source text to an instrumented
     GotoProgram, honoring width override and invariants mode."""
-    source = Path(path).read_text()
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        why = getattr(e, "strerror", None) or e
+        raise UnreadableSourceError(f"cannot read: {why}", file=path) from e
     if cfg.invariants_mode == "comments":
         source = translate_invariants(source)
     prog = parse(source, path)

@@ -53,15 +53,16 @@ the ids of the operand bit vectors.  Those vectors are table entries or
 free names' bits, both kept for the session's life, so their ids are
 never reused; and since the gate caches only grow, a hit returns
 exactly the literals blasting the node again would.  A query converted
-from a checkpoint (`vcgen.SsaCheckpoint`) skips the walk as well: the
-session keeps the bits of the checkpointed names, and the id-cache
-entries of the checkpoint's guard, assume prefix and obligation
-conjunction, whose nodes it keeps alive so no id is reused; such a
-query blasts only the definitions past the checkpoint and walks only
-its new nodes.  The goal is
-not a clause but a literal, `CnfInstance.goal`, passed to the search as
-its one assumption, as in MiniSat's solve(assumptions) (Een & Sorensson,
-"An Extensible SAT-solver", SAT 2003).  This is sound because every
+from the session's snapshot (`Session.snapshot`, the conversion state
+the last query left after its deepest loop copy, see `vcgen.to_ssa`)
+skips the walk as well: the session keeps the bits of the snapshot's
+names, and the id-cache entries of its guard, assume prefix and
+obligation conjunction, whose nodes it keeps alive so no id is reused;
+such a query blasts only the definitions past the snapshot and walks
+only its new nodes.  The goal is not a clause but a literal,
+`CnfInstance.goal`, passed to the search as its one assumption, as in
+MiniSat's solve(assumptions) (Een & Sorensson, "An Extensible
+SAT-solver", SAT 2003).  This is sound because every
 session clause is the Tseitin definition of a fresh gate variable: for
 any values of the free bits the clauses have exactly one satisfying
 extension, so each query is equisatisfiable with "clauses and goal".
@@ -655,8 +656,9 @@ class Session:
     that already exist and add no clause.  `loaded` counts the blaster's
     clauses the engine has taken.
 
-    `snapshot` is the last conversion state (`vcgen.SsaCheckpoint`) a
-    query of the session left behind, and `shared` maps each name of its
+    `snapshot` is the last conversion state a query of the session left
+    behind (`SsaProgram.captured`), the one checkpoint the session's next
+    query resumes from (`vcgen.to_ssa`); `shared` maps each name of its
     SsaProgram to its bits, so a query resumed from it blasts none of
     those definitions."""
 
@@ -688,11 +690,11 @@ def bitblast(f: VcFormula, session: Session | None = None,
     A formula converted from the state the session's last query left
     behind (`f.resumed is session.snapshot`) takes the bits of that
     state's names from `session.shared` and blasts only the definitions
-    after them.  Its new nodes meet the checkpointed guard, assume prefix
+    after them.  Its new nodes meet the snapshot's guard, assume prefix
     and obligation conjunction, whose bits `blaster.kept` holds, so the
     walk stops there too.  When the conversion leaves a new state
-    (`f.captured`), its names' bits and those three nodes' bits are kept
-    for the next query.
+    (`f.captured`), it becomes the session's snapshot, and its names'
+    bits and those three nodes' bits are kept for the next query.
 
     `bit_map` sends a (symbol, bit) to any literal: a variable, a negated
     one, or the constant TRUE_LIT / FALSE_LIT.  It is a view of the

@@ -25,7 +25,12 @@ guard, as a plain alias of the variable's current version; when G_j is
 false the assume holds whatever the shadow is.
 
 Queries convert the unwound tree itself (`vcgen.to_ssa`); its flat GOTO
-view, `body`, is built only when read (`--dump-unwound`, tests).
+view, `body`, is built only when read (`--dump-unwound`, tests).  When
+the first loop of the top-level list holds no loop and none comes
+before it, `unwind` records where it put that loop's copies
+(`UnwoundProgram.layout`).  Those copies, and everything before them,
+are then the same at every k, so `to_ssa` can resume a conversion from
+the state an earlier, shallower query left after one of them.
 
 Every produced instruction carries `ctx`, the tuple of copy indices of
 its enclosing unwound loops (outermost first).  Nondeterministic draws
@@ -47,7 +52,7 @@ from functools import cached_property
 
 from .frontend import Binary, IntType, Unary, Var
 from .goto_ir import (
-    GotoProgram, IfItem, Instr, LoopItem, OpItem, items_in, loop_variables,
+    GotoProgram, IfItem, Instr, LoopItem, OpItem, loop_variables,
 )
 
 
@@ -78,6 +83,13 @@ class UnwoundProgram:
     phase: Phase
     k: int
     origin: GotoProgram | None = None  # the program that was unwound
+    # where the copies of the first top-level loop sit, when that loop
+    # holds no loop and none comes before it: (i, n), where `tree[i]` is
+    # copy 1's IfItem and the then-branch of copy j's IfItem opens with
+    # the n items of copy j itself (shadows, body, stutter assume),
+    # followed by copy j+1 (its `pre` items, then its IfItem) or by the
+    # terminator.  None otherwise: then the copies change with k.
+    layout: tuple | None = None
 
     @cached_property
     def body(self) -> GotoProgram:
@@ -99,11 +111,13 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
     """
     if k < 1:
         raise TransformError(f"unwinding depth must be >= 1, got {k}")
-    copies = 0
+    copies = own = 0
+    layout = None
     symbols = dict(p.symbols)
     inductive = phase is Phase.INDUCTIVE
 
     def stamp(items: list, ctx: tuple) -> list:
+        nonlocal layout
         out: list = []
         for item in items:
             if isinstance(item, OpItem):
@@ -112,13 +126,17 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                 out.append(IfItem(item.cond, stamp(item.then, ctx),
                                   stamp(item.els, ctx), loc=item.loc, ctx=ctx))
             elif isinstance(item, LoopItem):
+                before = copies
                 out.extend(unwind_loop(item, ctx))
+                # the first loop of the top level, no loop in or before it
+                if items is p.tree and before == 0 and copies == k:
+                    layout = (len(out) - 1, own)
             else:
                 raise TypeError(f"unexpected tree item {item!r}")
         return out
 
     def unwind_loop(loop: LoopItem, ctx: tuple) -> list:
-        nonlocal copies
+        nonlocal copies, own
         sigma = Unary("!", loop.guard, ty=_BOOL, loc=loop.loc)
         lv = sorted(loop_variables(loop))
         term_op, term_tag = (("ASSERT", "unwind_assertion") if phase is Phase.FORWARD
@@ -152,6 +170,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                 stutter = OpItem(Instr("ASSUME", expr=changed, tag="stutter",
                                        loc=loop.loc, ctx=cctx))
                 seq = stores + seq + [stutter]
+            own = len(seq)
             inner = pre_i + [IfItem(loop.guard, seq + inner, [],
                                     loc=loop.loc, ctx=cctx)]
         havocs = [OpItem(Instr("HAVOC", var=v, tag="havoc",
@@ -159,33 +178,8 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                   for v in lv] if inductive else []
         return havocs + inner
 
-    return UnwoundProgram(stamp(p.tree, ()), symbols, phase, k, p)
-
-
-def copy_layout(p: GotoProgram, phase: Phase) -> tuple | None:
-    """Where `unwind(p, k, phase)` puts the copies of p's first top-level
-    loop, the same for every k: (i, n), where `tree[i]` is copy 1's
-    IfItem and the then-branch of copy j's IfItem opens with the n items
-    of copy j itself (shadows, body, stutter assume), followed by copy
-    j+1 (its `pre` items, then its IfItem) or by the terminator.  None
-    when that loop holds an inner loop, or an item before it holds a
-    loop: their unwinding, and with it the copies, changes with k."""
-    def has_loop(items: list) -> bool:
-        return any(isinstance(i, LoopItem) for i in items_in(items))
-
-    for i, item in enumerate(p.tree):
-        if isinstance(item, LoopItem):
-            if has_loop(item.pre + item.body):
-                return None
-            inductive = phase is Phase.INDUCTIVE
-            havocs = len(loop_variables(item)) if inductive else 0
-            # an INDUCTIVE copy is a shadow per havocked variable, the
-            # body and the stutter assume
-            return (i + havocs + len(item.pre),
-                    havocs + len(item.body) + inductive)
-        if has_loop([item]):
-            return None
-    return None
+    tree = stamp(p.tree, ())
+    return UnwoundProgram(tree, symbols, phase, k, p, layout)
 
 
 def dump_unwound(u: UnwoundProgram) -> str:

@@ -33,20 +33,23 @@ linear despite every obligation referencing it.  The conjunction of the
 obligations is grown the same way, as they are added.
 
 Queries of one phase family unwind the same program again and again,
-each one copy deeper.  When the program's first top-level loop has no
-inner loop, copies 1..j of that loop, and everything before it, are the
-same in every unwinding at k >= j: BASE and FORWARD differ only in the
-terminator after copy k, and the inductive step's havocs and shadows
-are the same at every k.  So the converter's whole state after copy j
-(versions, current names, guard, assume prefix, obligation conjunction
-and the output so far) is the same too.  An `SsaCheckpoint` keeps that
-state after the deepest copy converted; `to_ssa` resumes from it,
-converts the new copies, the terminator and the code after the loop,
-and returns the same SsaProgram a conversion from nothing would.  The
-new parts share the checkpoint's guard, prefix and conjunction nodes,
-which is what lets `solver.bitblast` skip the checkpointed part too.  A
-nested first loop is unwound k times in each outer copy, so it changes
-with k and such programs convert in full.
+each one copy deeper.  When `unwind` records where the copies of the
+first top-level loop sit (`UnwoundProgram.layout`), copies 1..j of that
+loop, and everything before it, are the same in every unwinding at
+k >= j: BASE and FORWARD differ only in the terminator after copy k,
+and the inductive step's havocs and shadows are the same at every k.
+So the converter's whole state after copy j (versions, current names,
+guard, assume prefix, obligation conjunction and the output so far) is
+the same too.  A conversion leaves that state after copy k in
+`SsaProgram.captured`; `to_ssa` resumes from such a state, converts the
+new copies, the terminator and the code after the loop, and returns
+the same SsaProgram a conversion from nothing would.  The new parts
+share the state's guard, prefix and conjunction nodes, which is what
+lets `solver.bitblast` skip the resumed part too.  The solver session
+keeps the last state (`Session.snapshot`), so that is what the driver
+resumes from.  A nested first loop is unwound k times in each outer
+copy, so it changes with k, has no layout, and such programs convert
+in full.
 
 The phase query is the negation of the phase's implication, so UNSAT
 means the phase succeeded.  Definitions are not part of it: the solver
@@ -72,9 +75,9 @@ from dataclasses import dataclass, field
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
 )
-from .goto_ir import IfItem, OpItem, walk_nested
+from .goto_ir import GotoProgram, IfItem, OpItem, walk_nested
 from .interp import eval_expr
-from .transform import DeadlineExceeded, Phase, UnwoundProgram, copy_layout
+from .transform import DeadlineExceeded, Phase, UnwoundProgram
 
 _BOOL = IntType(32, True)
 
@@ -130,7 +133,7 @@ class SsaProgram:
     # the conjunction of the obligations, grown as they are added
     prop: Expr = field(default_factory=lambda: TRUE)
     resumed: _Snapshot | None = None   # the state the conversion resumed from
-    captured: _Snapshot | None = None  # the state it left in the checkpoint
+    captured: _Snapshot | None = None  # its state after copy k, to resume from
 
 
 @dataclass
@@ -144,40 +147,18 @@ class VcFormula:
 
 @dataclass
 class _Snapshot:
-    """A converter's state after the own items of copy `copies` of the
-    first top-level loop.  `ssa` holds the output so far; its lists and
+    """A converter's state after the own items of copy `k` of the first
+    top-level loop of `program`, unwound k deep in one phase family
+    (`inductive` or not).  `ssa` holds the output so far; its lists and
     dicts are never changed, a resumed conversion copies them."""
-    copies: int
+    program: GotoProgram
+    inductive: bool
+    k: int
     ssa: SsaProgram
     versions: dict
     cur: dict
     guard: Expr
     assumed: Expr
-
-
-class SsaCheckpoint:
-    """One phase family's conversion state after the deepest converted
-    copy of a program's first top-level loop, when that loop has no
-    inner loop (`transform.copy_layout`).  Copies 1..j of that loop, and
-    everything before it, are the same in every unwinding at k >= j, and
-    BASE and FORWARD differ only past the last copy; INDUCTIVE has its
-    own havocs and shadows, so it needs its own checkpoint."""
-
-    def __init__(self):
-        self.family = None     # (origin program, inductive?) once bound
-        self.layout = None
-        self.snapshot: _Snapshot | None = None
-
-    def bind(self, u: UnwoundProgram) -> tuple | None:
-        """The copy layout of `u`'s program; a checkpoint serves one
-        program and one phase family."""
-        family = (u.origin, u.phase is Phase.INDUCTIVE)
-        if self.family is None:
-            self.family = family
-            self.layout = copy_layout(u.origin, u.phase)
-        elif self.family[0] is not family[0] or self.family[1] != family[1]:
-            raise ValueError("a checkpoint serves one program and phase family")
-        return self.layout
 
 
 def _draw_name(prefix: str, nid: int, ctx: tuple) -> str:
@@ -197,6 +178,8 @@ class _SsaBuilder:
         self.guard: Expr = TRUE
         self.assumed: Expr = TRUE  # conjunction of assume terms seen so far
         self.visited = 0  # tree items so far, for the deadline check
+        self.capture = None  # copy k's IfItem: capture the state after its own items
+        self.own = 0         # the number of own items of each copy
 
     def fresh(self, var: str, ty: IntType) -> str:
         n = self.versions.get(var, -1) + 1
@@ -265,6 +248,10 @@ class _SsaBuilder:
                                       (item.els, And(Not(cond), g))):
                     if branch and not is_false(guard):
                         self.guard = guard
+                        if item is self.capture:
+                            yield branch[:self.own]
+                            self.out.captured = self.save()
+                            branch = branch[self.own:]
                         yield branch
                 self.guard = g
                 continue
@@ -301,33 +288,10 @@ class _SsaBuilder:
     def walk(self, items: list):
         walk_nested(self._items, items)
 
-    def copies(self, items: list, j: int, own: int, checkpoint: SsaCheckpoint):
-        """Convert `items`, which end with copy j's IfItem (or with the
-        terminator), and the copies nested in it.  The walk goes down the
-        chain of copies in a loop: each copy's IfItem is the last item of
-        the one before.  After the own items of copy k, the deepest, the
-        state goes into `checkpoint` unless it holds a deeper one.  Each
-        copy's IfItem has no else branch, so the guard it leaves behind
-        is the caller's to restore."""
-        while True:
-            self.walk(items[:-1])
-            item = items[-1]
-            if not isinstance(item, IfItem):
-                self.walk([item])   # the terminator
-                return
-            self.tick()
-            self.guard = And(self.subst(item.cond, item.ctx), self.guard)
-            if is_false(self.guard):
-                return
-            self.walk(item.then[:own])
-            if j == self.u.k and (checkpoint.snapshot is None
-                                  or checkpoint.snapshot.copies < j):
-                checkpoint.snapshot = self.out.captured = self.save(j)
-            items = item.then[own:]
-            j += 1
-
-    def save(self, copies: int) -> _Snapshot:
-        return _Snapshot(copies, _copied(self.out), dict(self.versions),
+    def save(self) -> _Snapshot:
+        u = self.u
+        return _Snapshot(u.origin, u.phase is Phase.INDUCTIVE, u.k,
+                         _copied(self.out), dict(self.versions),
                          dict(self.cur), self.guard, self.assumed)
 
     def restore(self, snap: _Snapshot):
@@ -346,37 +310,43 @@ def _copied(o: SsaProgram, resumed: _Snapshot | None = None) -> SsaProgram:
 
 
 def to_ssa(u: UnwoundProgram, deadline: float | None = None,
-           checkpoint: SsaCheckpoint | None = None) -> SsaProgram:
+           resume: _Snapshot | None = None) -> SsaProgram:
     """Compile the loop-free tree of an unwound program into guarded
     definitions; a LoopItem left in the tree is a TypeError.  Past the
     time.monotonic() `deadline` (checked at the first item and every
     INSTRS_PER_CHECK items after it) it raises DeadlineExceeded.
 
-    With a `checkpoint` of the same program and phase family, the
-    conversion resumes from its state when it is no deeper than k,
-    converts only the copies past it and the items after the loop, and
-    leaves the state after copy k in it.  The result is the same
-    SsaProgram a conversion from nothing gives; `resumed` and `captured`
-    name the states it started from and left behind.
+    When `u.layout` places the copies of the first top-level loop, the
+    conversion leaves its state after copy k in `captured`, unless
+    `resume` is a state at least that deep.  Given a `resume` state of
+    the same program and phase family, no deeper than k, it starts
+    there: it converts only the copies past it and the items after the
+    loop.  A state deeper than k gives a conversion from nothing, and
+    one of another program or family a ValueError.  The result is the
+    same SsaProgram a conversion from nothing gives; `resumed` names the
+    state it started from.
     """
+    if resume is not None and (resume.program is not u.origin or
+                               resume.inductive != (u.phase is Phase.INDUCTIVE)):
+        raise ValueError("a snapshot resumes one program's conversion "
+                         "in one phase family")
     builder = _SsaBuilder(u, deadline)
-    layout = checkpoint.bind(u) if checkpoint is not None else None
-    if layout is None:
+    if u.layout is None:
         builder.walk(u.tree)
         return builder.out
-    first, own = layout
-    snap = checkpoint.snapshot
-    if snap is not None and snap.copies <= u.k:
-        builder.restore(snap)
-        copy = u.tree[first]
-        for _ in range(snap.copies - 1):
-            copy = copy.then[-1]
-        builder.copies(copy.then[own:], snap.copies + 1, own, checkpoint)
+    first, builder.own = u.layout
+    copies = [u.tree[first]]   # copies[j - 1] is copy j's IfItem
+    while len(copies) < u.k:
+        copies.append(copies[-1].then[-1])
+    if resume is None or resume.k < u.k:
+        builder.capture = copies[-1]
+    if resume is not None and resume.k <= u.k:
+        builder.restore(resume)
+        builder.walk(copies[resume.k - 1].then[builder.own:])
+        builder.guard = TRUE
+        builder.walk(u.tree[first + 1:])
     else:
-        builder.walk(u.tree[:first])
-        builder.copies(u.tree[first:first + 1], 1, own, checkpoint)
-    builder.guard = TRUE
-    builder.walk(u.tree[first + 1:])
+        builder.walk(u.tree)
     return builder.out
 
 

@@ -117,6 +117,18 @@ def test_unparseable_file_is_invalid(tmp_path):
     assert row.error
 
 
+def test_non_utf8_file_is_invalid(tmp_path):
+    (tmp_path / "latin1.mc").write_bytes(
+        "int main() { int x = 0; /* caf\u00e9 */ return 0; }\n".encode("latin-1"))
+    path = tmp_path / "m.tsv"
+    path.write_text("latin1.mc\tsafe\tmisc\n")
+    report = run_suite(parse_manifest(str(path)))
+    (row,) = report.rows
+    assert (row.verdict, row.classification) == ("INVALID", "invalid")
+    assert "can't decode" in row.error
+    assert (report.invalid, report.internal_errors) == (1, 0)
+
+
 def test_internal_error_is_not_invalid(tmp_path, monkeypatch):
     def broken(path, cfg):
         raise ReplayError("model does not replay")

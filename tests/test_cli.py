@@ -48,6 +48,21 @@ def test_exit_code_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"int main() { \xff return 0; }\n"],
+                         ids=["directory", "not_utf8"])
+def test_unreadable_source_is_a_usage_error(content, tmp_path, capsys):
+    path = tmp_path / "prog.mc"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert run("verify", str(path)) == EXIT_USAGE
+    assert run("verify", str(path), "--dump-goto") == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith(f"kinduct: error: {path}: ")
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.mc"
     bad.write_text("int main() { int *p; return 0; }\n")

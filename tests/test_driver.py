@@ -350,25 +350,88 @@ def test_frontend_features_end_to_end(mode, tmp_path):
     assert (last["s"], last["i"], last["g"]) == (3, 6, 0x16)
 
 
-# The comment invariant is false at loop entry (x == 0), yet it is assumed
-# unchecked in every phase, so the FORWARD query proves the assertion.
-WRONG_INVARIANT = """int main() {
+# Each comment invariant is false, yet it is assumed unchecked in every
+# phase.  The first is false at loop entry (x == 0), so the FORWARD query
+# proves the assertion; the second, above the assertion, hides the runs
+# where the loop ran (n = 1 fails at k=1).
+WRONG_INVARIANTS = {
+    "above_loop": ("""int main() {
   unsigned int x = 0;
   // P(x) {x >= 1}
   while (x < 20) x = x + 1;
   assert(x != 20);
   return 0;
 }
-"""
+""", 20),
+    "above_assertion": ("""int main() {
+  int x = 0;
+  int n = *;
+  while (n > 0) {
+    x++;
+    n--;
+  }
+  // P(x) {x == 0}
+  assert(x == 0);
+  return 0;
+}
+""", 1),
+}
 
 
 @pytest.mark.xfail(strict=True, reason="planted invariants are assumed "
                    "without being checked (ROADMAP item 1)")
-def test_wrong_comment_invariant_does_not_prove(tmp_path):
-    f = tmp_path / "wrong_invariant.mc"
-    f.write_text(WRONG_INVARIANT)
+@pytest.mark.parametrize("name", sorted(WRONG_INVARIANTS))
+def test_wrong_comment_invariant_does_not_prove(name, tmp_path):
+    source, depth = WRONG_INVARIANTS[name]
+    f = tmp_path / f"{name}.mc"
+    f.write_text(source)
     v = verify_file(str(f), KInductionConfig(invariants_mode="comments"))
-    assert (v.status, v.decided_by, v.k_at_decision) == (FALSE, "BASE", 20)
+    assert (v.status, v.decided_by, v.k_at_decision) == (FALSE, "BASE", depth)
+
+
+# C promotes unsigned char operands to int before it adds or compares
+# them (C11 6.3.1.1, 6.3.1.8); gcc agrees with each expected verdict.
+UNSIGNED_CHAR_PROMOTIONS = [
+    ("""int main() {
+  unsigned char a = *, b = *;
+  assume(a > 200);
+  assume(b > 200);
+  assert(a + b < 256);
+  return 0;
+}
+""", FALSE),
+    ("""int main() {
+  unsigned char a = 255, b = 1;
+  assert(a + b != 256);
+  return 0;
+}
+""", FALSE),
+    ("""int main() {
+  unsigned char c = 200;
+  int x = -1;
+  assert(c > x);
+  return 0;
+}
+""", TRUE),
+    ("""int main() {
+  unsigned char a = 255, b = 1;
+  int s = a + b;
+  assert(s == 256);
+  return 0;
+}
+""", TRUE),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="operands are typed by the MiniC "
+                   "rule, not C's integer promotions (ROADMAP item 2)")
+def test_unsigned_char_arithmetic_follows_c(tmp_path):
+    statuses = []
+    for i, (source, _) in enumerate(UNSIGNED_CHAR_PROMOTIONS):
+        f = tmp_path / f"promote{i}.mc"
+        f.write_text(source)
+        statuses.append(verify_file(str(f)).status)
+    assert statuses == [want for _, want in UNSIGNED_CHAR_PROMOTIONS]
 
 
 def recorded(monkeypatch):

@@ -1,12 +1,14 @@
 """Source hygiene checks that need no linter: every name a module of the
-package imports is used in that module."""
+package imports is used in that module, and every function, class and
+method the package defines is read somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kinduct"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kinduct"
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +36,50 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> list:
+    """(name, is a method) for every function and class `source` defines,
+    nested ones included, dunders excepted."""
+    tree = ast.parse(source)
+    methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for m in c.body}
+    return [(n.name, id(n) in methods) for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+
+def reads(sources) -> tuple:
+    """The names the sources read as plain names, and as attributes."""
+    names, attrs = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def unread(defined: list, names: set, attrs: set) -> list:
+    """The definitions nothing reads.  A method is read only as an
+    attribute; a plain name of the same spelling is another thing."""
+    return sorted(name for name, method in defined
+                  if name not in attrs and (method or name not in names))
+
+
+def test_scan_finds_unread_definitions():
+    source = ("class A:\n    def m(self): pass\n    def n(self): pass\n"
+              "    def __len__(self): return 0\n"
+              "def f():\n    def g(): pass\n    n = 1\n    return A().m, n\n"
+              "def h(): return f()\n")
+    assert unread(definitions(source), *reads([source])) == ["g", "h", "n"]
+
+
+def test_every_definition_is_read():
+    defined = [d for path in sorted(SRC.glob("*.py"))
+               for d in definitions(path.read_text())]
+    sources = [path.read_text() for top in ("src", "tests", "kbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(defined) > 300
+    assert unread(defined, *reads(sources)) == []

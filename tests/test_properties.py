@@ -11,7 +11,7 @@ from kinduct.interp import COMPLETED, SequentialProvider, run_ast, run_goto
 from kinduct.invariants import infer_invariants, instrument
 from kinduct.solver import SAT, Session, bitblast, solve
 from kinduct.transform import Phase, unwind
-from kinduct.vcgen import SsaCheckpoint, dump_ssa, encode, to_ssa
+from kinduct.vcgen import dump_ssa, encode, to_ssa
 from conftest import compile_mc
 
 VARS = ("a", "b", "c")
@@ -318,27 +318,24 @@ def test_base_case_matches_oracle_on_generated_loops(op, bound, step, avoid, k,
 @given(st.lists(affine_stmts, min_size=1, max_size=3), byte, byte,
        st.integers(min_value=0, max_value=4), st.booleans())
 def test_resumed_queries_match_queries_from_nothing(stmts, a, b, c, builtin):
-    # The driver's query order through per-family checkpoints and
-    # sessions, against conversion and blasting from nothing in sessions
-    # of their own: the same SSA and the same CNF at every query.
+    # The driver's query order through per-family sessions, each resumed
+    # from its snapshot, against conversion and blasting from nothing in
+    # sessions of their own: the same SSA and the same CNF at every query.
     src = program(stmts, {"a": a, "b": b, "c": c}).replace(
         "  return 0;", "  assert(a != b || c == 1);\n  return 0;")
     g = lower(typecheck(parse(src)))
     if builtin:
         g = instrument(g, infer_invariants(g))
-    concrete, inductive = SsaCheckpoint(), SsaCheckpoint()
-    checkpoints = {Phase.BASE: concrete, Phase.FORWARD: concrete,
-                   Phase.INDUCTIVE: inductive}
     sessions = {phase: (Session(), Session()) for phase in Phase}
     sessions[Phase.FORWARD] = sessions[Phase.BASE]
     order = [(Phase.BASE, 1)] + [(phase, k) for k in range(2, 5) for phase in
                                  (Phase.FORWARD, Phase.INDUCTIVE, Phase.BASE)]
     for phase, k in order + [(Phase.BASE, 9)]:
         u = unwind(g, k, phase)
-        s, fresh = to_ssa(u, None, checkpoints[phase]), to_ssa(u)
+        resumed, full = sessions[phase]
+        s, fresh = to_ssa(u, None, resumed.snapshot), to_ssa(u)
         assert (dump_ssa(s), s.symbols, s.draw_symbols) == \
             (dump_ssa(fresh), fresh.symbols, fresh.draw_symbols)
-        resumed, full = sessions[phase]
         x = bitblast(encode(s, phase), resumed)
         y = bitblast(encode(fresh, phase), full)
         assert (x.num_vars, x.clauses, x.goal) == (y.num_vars, y.clauses, y.goal)

@@ -22,7 +22,7 @@ from kinduct.solver import (
     _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
 )
 from kinduct.transform import DeadlineExceeded, Phase, unwind
-from kinduct.vcgen import SsaCheckpoint, VcFormula, encode, eval_formula, to_ssa
+from kinduct.vcgen import VcFormula, encode, eval_formula, to_ssa
 from conftest import compile_mc, corpus_path, satisfies
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -874,20 +874,22 @@ def test_sat_answer_keeps_its_heap_entries():
 @pytest.mark.parametrize("name", ["fig1_unsigned.mc", "assert_inside.mc",
                                   "mod_wrong_bug.mc", "two_loops.mc"])
 def test_resumed_queries_blast_to_the_same_cnf(name):
-    # One session resumes each conversion from its family's checkpoint,
+    # One session resumes each conversion from its family's last state,
     # the other converts and blasts every query in full.  Both see every
     # phase, so the first switches between the two families' states and
     # blasts in full a query whose state it did not keep last.
     g = load_program(str(corpus_path(name)), KInductionConfig())
     resumed, full = Session(), Session()
-    checkpoints = {Phase.BASE: SsaCheckpoint(), Phase.INDUCTIVE: SsaCheckpoint()}
-    checkpoints[Phase.FORWARD] = checkpoints[Phase.BASE]
+    snapshots = {False: None, True: None}   # per phase family
     for k in range(1, 9):
         for phase in (Phase.FORWARD, Phase.INDUCTIVE, Phase.BASE):
             if k == 1 and phase is not Phase.BASE:
                 continue
             u = unwind(g, k, phase)
-            a = bitblast(encode(to_ssa(u, None, checkpoints[phase]), phase), resumed)
+            family = phase is Phase.INDUCTIVE
+            s = to_ssa(u, None, snapshots[family])
+            snapshots[family] = s.captured or snapshots[family]
+            a = bitblast(encode(s, phase), resumed)
             b = bitblast(encode(to_ssa(u), phase), full)
             assert (a.num_vars, a.clauses, a.goal) == (b.num_vars, b.clauses, b.goal)
             assert dict(a.bit_map) == dict(b.bit_map)

@@ -1,13 +1,15 @@
 """SSA conversion and per-phase formula shapes."""
 
+import time
+
 import pytest
 
 from kinduct import oracle
 from kinduct.driver import FALSE, KInductionConfig, load_program, verify_file
 from kinduct.frontend import Var, pp_expr
 from kinduct.solver import SAT, UNSAT, bitblast, solve
-from kinduct.transform import Phase, copy_layout, unwind
-from kinduct.vcgen import SsaCheckpoint, dump_ssa, encode, to_ssa
+from kinduct.transform import DeadlineExceeded, Phase, unwind
+from kinduct.vcgen import dump_ssa, encode, to_ssa
 from conftest import (
     COUNT_UP, FIG1, compile_mc, corpus_entries, corpus_path, satisfies,
 )
@@ -213,47 +215,69 @@ def test_resumed_conversion_equals_a_fresh_one(mode):
     resumed = 0
     for path, _, _ in corpus_entries():
         g = load_program(str(path), KInductionConfig(invariants_mode=mode))
-        concrete, inductive = SsaCheckpoint(), SsaCheckpoint()
+        snapshots = {False: None, True: None}   # per phase family
         for phase, k in order:
-            cp = inductive if phase is Phase.INDUCTIVE else concrete
-            s = to_ssa(unwind(g, k, phase), None, cp)
+            family = phase is Phase.INDUCTIVE
+            s = to_ssa(unwind(g, k, phase), None, snapshots[family])
             fresh = to_ssa(unwind(g, k, phase))
             assert ssa_text(s) == ssa_text(fresh), (path.name, phase, k)
             assert pp_expr(encode(s, phase).goal) == pp_expr(encode(fresh, phase).goal)
             if s.resumed is not None:
                 resumed += 1
-                assert s.resumed.copies <= k
+                assert s.resumed.k <= k
                 assert s.definitions[:len(s.resumed.ssa.definitions)] \
                     == s.resumed.ssa.definitions
             if s.captured is not None:
-                assert s.captured is cp.snapshot and s.captured.copies == k
-        assert (concrete.snapshot is None) == (copy_layout(g, Phase.BASE) is None)
+                assert s.captured.k == k
+                snapshots[family] = s.captured
+        assert (snapshots[False] is None) == \
+            (unwind(g, 1, Phase.BASE).layout is None)
     assert resumed > 100
 
 
 def test_copy_layout_needs_a_first_loop_without_inner_loops():
-    def layout(name, phase=Phase.BASE):
-        return copy_layout(load_program(str(corpus_path(name)),
-                                        KInductionConfig(invariants_mode="none")), phase)
+    def layout(name, phase=Phase.BASE, k=3):
+        g = load_program(str(corpus_path(name)),
+                         KInductionConfig(invariants_mode="none"))
+        return unwind(g, k, phase).layout
     assert layout("nested_sum.mc") is None        # an inner loop
     assert layout("straightline_safe.mc") is None  # no loop
     # two_loops: a, b initialised, then the first loop; a copy is its body
-    assert layout("two_loops.mc") == (2, 1)
+    assert layout("two_loops.mc") == (2, 1) == layout("two_loops.mc", k=1)
     # INDUCTIVE: one havoc before copy 1, a shadow and a stutter per copy
     assert layout("two_loops.mc", Phase.INDUCTIVE) == (3, 3)
     g = compile_mc("""int main() { unsigned int x = 0; unsigned int c = *;
       if (c) { while (x < 2) { x = x + 1; } }
       while (x < 3) { x = x + 1; }
       assert(x <= 3); return 0; }""")
-    assert copy_layout(g, Phase.BASE) is None     # a loop before it
+    assert unwind(g, 3, Phase.BASE).layout is None   # a loop before it
+    g = compile_mc("""int main() { unsigned int x = 0; unsigned int c = *;
+      if (c) { while (x < 2) { x = x + 1; } }
+      assert(x <= 2); return 0; }""")
+    assert unwind(g, 3, Phase.BASE).layout is None   # the loop is in an if
 
 
 def test_checkpoint_serves_one_program_and_phase_family():
     g = compile_mc(FIG1)
-    cp = SsaCheckpoint()
-    to_ssa(unwind(g, 2, Phase.BASE), None, cp)
-    to_ssa(unwind(g, 3, Phase.FORWARD), None, cp)
+    snap = to_ssa(unwind(g, 2, Phase.BASE)).captured
+    assert snap.k == 2
+    assert to_ssa(unwind(g, 3, Phase.FORWARD), None, snap).resumed is snap
     with pytest.raises(ValueError):
-        to_ssa(unwind(g, 3, Phase.INDUCTIVE), None, cp)
+        to_ssa(unwind(g, 3, Phase.INDUCTIVE), None, snap)
+    # a second compile of the same source is another program, though
+    # the two compare equal
+    other = compile_mc(FIG1)
+    assert other == g
     with pytest.raises(ValueError):
-        to_ssa(unwind(compile_mc(FIG1), 3, Phase.BASE), None, cp)
+        to_ssa(unwind(other, 3, Phase.BASE), None, snap)
+
+
+def test_expired_deadline_stops_a_resumed_conversion():
+    g = compile_mc(FIG1)
+    snap = to_ssa(unwind(g, 2, Phase.BASE)).captured
+    u = unwind(g, 400, Phase.BASE)
+    assert to_ssa(u, None, snap).resumed is snap
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        to_ssa(u, time.monotonic() - 1.0, snap)
+    assert time.monotonic() - start < 0.5
