@@ -106,7 +106,7 @@ def _classify(expected: str, status: str) -> str:
 
 def _run_entry(entry: ManifestEntry, cfg: KInductionConfig) -> BenchRow:
     start = time.monotonic()
-    if not Path(entry.path).is_file():
+    if not Path(entry.path).exists():
         return BenchRow(entry.path, entry.expected, entry.category,
                         "INVALID", None, None, 0, "invalid", "file not found")
     try:

@@ -6,8 +6,8 @@ invariant comments and a source that cannot be read as UTF-8 text
 included), 4 an internal error of the checker (such as a counterexample
 that fails to replay, or a `SolverError` from encoding a query), whose
 traceback goes to stderr.  `bench` exits 0, or
-3 on a usage error, or 4 when an entry hit an internal error of the
-checker.
+3 on a usage error (a manifest that cannot be read or parsed included),
+or 4 when an entry hit an internal error of the checker.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _cmd_bench(args) -> int:
     try:
         cfg = _config(args)
         manifest = parse_manifest(args.manifest)
-    except (ValueError, ManifestError, FileNotFoundError) as e:
+    except (ValueError, ManifestError, OSError) as e:
         print(f"kinduct: error: {e}", file=sys.stderr)
         return EXIT_USAGE
     report = run_suite(manifest, cfg, jobs=args.jobs)

@@ -10,12 +10,23 @@ The gates are exact Tseitin definitions: 2-input AND (3 clauses), XOR
 and if-then-else (4), majority (6), 3-input parity (8) and n-ary AND/OR
 (n+1).  A full adder is one parity and one majority gate (Een &
 Sorensson, "Translating Pseudo-Boolean Constraints into SAT", JSAT 2006).
-Equality and non-zero tests are one n-ary gate.  A comparison reads only
-the carry out of a + ~b + 1, so it builds the carry chain alone, one
-majority gate per bit: the sum bits of a subtractor would be dead
-gates, outside the goal's cone but still loaded and propagated by the
-solver.  Each gate first folds constant, repeated and complementary
-inputs, then looks itself up in its cache.
+Equality and non-zero tests are one n-ary gate.  A comparison of two
+words reads only the carry out of a + ~b + 1, so it builds the carry
+chain alone, one majority gate per bit: the sum bits of a subtractor
+would be dead gates, outside the goal's cone but still loaded and
+propagated by the solver.  A comparison with a constant is rewritten
+first, as word-level rewriting before blasting does in Boolector
+(Brummayer & Biere, TACAS 2009).  Unsigned, with c = c'·2^t and c' odd,
+a < c iff a[t:] < c'.  For c' = 1 that is "a[t:] is zero", the negated
+non-zero test.  Otherwise the bits of a[t:] above c''s top bit must be
+zero, and the carry chain over the bits below decides.  c < a is the
+negation of a < c + 1, or FALSE for the largest c.  So `x > 0`,
+`0 < x`, `x >= 1`, `x < 1` and `x <= 0` blast to the one gate that
+`x != 0`, `x == 0` and `if (x)` read, and the solver need not learn,
+bit by bit, that they agree.  Signed, a constant sign bit either
+decides the comparison or leaves it to the low bits, compared unsigned.
+Each gate first folds constant, repeated and complementary inputs, then
+looks itself up in its cache.
 
 Division and remainder build a restoring divider, except by a divisor
 whose bits are all constant with value c = 2^s, positive when signed,
@@ -68,7 +79,9 @@ any values of the free bits the clauses have exactly one satisfying
 extension, so each query is equisatisfiable with "clauses and goal".
 A wired division keeps this: its slices add no variable and no clause,
 and its signed bias and subtraction are adder gates like any other, so
-there is still exactly one extension per input.
+there is still exactly one extension per input.  A comparison with a
+constant keeps it too: it emits only n-ary AND/OR gates, 2-input
+gates and carry-chain majority gates, each defining a fresh output.
 An UNSAT answer keeps -goal at level 0, so asking the same goal again
 costs no search.
 
@@ -93,12 +106,12 @@ the negative slots stay at the end.
 The engine adopts the clause lists it loads, as it loads them: a
 session's clauses are stored once, and the engine reorders their
 literals.  `solve` without a session hands the engine copies, so the
-caller's CnfInstance is left intact.  A 2- or 3-literal clause of
-distinct, non-complementary, unassigned literals (nearly all
-bit-blaster output) is stored as is.  Any other clause is deduplicated,
-dropped if it is a tautology, and stripped of literals false at level
-0; a unit is enqueued but not propagated until search starts.  Literals
-must be nonzero with magnitude at most num_vars.
+caller's CnfInstance is left intact.  A clause of 2, 3 or 4 literals
+over distinct, unassigned variables (nearly all bit-blaster output, the
+8 clauses of a parity gate included) is stored as is.  Any other clause
+is deduplicated, dropped if it is a tautology, and stripped of literals
+false at level 0; a unit is enqueued but not propagated until search
+starts.  Literals must be nonzero with magnitude at most num_vars.
 
 The VSIDS order is a lazy binary heap of (-activity, var) entries.
 `pushed[v]` is the activity in v's newest entry.  A variable is pushed
@@ -369,19 +382,54 @@ class _Blaster:
         return self.v_add(a, [-x for x in b], TRUE_LIT)
 
     def v_ult(self, a: list, b: list) -> int:
-        # The carry chain of a + ~b + 1 alone: carry out == 1 iff a >= b.
+        """a < b, unsigned.  Against a constant c on the right,
+        `_ult_const`; on the left, c < b is not b < c + 1, and FALSE for
+        the largest c.  Otherwise the carry chain alone (`_borrow`)."""
+        c = _const_value(b)
+        if c is not None:
+            return self._ult_const(a, c)
+        c = _const_value(a)
+        if c is not None:
+            return FALSE_LIT if (c + 1) >> len(a) else -self._ult_const(b, c + 1)
+        return self._borrow(a, b)
+
+    def _borrow(self, a: list, b: list) -> int:
+        # The carry chain of a + ~b + 1: carry out == 1 iff a >= b.
         carry = TRUE_LIT
         for x, y in zip(a, b):
             carry = self.g_maj(x, -y, carry)
         return -carry
 
+    def _ult_const(self, a: list, c: int) -> int:
+        """a < c for a constant c = c'·2^t, c' odd: that is a[t:] < c'.
+        For c' = 1 it is a[t:] == 0, the literal every zero test reads;
+        else the bits of a[t:] above c''s top bit are zero and the carry
+        chain over the bits below decides."""
+        if c == 0:
+            return FALSE_LIT
+        t = (c & -c).bit_length() - 1
+        a, c = a[t:], c >> t
+        if c == 1:
+            return -self.v_nonzero(a)
+        h = c.bit_length()
+        return self.g_and(-self.v_nonzero(a[h:]),
+                          self._borrow(a[:h], self.const_bits(c, h)))
+
     def v_lt(self, a: list, b: list, signed: bool) -> int:
         if not signed:
             return self.v_ult(a, b)
-        # Flip sign bits to map signed order onto unsigned order.
-        a2 = a[:-1] + [-a[-1]]
-        b2 = b[:-1] + [-b[-1]]
-        return self.v_ult(a2, b2)
+        sa, sb = a[-1], b[-1]
+        if abs(sa) != TRUE_LIT and abs(sb) != TRUE_LIT:
+            # Flip sign bits to map signed order onto unsigned order.
+            return self.v_ult(a[:-1] + [-sa], b[:-1] + [-sb])
+        # A constant sign bit: a < b iff a is negative and b is not, or
+        # the signs agree and the low bits compare below, unsigned.
+        low = self.v_ult(a[:-1], b[:-1])
+        if sb == TRUE_LIT:
+            return self.g_and(sa, low)
+        if sb == FALSE_LIT:
+            return self.g_or(sa, low)
+        return self.g_or(-sb, low) if sa == TRUE_LIT else self.g_and(-sb, low)
 
     def v_eq(self, a: list, b: list) -> int:
         return self.g_and_n([-self.g_xor(x, y) for x, y in zip(a, b)])
@@ -596,15 +644,21 @@ class _Blaster:
 def _pow2_shift(b: list, signed: bool) -> int | None:
     """s when the bits `b` are all constant with value 2^s, and that value
     is positive read as `signed`; else None."""
+    value = _const_value(b)
+    if not value or value & (value - 1) or (signed and b[-1] == TRUE_LIT):
+        return None
+    return value.bit_length() - 1
+
+
+def _const_value(bits: list) -> int | None:
+    """The unsigned value of `bits` when every bit is constant, else None."""
     value = 0
-    for i, bit in enumerate(b):
+    for i, bit in enumerate(bits):
         if bit == TRUE_LIT:
             value |= 1 << i
         elif bit != FALSE_LIT:
             return None
-    if value == 0 or value & (value - 1) or (signed and b[-1] == TRUE_LIT):
-        return None
-    return value.bit_length() - 1
+    return value
 
 
 def _operands(e: Expr) -> tuple:
@@ -877,8 +931,9 @@ class _Cdcl:
         store = self.clauses
         ci = len(store)
         for c in clauses:
-            # Fast path: distinct, non-complementary, unassigned literals
-            # need no dedupe or filtering (most bit-blaster clauses).
+            # Fast path: 2 to 4 literals over distinct, unassigned
+            # variables need no dedupe or filtering (most bit-blaster
+            # clauses).
             size = len(c)
             if size == 3:
                 a, b, d = c
@@ -893,6 +948,15 @@ class _Cdcl:
             elif size == 2:
                 a, b = c
                 if a != b and a != -b and not (val[a] or val[b]):
+                    watches[a].append(ci)
+                    watches[b].append(ci)
+                    store.append(c)
+                    ci += 1
+                    continue
+            elif size == 4:
+                a, b, d, e = c
+                if (len({abs(a), abs(b), abs(d), abs(e)}) == 4
+                        and not (val[a] or val[b] or val[d] or val[e])):
                     watches[a].append(ci)
                     watches[b].append(ci)
                     store.append(c)

@@ -107,6 +107,17 @@ def test_missing_file_is_invalid(tmp_path):
     assert report.invalid == 1 and report.score == 0
 
 
+def test_directory_entry_is_unreadable_not_missing(tmp_path):
+    (tmp_path / "dir.mc").mkdir()
+    path = tmp_path / "m.tsv"
+    path.write_text("dir.mc\tsafe\tmisc\n")
+    report = run_suite(parse_manifest(str(path)))
+    (row,) = report.rows
+    assert (row.verdict, row.classification) == ("INVALID", "invalid")
+    assert "cannot read: Is a directory" in row.error
+    assert (report.invalid, report.internal_errors) == (1, 0)
+
+
 def test_unparseable_file_is_invalid(tmp_path):
     (tmp_path / "ptr.mc").write_text("int main() { int *p; return 0; }\n")
     path = tmp_path / "m.tsv"

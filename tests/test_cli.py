@@ -275,6 +275,13 @@ def test_bench_manifest_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bench_manifest_directory_is_a_usage_error(tmp_path, capsys):
+    assert run("bench", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("kinduct: error: ")
+    assert "Is a directory" in err[0]
+
+
 @pytest.mark.skipif(shutil.which("kinduct") is None,
                     reason="console script not on PATH")
 def test_installed_entry_point():

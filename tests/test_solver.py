@@ -16,7 +16,7 @@ import pytest
 
 from kinduct import solver
 from kinduct.driver import KInductionConfig, load_program
-from kinduct.frontend import Binary, Cast, Const, IntType, Unary, Var
+from kinduct.frontend import Binary, Cast, Cond, Const, IntType, Unary, Var
 from kinduct.solver import (
     BUDGET, FALSE_LIT, SAT, TRUE_LIT, UNSAT, CnfInstance, Session, SolverError,
     _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
@@ -409,10 +409,12 @@ def test_stored_queries_have_their_recorded_size():
 # constant divisor stopped drawing a divide-by-zero symbol (fewer free
 # variables, same clauses) and stutter shadows became unguarded aliases.
 # Re-recorded when a power-of-two divisor became bit slices: the BASE
-# query's `% 8` is wired, not divided.
+# query's `% 8` is wired, not divided.  Re-recorded when a comparison
+# with a constant became a zero test of its high bits and a short carry
+# chain: fig1_unsigned's `x > 0` and `x == 0` are now one gate.
 @pytest.mark.parametrize("name,phase,k,size,expected", [
-    ("mod_wrong_bug.mc", Phase.BASE, 7, (767, 2670), (SAT, 37, 6, 1185)),
-    ("fig1_unsigned.mc", Phase.INDUCTIVE, 2, (358, 1160), (UNSAT, 65, 34, 6942)),
+    ("mod_wrong_bug.mc", Phase.BASE, 7, (744, 2841), (SAT, 37, 6, 1447)),
+    ("fig1_unsigned.mc", Phase.INDUCTIVE, 2, (329, 1133), (UNSAT, 64, 4, 283)),
 ])
 def test_bound_query_goldens(name, phase, k, size, expected):
     cnf = corpus_query(name, phase, k)
@@ -746,6 +748,53 @@ def test_unsigned_power_of_two_divisor_adds_no_gate(op):
         r_bits = [cnf.bit_map[("r", i)] for i in range(8)]
         assert r_bits == (x_bits[3:] + [FALSE_LIT] * 3 if op == "/"
                           else x_bits[:3] + [FALSE_LIT] * 5)
+
+
+U6 = IntType(6, False)
+S6 = IntType(6, True)
+
+
+@pytest.mark.parametrize("ty", [U6, S6], ids=["unsigned", "signed"])
+def test_comparison_with_a_constant_matches_evaluator(ty):
+    # Every ordering operator against every constant, on either side, in
+    # one CNF solved once per value of x.
+    x = var("x", ty)
+    exprs = [Binary(op, *pair, ty=B1)
+             for op in ("<", "<=", ">", ">=")
+             for c in range(1 << ty.width)
+             for pair in ((x, Const(ty.wrap(c), ty=ty)),
+                          (Const(ty.wrap(c), ty=ty), x))]
+    names = [f"r{i}" for i in range(len(exprs))]
+    cnf = bitblast(formula(Const(1, ty=B1), {"x": ty, **dict.fromkeys(names, B1)},
+                           list(zip(names, exprs))))
+    for value in range(1 << ty.width):
+        model = {"x": ty.wrap(value)}
+        out = solve_with_inputs(cnf, {"x": value}, ty.width)
+        assert out.status == SAT
+        assert out.model == {**model, **{n: eval_formula(e, model)
+                                         for n, e in zip(names, exprs)}}
+
+
+def test_zero_tests_share_one_literal():
+    # x > 0, 0 < x, x >= 1, x != 0 and `if (x)` are one literal, and
+    # x == 0, x < 1, x <= 0 and !x its negation: the n-ary OR of x's bits.
+    x = var("x", U8)
+
+    def c(v):
+        return Const(v, ty=U8)
+
+    nonzero = [Binary(">", x, c(0), ty=B1), Binary("<", c(0), x, ty=B1),
+               Binary(">=", x, c(1), ty=B1), Binary("!=", x, c(0), ty=B1),
+               Cond(cond=x, then=Const(1, ty=B1), els=Const(0, ty=B1), ty=B1)]
+    zero = [Binary("==", x, c(0), ty=B1), Binary("<", x, c(1), ty=B1),
+            Binary("<=", x, c(0), ty=B1), Unary("!", x, ty=B1)]
+    names = [f"r{i}" for i in range(len(nonzero + zero))]
+    cnf = bitblast(formula(Const(1, ty=B1), {"x": U8, **dict.fromkeys(names, B1)},
+                           list(zip(names, nonzero + zero))))
+    is_zero = cnf.num_vars   # the one gate: x's 8 free bits, then it
+    assert [cnf.bit_map[(n, 0)] for n in names] == \
+        [-is_zero] * len(nonzero) + [is_zero] * len(zero)
+    assert (cnf.num_vars, len(cnf.clauses)) == (1 + 8 + 1, 1 + 9)
 
 
 def test_one_session_keeps_signedness_apart():
