@@ -106,9 +106,6 @@ def _classify(expected: str, status: str) -> str:
 
 def _run_entry(entry: ManifestEntry, cfg: KInductionConfig) -> BenchRow:
     start = time.monotonic()
-    if not Path(entry.path).exists():
-        return BenchRow(entry.path, entry.expected, entry.category,
-                        "INVALID", None, None, 0, "invalid", "file not found")
     try:
         verdict = verify_file(entry.path, cfg)
     except MiniCError as e:

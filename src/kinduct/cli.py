@@ -2,12 +2,15 @@
 
 Exit codes for `verify`: 0 the property holds, 1 a counterexample was
 found, 2 undecided, 3 usage or parse errors (any `MiniCError`, errors in
-invariant comments and a source that cannot be read as UTF-8 text
-included), 4 an internal error of the checker (such as a counterexample
-that fails to replay, or a `SolverError` from encoding a query), whose
-traceback goes to stderr.  `bench` exits 0, or
-3 on a usage error (a manifest that cannot be read or parsed included),
-or 4 when an entry hit an internal error of the checker.
+invariant comments, a source that cannot be read as UTF-8 text and an
+emit directory that cannot be made included), 4 an internal error of the
+checker (such as a counterexample that fails to replay, or a
+`SolverError` from encoding a query), whose traceback goes to stderr.
+`bench` exits 0, or 3 on a usage error (a manifest that cannot be read
+or parsed, an emit directory that cannot be made and a report file that
+cannot be opened for writing included), or 4 when an entry hit an
+internal error of the checker.  Output paths are checked before any
+query runs.
 """
 
 from __future__ import annotations
@@ -65,15 +68,17 @@ def _add_verify_options(p: argparse.ArgumentParser):
                    help="write one DIMACS file per discharged query")
 
 
-def _depth(text: str) -> int:
-    k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {k}")
-    return k
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def _config(args) -> KInductionConfig:
-    return KInductionConfig(
+    """The run's config.  Its emit directories are made here, so one
+    that cannot be made is an OSError before any query runs."""
+    cfg = KInductionConfig(
         max_iterations=args.k_max,
         recheck_increment=args.recheck_inc,
         timeout_seconds=args.timeout,
@@ -82,6 +87,10 @@ def _config(args) -> KInductionConfig:
         emit_smt_dir=args.emit_smt,
         emit_cnf_dir=args.emit_cnf,
     )
+    for d in (cfg.emit_smt_dir, cfg.emit_cnf_dir):
+        if d:
+            Path(d).mkdir(parents=True, exist_ok=True)
+    return cfg
 
 
 def _loc_json(loc):
@@ -96,7 +105,7 @@ def _trace_json(trace):
 def _cmd_verify(args) -> int:
     try:
         cfg = _config(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"kinduct: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -146,6 +155,9 @@ def _cmd_bench(args) -> int:
     try:
         cfg = _config(args)
         manifest = parse_manifest(args.manifest)
+        for out in (args.json, args.csv):
+            if out:
+                open(out, "a").close()   # fail now, not after the suite
     except (ValueError, ManifestError, OSError) as e:
         print(f"kinduct: error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -177,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dump-unwound", choices=[p.value for p in Phase],
                     metavar="PHASE",
                     help="print the unwound program for PHASE and exit")
-    pv.add_argument("--k", type=_depth, default=1, metavar="K",
+    pv.add_argument("--k", type=_positive, default=1, metavar="K",
                     help="unwinding depth for --dump-unwound (default 1)")
     pv.set_defaults(func=_cmd_verify)
 
     pb = sub.add_parser("bench", help="run a manifest of labeled programs")
     pb.add_argument("manifest", help="manifest file (path\texpected\tcategory)")
     _add_verify_options(pb)
-    pb.add_argument("--jobs", type=int, default=1, metavar="N",
+    pb.add_argument("--jobs", type=_positive, default=1, metavar="N",
                     help="run N entries in parallel")
     pb.add_argument("--json", metavar="OUT", help="write the report as JSON")
     pb.add_argument("--csv", metavar="OUT", help="write per-entry rows as CSV")

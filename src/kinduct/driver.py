@@ -81,6 +81,8 @@ class KInductionConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.recheck_increment < 1:
             raise ValueError("recheck_increment must be >= 1")
+        if self.timeout_seconds < 0:
+            raise ValueError("timeout_seconds must be >= 0")
         if self.invariants_mode not in INVARIANT_MODES:
             raise ValueError(f"unknown invariants mode {self.invariants_mode!r}")
 

@@ -120,7 +120,7 @@ class GotoProgram:
     def __post_init__(self):
         ids = [i.loop_id for i in items_in(self.tree) if isinstance(i, LoopItem)]
         if len(ids) != len(set(ids)):
-            raise LoweringError("two loops share a loop id")
+            raise ValueError("two loops share a loop id")
 
     @cached_property
     def _flat(self) -> tuple:
@@ -177,9 +177,6 @@ class _Lowerer:
         self.loop_ids = itertools.count()
         self.site_count = 0
 
-    def fail(self, msg: str, loc):
-        raise LoweringError(msg, loc, self.prog.file)
-
     def declare(self, name: str, ty: IntType):
         self.symbols[name] = ty
 
@@ -187,7 +184,7 @@ class _Lowerer:
         tree: list = []
         for g in self.prog.globals:
             if g.rid is None:
-                self.fail("lowering requires a type-checked program", g.loc)
+                raise ValueError("lowering requires a type-checked program")
             self.declare(g.rid, g.decl_ty)
             init = g.init
             if init is None:
@@ -236,7 +233,8 @@ class _Lowerer:
                 return out, rest_done
             if isinstance(s, (While, For, DoWhile)) and any(
                     isinstance(n, Return) for n in walk(s)):
-                self.fail("return inside a loop is not supported", s.loc)
+                raise LoweringError("return inside a loop is not supported",
+                                    s.loc, self.prog.file)
             out.append(s)
         return out, False
 
@@ -345,7 +343,7 @@ class _Lowerer:
             if isinstance(node, Cond):
                 return Cond(copy(node.cond), copy(node.then), copy(node.els),
                             ty=node.ty, loc=node.loc)
-            raise LoweringError(f"cannot lower expression {node!r}", node.loc)
+            raise TypeError(f"cannot lower expression {node!r}")
 
         return out, copy(e)
 
@@ -354,7 +352,7 @@ class _Lowerer:
         checker keeps free of calls."""
         pre, expr = self.lower_expr(e, rename)
         if pre:
-            self.fail("unexpected function call", e.loc)
+            raise ValueError("unexpected function call")
         return expr
 
     def inline_call(self, call: Call, rename: dict) -> tuple:

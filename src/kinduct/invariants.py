@@ -49,10 +49,10 @@ class AffineConstraint:
 
     def __post_init__(self):
         if not any(c for c, _ in self.terms):
-            raise InvariantError("constraint needs a nonzero term")
+            raise ValueError("constraint needs a nonzero term")
         names = [v for _, v in self.terms]
         if len(names) != len(set(names)):
-            raise InvariantError("constraint repeats a variable")
+            raise ValueError("constraint repeats a variable")
 
 
 def lower_bound(v: str, lo: int) -> AffineConstraint:
@@ -76,7 +76,7 @@ def _shape(c: AffineConstraint) -> tuple:
     `infer_invariants` emits: a bound, a point, a difference or a sum."""
     shape = (tuple(coef for coef, _ in c.terms), c.relation)
     if shape not in _SHAPES:
-        raise InvariantError(f"unsupported constraint shape {c}")
+        raise ValueError(f"unsupported constraint shape {c}")
     return shape
 
 
@@ -101,7 +101,7 @@ def constraint_to_expr(c: AffineConstraint, symbols: dict) -> Expr:
     wrapping because exact equality implies modular equality."""
     for _, v in c.terms:
         if v not in symbols:
-            raise InvariantError(f"constraint references unknown variable {v}")
+            raise ValueError(f"constraint references unknown variable {v}")
     coefs, relation = _shape(c)
     names, k = [v for _, v in c.terms], c.constant
     ty = symbols[names[0]]

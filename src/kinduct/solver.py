@@ -44,9 +44,9 @@ Only names without a definition get fresh variables.  A defined name is
 bound to the literals its right-hand side blasts to, so a constant
 initialiser and everything computed from it fold into constant bits at
 blast time, and copying or negating a word adds no clause.  A symbol bit
-may therefore be any literal, negated or constant; `bit_map` records it
-and `decode_model` reads it.  The expression walk keeps an explicit
-stack, so deep unwindings do not hit Python's recursion limit.
+may therefore be any literal, negated or constant; `CnfInstance.bits`
+records it and `decode_model` reads it.  The expression walk keeps an
+explicit stack, so deep unwindings do not hit Python's recursion limit.
 
 Queries are blasted and solved in a `Session`: one blaster and one CDCL
 engine that live across the queries of a phase family (Een & Sorensson,
@@ -143,7 +143,7 @@ from .frontend import (
     Binary, Cast, Cond, Const, Expr, Nondet, Unary, Var,
 )
 from .transform import DeadlineExceeded
-from .vcgen import VcFormula
+from .vcgen import SsaProgram
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -163,7 +163,7 @@ class SolverError(Exception):
 class CnfInstance:
     num_vars: int = 1
     clauses: list = field(default_factory=list)
-    bit_map: Mapping = field(default_factory=dict)   # (symbol, bit) -> literal
+    bits: Mapping = field(default_factory=dict)   # symbol -> its literals
     symbols: dict = field(default_factory=dict)   # symbol -> IntType
     goal: int | None = None   # the literal the query assumes, if any
 
@@ -728,9 +728,10 @@ class Session:
 DEFS_PER_CHECK = 256
 
 
-def bitblast(f: VcFormula, session: Session | None = None,
+def bitblast(f: SsaProgram, session: Session | None = None,
              deadline: float | None = None) -> CnfInstance:
-    """Reduce the word-level query to CNF over per-bit variables.
+    """Reduce the word-level query `f.goal`, given the definitions of
+    `f` (see `vcgen.encode`), to CNF over per-bit variables.
 
     Only names without a definition (draws, carriers, havocked versions)
     get fresh variables, and only the first time the session meets them.
@@ -741,7 +742,7 @@ def bitblast(f: VcFormula, session: Session | None = None,
     bit vectors; each such vector is a table entry or a free name's bits,
     which the session keeps, so no id in a key is ever reused.
 
-    A formula converted from the state the session's last query left
+    A query converted from the state the session's last query left
     behind (`f.resumed is session.snapshot`) takes the bits of that
     state's names from `session.shared` and blasts only the definitions
     after them.  Its new nodes meet the snapshot's guard, assume prefix
@@ -750,9 +751,11 @@ def bitblast(f: VcFormula, session: Session | None = None,
     (`f.captured`), it becomes the session's snapshot, and its names'
     bits and those three nodes' bits are kept for the next query.
 
-    `bit_map` sends a (symbol, bit) to any literal: a variable, a negated
-    one, or the constant TRUE_LIT / FALSE_LIT.  It is a view of the
-    query's bits, read only by `decode_model` and `emit_dimacs`.  There is
+    `bits` maps each name to its literals, least significant bit first;
+    each may be a variable, a negated one, or the constant TRUE_LIT /
+    FALSE_LIT.  It is the query's own map, over `session.shared` for a
+    resumed query, so it may hold names outside `symbols`; `decode_model`
+    and `emit_dimacs` read it through `symbols`.  There is
     no root clause: the goal is returned as a literal, and `clauses`
     lists every clause of the session so far, each the definition of a
     gate.  Without a session the query gets a fresh one.  Past `deadline`
@@ -800,8 +803,8 @@ def bitblast(f: VcFormula, session: Session | None = None,
                 _keep(session, f.captured, symbol_bits, known)
     finally:
         bl.cache = dict(bl.kept)
-    return CnfInstance(bl.num_vars, list(bl.clauses),
-                       _BitMap(f.symbols, symbol_bits), f.symbols, goal)
+    return CnfInstance(bl.num_vars, list(bl.clauses), symbol_bits, f.symbols,
+                       goal)
 
 
 def _keep(session: Session, cap, symbol_bits, known: int):
@@ -820,28 +823,6 @@ def _keep(session: Session, cap, symbol_bits, known: int):
             bl.pinned.append(node)
 
 
-class _BitMap(Mapping):
-    """(symbol, bit) -> literal, read through a query's symbol bits."""
-
-    def __init__(self, symbols: dict, symbol_bits):
-        self.symbols = symbols
-        self.symbol_bits = symbol_bits
-
-    def __getitem__(self, key):
-        name, bit = key
-        if name not in self.symbols or not 0 <= bit < self.symbols[name].width:
-            raise KeyError(key)
-        return self.symbol_bits[name][bit]
-
-    def __iter__(self):
-        for name, ty in self.symbols.items():
-            for i in range(ty.width):
-                yield name, i
-
-    def __len__(self):
-        return sum(ty.width for ty in self.symbols.values())
-
-
 def decode_model(val: list, cnf: CnfInstance) -> dict:
     """Turn a solver's literal-indexed values (1 true, -1 false) into
     per-symbol integers."""
@@ -849,7 +830,7 @@ def decode_model(val: list, cnf: CnfInstance) -> dict:
     for name, ty in cnf.symbols.items():
         value = 0
         for i in range(ty.width):
-            if val[cnf.bit_map[(name, i)]] == 1:
+            if val[cnf.bits[name][i]] == 1:
                 value |= 1 << i
         model[name] = ty.wrap(value)
     return model
@@ -1283,7 +1264,7 @@ def solve(cnf: CnfInstance,
           deadline: float | None = None,
           session: Session | None = None) -> SolverOutcome:
     """Decide a CNF instance under its goal.  A SAT outcome decodes its
-    model through bit_map when `model` is first read.  Counts and the
+    model through `cnf.bits` when `model` is first read.  Counts and the
     conflict limit are this query's.
 
     `deadline` is a time.monotonic() timestamp; running past it yields
@@ -1314,8 +1295,10 @@ def emit_dimacs(cnf: CnfInstance) -> str:
     per symbol bit, ordered by variable.  The goal is written as a unit
     clause, so the file is the query on its own."""
     clauses = cnf.clauses if cnf.goal is None else cnf.clauses + [[cnf.goal]]
-    lines = [f"c {lit} = {name}[{bit}]" for (name, bit), lit in
-             sorted(cnf.bit_map.items(), key=lambda kv: abs(kv[1]))]
+    named = [(name, i, cnf.bits[name][i])
+             for name, ty in cnf.symbols.items() for i in range(ty.width)]
+    lines = [f"c {lit} = {name}[{bit}]" for name, bit, lit in
+             sorted(named, key=lambda t: abs(t[2]))]
     lines.append(f"p cnf {cnf.num_vars} {len(clauses)}")
     for cl in clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")
@@ -1419,7 +1402,7 @@ def _smt_node(e: Expr, args: list) -> str:
     raise SolverError(f"cannot emit {e!r}")
 
 
-def emit_smtlib(f: VcFormula) -> str:
+def emit_smtlib(f: SsaProgram) -> str:
     """Render the query as a QF_BV script for external cross-checking:
     the free names declared, each definition a `define-fun`, in order,
     then the goal asserted."""

@@ -29,8 +29,9 @@ assume appearing after the assertion must not mask the violation.  Each
 obligation therefore embeds the conjunction of the assume terms that
 precede it, instead of every assume being conjoined globally.  The
 prefix is grown as one shared expression node, so bitblasting stays
-linear despite every obligation referencing it.  The conjunction of the
-obligations is grown the same way, as they are added.
+linear despite every obligation referencing it.  The conjunctions of
+the obligations and of the unwinding assertions are grown the same way,
+as they are added.
 
 Queries of one phase family unwind the same program again and again,
 each one copy deeper.  When `unwind` records where the copies of the
@@ -62,15 +63,17 @@ definition holds by construction and the query is just the goal
 
 over the defined and the free names.  sigma and phi are conjunctions of
 prefix-carrying verification conditions, one per unwinding assertion /
-original assertion.  BASE and INDUCTIVE differ only in their unwinding:
-the inductive step havocs the loop variables at the loop head, so their
-initial values no longer constrain the iterations.
+original assertion, both grown by the converter (`SsaProgram.sigma` and
+`SsaProgram.prop`).  `encode` sets the goal on the SsaProgram, which is
+what the solver blasts.  BASE and INDUCTIVE differ only in their
+unwinding: the inductive step havocs the loop variables at the loop
+head, so their initial values no longer constrain the iterations.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
@@ -127,22 +130,15 @@ def Or(a: Expr, b: Expr) -> Expr:
 class SsaProgram:
     definitions: list = field(default_factory=list)   # (versioned name, Expr)
     obligations: list = field(default_factory=list)   # (guarded Expr, Loc)
-    terminations: list = field(default_factory=list)  # guarded sigma terms
     symbols: dict = field(default_factory=dict)       # name -> IntType
     draw_symbols: dict = field(default_factory=dict)  # name -> (nid, ctx, IntType)
-    # the conjunction of the obligations, grown as they are added
+    # the conjunctions of the obligations and of the unwinding-assertion
+    # terms, each grown as its terms are added
     prop: Expr = field(default_factory=lambda: TRUE)
+    sigma: Expr = field(default_factory=lambda: TRUE)
     resumed: _Snapshot | None = None   # the state the conversion resumed from
     captured: _Snapshot | None = None  # its state after copy k, to resume from
-
-
-@dataclass
-class VcFormula:
-    definitions: list  # (versioned name, Expr), each reading only earlier names
-    goal: Expr         # the satisfiability query, given the definitions
-    symbols: dict      # name -> IntType, defined and free
-    resumed: _Snapshot | None = None   # as in the SsaProgram it encodes
-    captured: _Snapshot | None = None
+    goal: Expr | None = None   # the phase's satisfiability query, set by encode
 
 
 @dataclass
@@ -272,14 +268,12 @@ class _SsaBuilder:
                 self.cur[ins.var] = self.fresh(ins.var, self.u.symbols[ins.var])
             elif ins.op == "ASSUME":
                 term = Or(Not(guard), self.subst(ins.expr, ins.ctx))
-                if ins.tag == "unwind_assumption":
-                    self.out.terminations.append(term)
                 self.assumed = And(self.assumed, term)
             elif ins.op == "ASSERT":
                 claim = Or(Not(guard), self.subst(ins.expr, ins.ctx))
                 term = Or(Not(self.assumed), claim)
                 if ins.tag == "unwind_assertion":
-                    self.out.terminations.append(term)
+                    self.out.sigma = And(self.out.sigma, term)
                 else:
                     self.out.obligations.append((term, ins.loc))
                     self.out.prop = And(self.out.prop, term)
@@ -305,8 +299,8 @@ class _SsaBuilder:
 def _copied(o: SsaProgram, resumed: _Snapshot | None = None) -> SsaProgram:
     """`o` with its own lists and dicts."""
     return SsaProgram(list(o.definitions), list(o.obligations),
-                      list(o.terminations), dict(o.symbols),
-                      dict(o.draw_symbols), o.prop, resumed)
+                      dict(o.symbols), dict(o.draw_symbols), o.prop, o.sigma,
+                      resumed)
 
 
 def to_ssa(u: UnwoundProgram, deadline: float | None = None,
@@ -351,30 +345,22 @@ def to_ssa(u: UnwoundProgram, deadline: float | None = None,
 
 
 def encode(s: SsaProgram, phase: Phase,
-           deadline: float | None = None) -> VcFormula:
-    """Build the phase's satisfiability query from an SsaProgram.
+           deadline: float | None = None) -> SsaProgram:
+    """`s` with the phase's satisfiability query as its `goal`, sharing
+    its lists and dicts.
 
     Assume terms are not conjoined globally: they already appear in the
     prefix of every obligation that follows them, which is what gives an
     assume no power over violations that precede it.  The obligations'
-    conjunction is `s.prop`, grown by the converter, so a resumed
-    conversion shares the node of the checkpointed obligations.  Past
-    the time.monotonic() `deadline` (checked on entry and every
-    INSTRS_PER_CHECK termination terms) it raises DeadlineExceeded.
+    conjunction `s.prop` and the unwinding assertions' `s.sigma` are
+    grown by the converter, so a resumed conversion shares the nodes of
+    the checkpointed ones.  Past the time.monotonic() `deadline`
+    (checked on entry) it raises DeadlineExceeded.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise DeadlineExceeded
-    prop = s.prop
-    if phase is Phase.FORWARD:
-        sigma = TRUE
-        for i, term in enumerate(s.terminations, 1):
-            if i % INSTRS_PER_CHECK == 0 and deadline is not None \
-                    and time.monotonic() > deadline:
-                raise DeadlineExceeded
-            sigma = And(sigma, term)
-        prop = And(sigma, prop)
-    return VcFormula(list(s.definitions), Not(prop), dict(s.symbols),
-                     s.resumed, s.captured)
+    prop = And(s.sigma, s.prop) if phase is Phase.FORWARD else s.prop
+    return replace(s, goal=Not(prop))
 
 
 class _NoDraws:
@@ -395,6 +381,6 @@ def eval_formula(e: Expr, assignment: dict) -> int:
 def dump_ssa(s: SsaProgram) -> str:
     from .frontend import pp_expr
     lines = [f"{name} = {pp_expr(expr)}" for name, expr in s.definitions]
-    lines += [f"sigma {pp_expr(t)}" for t in s.terminations]
+    lines.append(f"sigma {pp_expr(s.sigma)}")
     lines += [f"assert {pp_expr(ob)}" for ob, _ in s.obligations]
     return "\n".join(lines)

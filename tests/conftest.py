@@ -42,7 +42,7 @@ def compile_mc(source: str, width: int | None = None):
 
 def satisfies(f, model: dict) -> bool:
     """Does `model` give every defined name the value of its definition
-    and make the goal of VcFormula `f` true?"""
+    and make the goal of the encoded SsaProgram `f` true?"""
     return (all(eval_formula(expr, model) == model[name]
                 for name, expr in f.definitions)
             and eval_formula(f.goal, model) != 0)

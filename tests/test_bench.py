@@ -103,7 +103,7 @@ def test_missing_file_is_invalid(tmp_path):
     (row,) = report.rows
     assert row.verdict == "INVALID"
     assert row.classification == "invalid"
-    assert row.error == "file not found"
+    assert row.error.endswith("ghost.mc: cannot read: No such file or directory")
     assert report.invalid == 1 and report.score == 0
 
 

@@ -322,3 +322,69 @@ def test_verify_declaration_with_two_declarators(body, code, tmp_path):
     f = tmp_path / "multi.mc"
     f.write_text(f"int main() {{\n  {body}\n  return 0;\n}}\n")
     assert run("verify", str(f)) == code
+
+
+def assert_usage_error(code, capsys, expected):
+    """Exit 3 with one `kinduct: error:` line naming `expected`, no
+    traceback, and nothing run."""
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kinduct: error: ")
+    assert expected in lines[0]
+
+
+@pytest.mark.parametrize("flag", ["--emit-cnf", "--emit-smt"])
+def test_verify_emit_path_that_is_a_file_is_a_usage_error(flag, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run("verify", str(corpus_path("fig1_unsigned.mc")), flag, str(taken))
+    assert_usage_error(code, capsys, "File exists")
+
+
+def test_bench_emit_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run("bench", bench_manifest(tmp_path), "--emit-cnf", str(taken))
+    assert_usage_error(code, capsys, "File exists")
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_bench_report_in_a_missing_directory_is_a_usage_error(flag, tmp_path, capsys):
+    # Checked before the suite runs, not after it.
+    code = run("bench", bench_manifest(tmp_path), flag,
+               str(tmp_path / "missing" / "report"))
+    assert_usage_error(code, capsys, "No such file or directory")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("verify", "{file}", "--timeout", "-5"), "timeout_seconds must be >= 0"),
+    (("bench", "{manifest}", "--timeout", "-5"), "timeout_seconds must be >= 0"),
+    (("bench", "{manifest}", "--jobs", "0"), "must be at least 1, not 0"),
+    (("bench", "{manifest}", "--jobs", "-2"), "must be at least 1, not -2"),
+], ids=["verify_timeout", "bench_timeout", "jobs_0", "jobs_-2"])
+def test_option_values_that_do_nothing_are_usage_errors(argv, expected,
+                                                        tmp_path, capsys):
+    args = [a.format(file=corpus_path("fig1_unsigned.mc"),
+                     manifest=bench_manifest(tmp_path)) for a in argv]
+    assert run(*args) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert expected in err.splitlines()[-1]
+
+
+def test_internal_invariant_failure_is_an_internal_error(tmp_path, capsys,
+                                                         monkeypatch):
+    # A constraint over a variable the program lacks can only come from a
+    # bug in the invariant generator, so it is not an invalid input.
+    from kinduct import driver
+    from kinduct.invariants import InvariantSet, upper_bound
+    monkeypatch.setattr(driver, "infer_invariants", lambda g: InvariantSet(
+        {loop.head: [upper_bound("ghost", 3)] for loop in g.loops}))
+    assert run("verify", str(corpus_path("fig1_unsigned.mc"))) == EXIT_INTERNAL
+    assert "unknown variable ghost" in capsys.readouterr().err
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"{CORPUS}/fig1_unsigned.mc\tsafe\tloops\n")
+    assert run("bench", str(manifest)) == EXIT_INTERNAL
+    assert "internal errors     1" in capsys.readouterr().out

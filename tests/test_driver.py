@@ -166,6 +166,7 @@ def test_unknown_on_timeout():
     {"max_iterations": 0},
     {"recheck_increment": 0},
     {"invariants_mode": "bogus"},
+    {"timeout_seconds": -1},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from kinduct.solver import (
     _Blaster, _Cdcl, _luby, bitblast, emit_dimacs, emit_smtlib, solve,
 )
 from kinduct.transform import DeadlineExceeded, Phase, unwind
-from kinduct.vcgen import VcFormula, encode, eval_formula, to_ssa
+from kinduct.vcgen import SsaProgram, encode, eval_formula, to_ssa
 from conftest import compile_mc, corpus_path, satisfies
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -33,7 +33,7 @@ B1 = IntType(1, False)
 
 
 def formula(goal, symbols, definitions=()):
-    return VcFormula(list(definitions), goal, symbols)
+    return SsaProgram(list(definitions), symbols=symbols, goal=goal)
 
 
 def var(name, ty):
@@ -49,10 +49,10 @@ def php(pigeons, holes):
         for a in range(pigeons):
             for b in range(a + 1, pigeons):
                 clauses.append([-v(a, j), -v(b, j)])
-    bit_map = {(f"p{i}_{j}", 0): v(i, j)
-               for i in range(pigeons) for j in range(holes)}
-    symbols = {name: B1 for name, _ in bit_map}
-    return CnfInstance(pigeons * holes, clauses, bit_map, symbols)
+    bits = {f"p{i}_{j}": [v(i, j)]
+            for i in range(pigeons) for j in range(holes)}
+    symbols = {name: B1 for name in bits}
+    return CnfInstance(pigeons * holes, clauses, bits, symbols)
 
 
 def test_empty_cnf_is_sat():
@@ -99,7 +99,7 @@ def test_four_bit_sum_has_sixteen_models():
         seen.add((a, b))
         cnf.clauses.append([
             -v if (out.model[s] >> i) & 1 else v
-            for (s, i), v in cnf.bit_map.items()
+            for s in cnf.symbols for i, v in enumerate(cnf.bits[s])
         ])
     assert len(seen) == 16
 
@@ -319,9 +319,8 @@ def test_random_cnf_agrees_with_truth_table():
 
 def named(num_vars, clauses):
     """A CNF whose model names every variable: v1, v2, ..."""
-    bit_map = {(f"v{v}", 0): v for v in range(1, num_vars + 1)}
-    return CnfInstance(num_vars, clauses, bit_map,
-                       {name: B1 for name, _ in bit_map})
+    bits = {f"v{v}": [v] for v in range(1, num_vars + 1)}
+    return CnfInstance(num_vars, clauses, bits, {name: B1 for name in bits})
 
 
 @pytest.mark.parametrize("num_vars,clauses", [
@@ -495,11 +494,10 @@ def literal_formula():
 def test_definitions_bind_to_literals_and_constants():
     f = literal_formula()
     cnf = bitblast(f)
-    x_bits = [cnf.bit_map[("x", i)] for i in range(8)]
-    assert [cnf.bit_map[("y", i)] for i in range(8)] == [-v for v in x_bits]
-    assert [cnf.bit_map[("c", i)] for i in range(8)] == \
-        [TRUE_LIT, FALSE_LIT, TRUE_LIT] + [FALSE_LIT] * 5
-    m = [cnf.bit_map[("m", i)] for i in range(8)]
+    x_bits = cnf.bits["x"]
+    assert cnf.bits["y"] == [-v for v in x_bits]
+    assert cnf.bits["c"] == [TRUE_LIT, FALSE_LIT, TRUE_LIT] + [FALSE_LIT] * 5
+    m = cnf.bits["m"]
     assert m[:4] == [TRUE_LIT, FALSE_LIT, TRUE_LIT, FALSE_LIT]
     assert m[4:] == [-v for v in x_bits[4:]]
     out = solve(cnf)
@@ -519,7 +517,8 @@ def test_emit_dimacs_names_literals():
         lit = int(got[1])
         assert 1 <= abs(lit) <= cnf.num_vars
         named[(got[2], int(got[3]))] = lit
-    assert named == cnf.bit_map
+    assert named == {(n, i): lit for n in cnf.symbols
+                     for i, lit in enumerate(cnf.bits[n])}
     assert [abs(int(l.split()[1])) for l in comments] == \
         sorted(abs(int(l.split()[1])) for l in comments)
     body = lines[len(comments):]
@@ -688,9 +687,9 @@ def solve_with_inputs(cnf, values, width):
     """Solve `cnf` with each named input's `width` bits fixed by units."""
     units = [[lit if (v >> i) & 1 else -lit]
              for n, v in values.items()
-             for i, lit in enumerate(cnf.bit_map[(n, b)] for b in range(width))]
+             for i, lit in enumerate(cnf.bits[n][:width])]
     return solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
-                             cnf.bit_map, cnf.symbols))
+                             cnf.bits, cnf.symbols))
 
 
 def assert_operator_matches_evaluator(e, ty, names):
@@ -744,8 +743,7 @@ def test_unsigned_power_of_two_divisor_adds_no_gate(op):
         cnf = bitblast(formula(Const(1, ty=B1), {"x": U8, "c": U8, "r": U8}, [
             ("c", Const(8, ty=U8)), ("r", Binary(op, x, divisor, ty=U8))]))
         assert (cnf.num_vars, cnf.clauses) == (plain.num_vars, plain.clauses)
-        x_bits = [cnf.bit_map[("x", i)] for i in range(8)]
-        r_bits = [cnf.bit_map[("r", i)] for i in range(8)]
+        x_bits, r_bits = cnf.bits["x"], cnf.bits["r"]
         assert r_bits == (x_bits[3:] + [FALSE_LIT] * 3 if op == "/"
                           else x_bits[:3] + [FALSE_LIT] * 5)
 
@@ -792,7 +790,7 @@ def test_zero_tests_share_one_literal():
     cnf = bitblast(formula(Const(1, ty=B1), {"x": U8, **dict.fromkeys(names, B1)},
                            list(zip(names, nonzero + zero))))
     is_zero = cnf.num_vars   # the one gate: x's 8 free bits, then it
-    assert [cnf.bit_map[(n, 0)] for n in names] == \
+    assert [cnf.bits[n][0] for n in names] == \
         [-is_zero] * len(nonzero) + [is_zero] * len(zero)
     assert (cnf.num_vars, len(cnf.clauses)) == (1 + 8 + 1, 1 + 9)
 
@@ -817,16 +815,16 @@ def test_one_session_keeps_signedness_apart():
             "x": ty, "y": ty, **{n: e.ty for n, e in names.items()}},
             list(names.items())), session))
         results.update((n, (e, ty)) for n, e in names.items())
-    assert cnfs[0].bit_map[("x", 3)] == cnfs[1].bit_map[("x", 3)]
-    bit_map = {**cnfs[0].bit_map, **cnfs[1].bit_map}
-    cnf = CnfInstance(cnfs[1].num_vars, cnfs[1].clauses, bit_map,
+    assert cnfs[0].bits["x"][3] == cnfs[1].bits["x"][3]
+    bits = {**cnfs[0].bits, **cnfs[1].bits}
+    cnf = CnfInstance(cnfs[1].num_vars, cnfs[1].clauses, bits,
                       {n: e.ty for n, (e, _) in results.items()})
     for vx, vy in itertools.product(range(16), repeat=2):
         units = [[lit if (v >> i) & 1 else -lit]
                  for v, bits in ((vx, session.free["x"]), (vy, session.free["y"]))
                  for i, lit in enumerate(bits)]
         out = solve(CnfInstance(cnf.num_vars, cnf.clauses + units,
-                                cnf.bit_map, cnf.symbols))
+                                cnf.bits, cnf.symbols))
         assert out.status == SAT
         for n, (e, ty) in results.items():
             env = {"x": ty.wrap(vx), "y": ty.wrap(vy)}
@@ -863,7 +861,7 @@ def test_session_shares_copies_and_free_bits():
         cnf = bitblast(f, session)
         sizes.append(len(cnf.clauses))
         fresh = bitblast(f)
-        assert cnf.bit_map[("nd0", 0)] == session.free["nd0"][0]
+        assert cnf.bits["nd0"][0] == session.free["nd0"][0]
         assert solve(cnf, session=session).status == solve(fresh).status
     # k=4 adds one copy's gates to k=3's, far fewer than a fresh k=4.
     assert sizes[1] - sizes[0] < len(fresh.clauses) / 2
@@ -941,7 +939,7 @@ def test_resumed_queries_blast_to_the_same_cnf(name):
             a = bitblast(encode(s, phase), resumed)
             b = bitblast(encode(to_ssa(u), phase), full)
             assert (a.num_vars, a.clauses, a.goal) == (b.num_vars, b.clauses, b.goal)
-            assert dict(a.bit_map) == dict(b.bit_map)
+            assert dict(a.bits) == dict(b.bits)
 
 
 def test_repeated_unsat_goal_is_not_searched():
