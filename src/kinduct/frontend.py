@@ -1027,7 +1027,6 @@ def pretty_print(prog: Program) -> str:
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _LOGIC_OPS = ("&&", "||")
-_BOOL_TY = IntType(32, True)
 
 
 def promote(a: IntType, b: IntType) -> IntType:
@@ -1217,7 +1216,7 @@ class _TypeChecker:
         if isinstance(e, Unary):
             if e.op == "!":
                 inner = self.check_condition(e.operand, scope)
-                return Unary("!", inner, ty=_BOOL_TY, loc=e.loc)
+                return Unary("!", inner, ty=INT, loc=e.loc)
             operand = self.check_expr(e.operand, scope)
             return Unary(e.op, operand, ty=operand.ty, loc=e.loc)
         if isinstance(e, Binary):
@@ -1226,12 +1225,12 @@ class _TypeChecker:
                 self.forbid_calls(e.right, f"right operand of '{e.op}'")
                 left = self.check_condition(e.left, scope)
                 right = self.check_condition(e.right, scope)
-                return Binary(e.op, left, right, ty=_BOOL_TY, loc=e.loc)
+                return Binary(e.op, left, right, ty=INT, loc=e.loc)
             left = self.check_expr(e.left, scope)
             right = self.check_expr(e.right, scope)
             common = promote(left.ty, right.ty)
             left, right = self.coerce(left, common), self.coerce(right, common)
-            out_ty = _BOOL_TY if e.op in _CMP_OPS else common
+            out_ty = INT if e.op in _CMP_OPS else common
             return Binary(e.op, left, right, ty=out_ty, loc=e.loc)
         if isinstance(e, Cast):
             operand = self.check_expr(e.operand, scope)
@@ -1269,7 +1268,7 @@ class _TypeChecker:
         if is_boolean(checked):
             return checked
         zero = Const(0, ty=checked.ty, loc=checked.loc)
-        return Binary("!=", checked, zero, ty=_BOOL_TY, loc=checked.loc)
+        return Binary("!=", checked, zero, ty=INT, loc=checked.loc)
 
     def coerce(self, e: Expr, ty: IntType) -> Expr:
         if e.ty == ty:

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .frontend import (
-    Assert, Assign, Assume, Binary, Block, Call, Cast, Cond, Const, DoWhile,
-    ExprStmt, Expr, For, If, IntType, Loc, MiniCError, Nondet, Program,
-    Return, Skip, Stmt, Unary, Var, VarDecl, While, pp_expr, walk,
+    INT, Assert, Assign, Assume, Binary, Block, Call, Cast, Cond, Const,
+    DoWhile, ExprStmt, Expr, For, If, IntType, Loc, MiniCError, Nondet,
+    Program, Return, Skip, Stmt, Unary, Var, VarDecl, While, pp_expr, walk,
 )
 
 
@@ -51,8 +51,8 @@ class Instr:
     target: int | None = None
     loc: Loc | None = None
     tag: str = ""           # provenance marker for transformed programs
-    # Set on unwound copies: the copy indices of every enclosing loop,
-    # outermost first.
+    # Set by `unwind` on a terminator or a copied `pre` instruction: the
+    # copy indices of every enclosing loop, outermost first.
     ctx: tuple = ()
 
     def render(self) -> str:
@@ -95,7 +95,7 @@ class IfItem:
     then: list
     els: list
     loc: Loc | None = None
-    ctx: tuple = ()  # loop-copy context stamped by the unwinder
+    ctx: tuple = ()  # set by `unwind` on a loop copy: its copy indices
 
 
 @dataclass
@@ -412,12 +412,11 @@ class _Flattener:
             if isinstance(item, OpItem):
                 self.emit(item.instr)
             elif isinstance(item, IfItem):
-                neg = Unary("!", item.cond, ty=IntType(32, True), loc=item.loc)
-                branch = self.emit(Instr("COND_GOTO", expr=neg, loc=item.loc,
-                                         ctx=item.ctx))
+                neg = Unary("!", item.cond, ty=INT, loc=item.loc)
+                branch = self.emit(Instr("COND_GOTO", expr=neg, loc=item.loc))
                 yield item.then
                 if item.els:
-                    skip = self.emit(Instr("GOTO", loc=item.loc, ctx=item.ctx))
+                    skip = self.emit(Instr("GOTO", loc=item.loc))
                     self.instrs[branch].target = len(self.instrs)
                     yield item.els
                     self.instrs[skip].target = len(self.instrs)
@@ -427,7 +426,7 @@ class _Flattener:
                 head = len(self.instrs)
                 self.depth += 1
                 yield item.pre
-                neg = Unary("!", item.guard, ty=IntType(32, True), loc=item.loc)
+                neg = Unary("!", item.guard, ty=INT, loc=item.loc)
                 guard_idx = self.emit(Instr("COND_GOTO", expr=neg, loc=item.loc))
                 yield item.body
                 backjump = self.emit(Instr("GOTO", target=head, loc=item.loc))

@@ -177,10 +177,10 @@ class LoopClock:
     Counters are keyed by loop id.  `arrive(pc, counters)` is applied on
     reaching `pc`: at a loop head it returns a copy in which that loop's
     counter is one higher and the counters of the loops nested in it are
-    zero; elsewhere it returns `counters` itself.  `ctx` is an
-    instruction's draw context: the copy indices an unwound instruction
-    carries, or else the live counters of its enclosing loops, outermost
-    first."""
+    zero; elsewhere it returns `counters` itself.  `ctx` is the draw
+    context at `pc`: the live counters of its enclosing loops, outermost
+    first.  An unwinding's flat view has no loops, so it is for dumps
+    and counts, not for naming draws."""
 
     def __init__(self, p: GotoProgram):
         self.enclosing = [[] for _ in p.instructions]
@@ -204,8 +204,8 @@ class LoopClock:
                 counters[i] = 0
         return counters
 
-    def ctx(self, pc: int, ins, counters: dict) -> tuple:
-        return ins.ctx or tuple(counters.get(l, 0) for l in self.enclosing[pc])
+    def ctx(self, pc: int, counters: dict) -> tuple:
+        return tuple(counters.get(l, 0) for l in self.enclosing[pc])
 
 
 def step(p: GotoProgram, pc: int, store: dict, ctx: tuple, provider) -> tuple:
@@ -251,13 +251,13 @@ def run_goto(p: GotoProgram, provider, max_steps: int = 1_000_000) -> RunResult:
         # is snapshotted before it.
         if counters and not states:
             states.append(dict(store))
-        ins = p.instructions[pc]
-        status, nxt, write = step(p, pc, store, clock.ctx(pc, ins, counters), provider)
+        status, nxt, write = step(p, pc, store, clock.ctx(pc, counters), provider)
         if status == BLOCKED:
             return RunResult(BLOCKED, store, states=states, steps=steps)
         if status == VIOLATION:
             states.append(dict(store))
-            return RunResult(VIOLATION, store, violated=ins.loc,
+            return RunResult(VIOLATION, store,
+                             violated=p.instructions[pc].loc,
                              states=states, steps=steps)
         if write is not None:
             store[write[0]] = write[1]

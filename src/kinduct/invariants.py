@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .frontend import (
-    Binary, Cast, Cond, Const, Expr, IntType, MiniCError, Nondet, Unary, Var,
-    lex, promote, _Parser,
+    INT, Binary, Cast, Cond, Const, Expr, IntType, MiniCError, Nondet, Unary,
+    Var, lex, promote, _Parser,
 )
 from .goto_ir import GotoProgram, Instr, LoopItem, IfItem, OpItem
 from .interp import eval_expr, trunc_div
@@ -31,9 +31,6 @@ from .interp import eval_expr, trunc_div
 
 class InvariantError(MiniCError):
     pass
-
-
-_BOOL = IntType(32, True)
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +115,16 @@ def constraint_to_expr(c: AffineConstraint, symbols: dict) -> Expr:
         return Const(ty.wrap(value), ty=ty)
 
     if coefs == (-1,):
-        return Binary("<=", const(-k), var(names[0]), ty=_BOOL)
+        return Binary("<=", const(-k), var(names[0]), ty=INT)
     if len(coefs) == 1:
-        return Binary(relation, var(names[0]), const(k), ty=_BOOL)
+        return Binary(relation, var(names[0]), const(k), ty=INT)
     a, b = names
     if coefs == (1, 1):
-        return Binary("==", Binary("+", var(a), var(b), ty=ty), const(k), ty=_BOOL)
+        return Binary("==", Binary("+", var(a), var(b), ty=ty), const(k), ty=INT)
     rhs = var(b)
     if k != 0:
         rhs = Binary("+" if k > 0 else "-", rhs, const(abs(k)), ty=ty)
-    return Binary("==", var(a), rhs, ty=_BOOL)
+    return Binary("==", var(a), rhs, ty=INT)
 
 
 @dataclass
@@ -613,7 +610,7 @@ def instrument(p: GotoProgram, inv: InvariantSet) -> GotoProgram:
         exprs = [constraint_to_expr(c, p.symbols) for c in cs]
         out = exprs[0]
         for e in exprs[1:]:
-            out = Binary("&&", out, e, ty=_BOOL)
+            out = Binary("&&", out, e, ty=INT)
         return out
 
     def rebuild(items: list) -> list:

@@ -85,7 +85,7 @@ def explore(g: GotoProgram, k: int | None = None, max_states: int = 500_000,
             continue
         ins = g.instructions[pc]
         try:
-            status, nxt, write = step(g, pc, store, clock.ctx(pc, ins, counters),
+            status, nxt, write = step(g, pc, store, clock.ctx(pc, counters),
                                       _Asker(pending))
         except _NeedDraw as need:
             ty = need.ty

@@ -129,12 +129,10 @@ rescaled past 1e100 the heap is rebuilt from the scaled values.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import time
 from collections import ChainMap
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -688,21 +686,6 @@ def _node_key(e: Expr, args: list):
     return None   # a Nondet or an unknown node: `_node` rejects it
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector.  Building clause lists
-    allocates a list or tuple per clause or gate and makes no reference
-    cycles; with the collector running it would rescan the growing heap
-    every few hundred allocations."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 class Session:
     """One bit-blaster and one CDCL engine that live across a family of
     queries.  A free name keeps its bits in every query of the session,
@@ -784,23 +767,22 @@ def bitblast(f: SsaProgram, session: Session | None = None,
     # reused.  The node table's keys hold the ids of bit vectors the
     # session keeps.
     try:
-        with _gc_paused():
-            for name, ty in new_symbols:
-                if name not in defined:
-                    bits = free.get(name)
-                    if bits is None:
-                        bits = free[name] = [bl.new_var() for _ in range(ty.width)]
-                    symbol_bits[name] = bits
-            for i, (name, expr) in enumerate(definitions):
-                if i % DEFS_PER_CHECK == 0 and deadline is not None \
-                        and time.monotonic() > deadline:
-                    raise DeadlineExceeded
-                symbol_bits[name] = bl.blast(expr, symbol_bits)
-            goal = bl.v_nonzero(bl.blast(f.goal, symbol_bits))
-            if f.captured is not None:
-                if not resumed:
-                    session.shared = {}
-                _keep(session, f.captured, symbol_bits, known)
+        for name, ty in new_symbols:
+            if name not in defined:
+                bits = free.get(name)
+                if bits is None:
+                    bits = free[name] = [bl.new_var() for _ in range(ty.width)]
+                symbol_bits[name] = bits
+        for i, (name, expr) in enumerate(definitions):
+            if i % DEFS_PER_CHECK == 0 and deadline is not None \
+                    and time.monotonic() > deadline:
+                raise DeadlineExceeded
+            symbol_bits[name] = bl.blast(expr, symbol_bits)
+        goal = bl.v_nonzero(bl.blast(f.goal, symbol_bits))
+        if f.captured is not None:
+            if not resumed:
+                session.shared = {}
+            _keep(session, f.captured, symbol_bits, known)
     finally:
         bl.cache = dict(bl.kept)
     return CnfInstance(bl.num_vars, list(bl.clauses), symbol_bits, f.symbols,
@@ -887,23 +869,22 @@ class _Cdcl:
             self.backtrack(0)
         n = self.n
         extra = num_vars - n
-        with _gc_paused():
-            if extra > 0:
-                # New positive slots go after n, new negative ones right
-                # before the old negative ones, which stay at the end.
-                self.val[n + 1:n + 1] = [0] * (2 * extra)
-                self.watches[n + 1:n + 1] = [[] for _ in range(2 * extra)]
-                self.level += [0] * extra
-                self.reason += [None] * extra
-                self.activity += [0.0] * extra
-                self.saved_phase += [False] * extra
-                self.pushed += [0.0] * extra
-                self.seen += [False] * extra
-                # Keyed 0.0 and numbered above every entry: still a heap.
-                self.order += [(0.0, v) for v in range(n + 1, num_vars + 1)]
-                self.n = num_vars
-            if self.ok:
-                self.ok = self._load(clauses)
+        if extra > 0:
+            # New positive slots go after n, new negative ones right
+            # before the old negative ones, which stay at the end.
+            self.val[n + 1:n + 1] = [0] * (2 * extra)
+            self.watches[n + 1:n + 1] = [[] for _ in range(2 * extra)]
+            self.level += [0] * extra
+            self.reason += [None] * extra
+            self.activity += [0.0] * extra
+            self.saved_phase += [False] * extra
+            self.pushed += [0.0] * extra
+            self.seen += [False] * extra
+            # Keyed 0.0 and numbered above every entry: still a heap.
+            self.order += [(0.0, v) for v in range(n + 1, num_vars + 1)]
+            self.n = num_vars
+        if self.ok:
+            self.ok = self._load(clauses)
 
     def _load(self, clauses) -> bool:
         """Add the input clauses; False if one is empty at level 0."""

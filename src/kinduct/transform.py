@@ -8,21 +8,19 @@ terminator over sigma = !(guard):
     BASE, INDUCTIVE   ASSUME(sigma)   cuts paths needing > k iterations
     FORWARD           ASSERT(sigma)   demands the loop finish within k
 
-The inductive step additionally rewrites every loop per
-`A; while (c) { S; E; U; } R;`: A havocs the loop variables before copy
-1 (tag `havoc`; any instrumented head invariant is assumed right after,
-as part of copy 1's head), S snapshots each loop variable into a
-per-copy shadow (tag `shadow`), U is subsumed by SSA renaming
-downstream, and R assumes after each executed copy that some loop
-variable changed, banning stuttering iterations (tag `stutter`).  The
-loop variables are read off the loop's tree item
-(`goto_ir.loop_variables`).  A HAVOC carries no draw id: only INDUCTIVE
-unwindings hold one, and nothing replays them.  The
-shadow stores open copy j's then-branch and its stutter assume closes
-it: they are siblings under the one guard G_j, and the assume is the
-shadows' only reader.  So `vcgen.to_ssa` defines a shadow without that
-guard, as a plain alias of the variable's current version; when G_j is
-false the assume holds whatever the shadow is.
+The inductive step first rewrites each loop, once, as
+`A; while (c) { S; E; U; } R;`: A havocs the loop variables
+(`goto_ir.loop_variables`, tag `havoc`) before the loop, so any head
+invariant is assumed right after; S stores each loop variable v in its
+shadow `v__pre_<loop id>` (tag `shadow`); U is SSA renaming; R assumes
+that some loop variable differs from its shadow (tag `stutter`).  SSA
+versions tell the copies' shadows apart.  With no loop variable R is
+FALSE: such a loop changes no state, every iteration repeats the first,
+whose draws can take any value a later one's can, so copy 1 decides.
+A HAVOC has no draw id, and nothing replays an INDUCTIVE unwinding.
+A copy's shadow stores and stutter assume share its guard G_j, and the
+assume is the shadows' only reader, so `vcgen.to_ssa` defines a shadow
+unguarded, as an alias: when G_j is false the assume holds anyway.
 
 Queries convert the unwound tree itself (`vcgen.to_ssa`); its flat GOTO
 view, `body`, is built only when read (`--dump-unwound`, tests).  When
@@ -32,15 +30,17 @@ before it, `unwind` records where it put that loop's copies
 are then the same at every k, so `to_ssa` can resume a conversion from
 the state an earlier, shallower query left after one of them.
 
-Every produced instruction carries `ctx`, the tuple of copy indices of
-its enclosing unwound loops (outermost first).  Nondeterministic draws
-are therefore named (nid, ctx), the same keys a concrete replay of the
+The copies of a loop share its body's items.  Contexts sit on what
+`unwind` makes: each copy's IfItem and copied `pre` items carry `ctx`,
+the copy indices of their enclosing loops (outermost first), the
+terminator `ctx + (k+1,)`, and any other item takes its innermost
+copy's.  Draws are named (nid, ctx), the keys a concrete replay of the
 original program produces, which is what makes model replay possible.
 
 `unwind` takes an optional time.monotonic() deadline and raises
 DeadlineExceeded once it has run past it, checked every COPIES_PER_CHECK
 loop copies; `vcgen.to_ssa` does the same for tree items, `vcgen.encode`
-for termination terms and `solver.bitblast` for definitions.
+on entry and `solver.bitblast` for definitions.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .frontend import Binary, IntType, Unary, Var
+from .frontend import INT, Binary, Const, Unary, Var
 from .goto_ir import (
-    GotoProgram, IfItem, Instr, LoopItem, OpItem, loop_variables,
+    GotoProgram, IfItem, Instr, LoopItem, OpItem, items_in, loop_variables,
 )
 
 
@@ -71,9 +71,6 @@ class Phase(enum.Enum):
     BASE = "base"
     FORWARD = "forward"
     INDUCTIVE = "inductive"
-
-
-_BOOL = IntType(32, True)
 
 
 @dataclass
@@ -98,13 +95,38 @@ class UnwoundProgram:
                            self.origin.file)
 
 
-def shadow_name(var: str, ctx: tuple) -> str:
-    return f"{var}__pre_{'_'.join(str(c) for c in ctx)}"
+def induct(items: list, symbols: dict) -> list:
+    """`items` with every loop rewritten as `A; while (c) { S; E; R }`;
+    the shadows are added to `symbols`."""
+    out: list = []
+    for item in items:
+        if isinstance(item, IfItem):
+            item = IfItem(item.cond, induct(item.then, symbols),
+                          induct(item.els, symbols), loc=item.loc)
+        elif isinstance(item, LoopItem):
+            loc, lv = item.loc, sorted(loop_variables(item))
+            out += [OpItem(Instr("HAVOC", var=v, tag="havoc", loc=loc)) for v in lv]
+            stores, changed = [], Const(0, ty=INT, loc=loc)
+            for v in lv:
+                sh = f"{v}__pre_{item.loop_id}"
+                symbols[sh] = ty = symbols[v]
+                stores.append(OpItem(Instr("ASSIGN", var=sh, tag="shadow", loc=loc,
+                                           expr=Var(v, rid=v, ty=ty, loc=loc))))
+                pair = Binary("!=", Var(v, rid=v, ty=ty), Var(sh, rid=sh, ty=ty),
+                              ty=INT, loc=loc)
+                changed = pair if len(stores) == 1 else \
+                    Binary("||", changed, pair, ty=INT, loc=loc)
+            stutter = Instr("ASSUME", expr=changed, tag="stutter", loc=loc)
+            item = replace(item, body=stores + induct(item.body, symbols)
+                           + [OpItem(stutter)])
+        out.append(item)
+    return out
 
 
 def unwind(p: GotoProgram, k: int, phase: Phase,
            deadline: float | None = None) -> UnwoundProgram:
-    """Replace every loop with k guarded copies plus the phase terminator.
+    """Replace every loop with k guarded copies plus the phase terminator,
+    after the inductive rewrite for INDUCTIVE.
 
     Nested loops are unwound recursively with the same global k, once per
     copy of their enclosing loop.
@@ -114,22 +136,27 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
     copies = own = 0
     layout = None
     symbols = dict(p.symbols)
-    inductive = phase is Phase.INDUCTIVE
+    tree = induct(p.tree, symbols) if phase is Phase.INDUCTIVE else p.tree
+    term_op, term_tag = (("ASSERT", "unwind_assertion") if phase is Phase.FORWARD
+                         else ("ASSUME", "unwind_assumption"))
 
-    def stamp(items: list, ctx: tuple) -> list:
+    def stamp(items: list, ctx: tuple, copy: bool = False) -> list:
+        """`items` with their loops unwound in `ctx`; with `copy`, their
+        other items are copies carrying `ctx`, else shared."""
         nonlocal layout
         out: list = []
         for item in items:
             if isinstance(item, OpItem):
-                out.append(OpItem(replace(item.instr, ctx=ctx)))
+                out.append(OpItem(replace(item.instr, ctx=ctx)) if copy else item)
             elif isinstance(item, IfItem):
-                out.append(IfItem(item.cond, stamp(item.then, ctx),
-                                  stamp(item.els, ctx), loc=item.loc, ctx=ctx))
+                out.append(IfItem(item.cond, stamp(item.then, ctx, copy),
+                                  stamp(item.els, ctx, copy), loc=item.loc,
+                                  ctx=ctx if copy else ()))
             elif isinstance(item, LoopItem):
                 before = copies
                 out.extend(unwind_loop(item, ctx))
                 # the first loop of the top level, no loop in or before it
-                if items is p.tree and before == 0 and copies == k:
+                if items is tree and before == 0 and copies == k:
                     layout = (len(out) - 1, own)
             else:
                 raise TypeError(f"unexpected tree item {item!r}")
@@ -137,10 +164,8 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
 
     def unwind_loop(loop: LoopItem, ctx: tuple) -> list:
         nonlocal copies, own
-        sigma = Unary("!", loop.guard, ty=_BOOL, loc=loop.loc)
-        lv = sorted(loop_variables(loop))
-        term_op, term_tag = (("ASSERT", "unwind_assertion") if phase is Phase.FORWARD
-                             else ("ASSUME", "unwind_assumption"))
+        nested = any(isinstance(i, LoopItem) for i in items_in(loop.body))
+        sigma = Unary("!", loop.guard, ty=INT, loc=loop.loc)
         inner: list = [OpItem(Instr(term_op, expr=sigma, tag=term_tag,
                                     loc=loop.loc, ctx=ctx + (k + 1,)))]
         for i in range(k, 0, -1):
@@ -149,37 +174,13 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
                 raise DeadlineExceeded
             copies += 1
             cctx = ctx + (i,)
-            pre_i = stamp(loop.pre, cctx)
-            seq = stamp(loop.body, cctx)
-            if inductive:
-                stores: list = []
-                pairs: list = []
-                for v in lv:
-                    sh = shadow_name(v, cctx)
-                    symbols[sh] = symbols[v]
-                    stores.append(OpItem(Instr(
-                        "ASSIGN", var=sh,
-                        expr=Var(v, rid=v, ty=symbols[v], loc=loop.loc),
-                        tag="shadow", loc=loop.loc, ctx=cctx)))
-                    pairs.append(Binary(
-                        "!=", Var(v, rid=v, ty=symbols[v]),
-                        Var(sh, rid=sh, ty=symbols[v]), ty=_BOOL, loc=loop.loc))
-                changed = pairs[0]
-                for e in pairs[1:]:
-                    changed = Binary("||", changed, e, ty=_BOOL, loc=loop.loc)
-                stutter = OpItem(Instr("ASSUME", expr=changed, tag="stutter",
-                                       loc=loop.loc, ctx=cctx))
-                seq = stores + seq + [stutter]
+            seq = stamp(loop.body, cctx) if nested else loop.body
             own = len(seq)
-            inner = pre_i + [IfItem(loop.guard, seq + inner, [],
-                                    loc=loop.loc, ctx=cctx)]
-        havocs = [OpItem(Instr("HAVOC", var=v, tag="havoc",
-                               loc=loop.loc, ctx=ctx))
-                  for v in lv] if inductive else []
-        return havocs + inner
+            inner = stamp(loop.pre, cctx, True) + [
+                IfItem(loop.guard, seq + inner, [], loc=loop.loc, ctx=cctx)]
+        return inner
 
-    tree = stamp(p.tree, ())
-    return UnwoundProgram(tree, symbols, phase, k, p, layout)
+    return UnwoundProgram(stamp(tree, ()), symbols, phase, k, p, layout)
 
 
 def dump_unwound(u: UnwoundProgram) -> str:

@@ -8,7 +8,7 @@ chain of guarded definitions: assignment under path guard g becomes
 with the guard dropped when g is trivially true, and for a stutter
 shadow (tag `shadow`).  A shadow's only reader is the stutter assume
 that closes the same loop copy, under the same guard, and that assume
-holds whenever the guard is false.  So `v__pre_j!1 = v!n` is enough, and
+holds whenever the guard is false.  So `v__pre_l!m = v!n` is enough, and
 the guarded form would only add an ite and a free fallback version per
 bit that each SAT answer has to decide.
 
@@ -17,7 +17,9 @@ skipping one whose guard folds to false.  The two split g, so after the
 item the guard is g again and each variable joins through its own ites
 (CBMC's guarded SSA: Clarke, Kroening & Lerda, TACAS 2004).
 Nondeterministic draws become free symbols named after their (nid, ctx)
-key; division and modulo route through ite(divisor == 0, fresh symbol,
+key, where ctx is the context its item carries or else that of its
+innermost enclosing loop copy (the copies share their body's items);
+division and modulo route through ite(divisor == 0, fresh symbol,
 quotient) so a division by zero is a fresh unconstrained value, matching
 the interpreter.  A divisor that is a nonzero constant after
 substitution cannot be zero, so it gets neither the ite nor the symbol,
@@ -76,18 +78,16 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .frontend import (
-    Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
+    INT, Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
 )
 from .goto_ir import GotoProgram, IfItem, OpItem, walk_nested
 from .interp import eval_expr
 from .transform import DeadlineExceeded, Phase, UnwoundProgram
 
-_BOOL = IntType(32, True)
-
 INSTRS_PER_CHECK = 256
 
-TRUE = Const(1, ty=_BOOL)
-FALSE = Const(0, ty=_BOOL)
+TRUE = Const(1, ty=INT)
+FALSE = Const(0, ty=INT)
 
 
 def is_true(e: Expr) -> bool:
@@ -103,7 +103,7 @@ def Not(e: Expr) -> Expr:
         return e.operand
     if isinstance(e, Const):
         return FALSE if e.value != 0 else TRUE
-    return Unary("!", e, ty=_BOOL)
+    return Unary("!", e, ty=INT)
 
 
 def And(a: Expr, b: Expr) -> Expr:
@@ -113,7 +113,7 @@ def And(a: Expr, b: Expr) -> Expr:
         return a
     if is_false(a) or is_false(b):
         return FALSE
-    return Binary("&&", a, b, ty=_BOOL)
+    return Binary("&&", a, b, ty=INT)
 
 
 def Or(a: Expr, b: Expr) -> Expr:
@@ -123,7 +123,7 @@ def Or(a: Expr, b: Expr) -> Expr:
         return a
     if is_true(a) or is_true(b):
         return TRUE
-    return Binary("||", a, b, ty=_BOOL)
+    return Binary("||", a, b, ty=INT)
 
 
 @dataclass
@@ -173,6 +173,7 @@ class _SsaBuilder:
         self.cur: dict = {}       # var -> current versioned name
         self.guard: Expr = TRUE
         self.assumed: Expr = TRUE  # conjunction of assume terms seen so far
+        self.ctx: tuple = ()  # the context of the innermost enclosing copy
         self.visited = 0  # tree items so far, for the deadline check
         self.capture = None  # copy k's IfItem: capture the state after its own items
         self.own = 0         # the number of own items of each copy
@@ -214,7 +215,7 @@ class _SsaBuilder:
             body = Binary(e.op, left, right, nid=e.nid, ty=e.ty, loc=e.loc)
             if e.op in ("/", "%") and not (
                     isinstance(right, Const) and right.ty.wrap(right.value)):
-                zero = Binary("==", right, Const(0, ty=right.ty), ty=_BOOL)
+                zero = Binary("==", right, Const(0, ty=right.ty), ty=INT)
                 return Cond(zero, self.draw("dz", e.nid, ctx, e.ty), body,
                             ty=e.ty, loc=e.loc)
             return body
@@ -238,8 +239,9 @@ class _SsaBuilder:
         for item in items:
             self.tick()
             if isinstance(item, IfItem):
-                g = self.guard
-                cond = self.subst(item.cond, item.ctx)
+                g, ctx = self.guard, self.ctx
+                self.ctx = item.ctx or ctx
+                cond = self.subst(item.cond, self.ctx)
                 for branch, guard in ((item.then, And(cond, g)),
                                       (item.els, And(Not(cond), g))):
                     if branch and not is_false(guard):
@@ -249,13 +251,14 @@ class _SsaBuilder:
                             self.out.captured = self.save()
                             branch = branch[self.own:]
                         yield branch
-                self.guard = g
+                self.guard, self.ctx = g, ctx
                 continue
             if not isinstance(item, OpItem):
                 raise TypeError(f"to_ssa requires a loop-free tree, got {item!r}")
             ins, guard = item.instr, self.guard
+            ctx = ins.ctx or self.ctx
             if ins.op == "ASSIGN":
-                rhs = self.subst(ins.expr, ins.ctx)
+                rhs = self.subst(ins.expr, ctx)
                 ty = self.u.symbols[ins.var]
                 if not is_true(guard) and ins.tag != "shadow":
                     prev = self.read(ins.var)
@@ -267,10 +270,10 @@ class _SsaBuilder:
                 # a fresh version without a definition: a free name
                 self.cur[ins.var] = self.fresh(ins.var, self.u.symbols[ins.var])
             elif ins.op == "ASSUME":
-                term = Or(Not(guard), self.subst(ins.expr, ins.ctx))
+                term = Or(Not(guard), self.subst(ins.expr, ctx))
                 self.assumed = And(self.assumed, term)
             elif ins.op == "ASSERT":
-                claim = Or(Not(guard), self.subst(ins.expr, ins.ctx))
+                claim = Or(Not(guard), self.subst(ins.expr, ctx))
                 term = Or(Not(self.assumed), claim)
                 if ins.tag == "unwind_assertion":
                     self.out.sigma = And(self.out.sigma, term)

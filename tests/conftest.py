@@ -31,6 +31,16 @@ COUNT_UP = """int main() {
 }
 """
 
+# A superloop: its loop has no loop variable.
+SUPERLOOP = """int main() {
+  unsigned int x = 0;
+  for (;;) {
+    assert(x == 0);
+  }
+  return 0;
+}
+"""
+
 
 def compile_mc(source: str, width: int | None = None):
     """Source text -> lowered GotoProgram, optionally at a forced width."""

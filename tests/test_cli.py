@@ -15,7 +15,7 @@ from kinduct.cli import (
 )
 from kinduct.driver import ReplayError
 from kinduct.solver import SolverError
-from conftest import CORPUS, corpus_path
+from conftest import CORPUS, SUPERLOOP, corpus_path
 
 FIG1_DUMP = """\
 0: ASSIGN x := *
@@ -214,6 +214,15 @@ def test_dump_unwound_with_k(capsys):
                "--invariants", "none") == EXIT_TRUE
     out = capsys.readouterr().out
     assert "forward" in out and "k=2" in out
+
+
+def test_dump_unwound_superloop(tmp_path, capsys):
+    # The inductive step's stutter assume over no loop variable is FALSE.
+    path = tmp_path / "superloop.mc"
+    path.write_text(SUPERLOOP)
+    assert run("verify", str(path), "--dump-unwound", "inductive",
+               "--k", "2") == EXIT_TRUE
+    assert capsys.readouterr().out.count("ASSUME 0") == 2
 
 
 def test_emit_directories(tmp_path, capsys):

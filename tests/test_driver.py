@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kinduct import driver, goto_ir, solver
+from kinduct import driver, goto_ir, oracle, solver
 from kinduct.driver import (
     FALSE, INVARIANT_MODES, TRUE, UNKNOWN, KInductionConfig, ReplayError,
     Trace, _Checker, kinduction, load_program, reconstruct, verify_file,
@@ -14,7 +14,7 @@ from kinduct.interp import VIOLATION, SequentialProvider, run_goto
 from kinduct.solver import SAT, UNSAT
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import to_ssa
-from conftest import corpus_entries, corpus_path
+from conftest import SUPERLOOP, compile_mc, corpus_entries, corpus_path
 from test_solver import DEEP_LOOP
 
 CLAMP = """int clamp(int x) {
@@ -757,3 +757,50 @@ def test_deadline_inside_to_ssa_gives_unknown(tmp_path, monkeypatch):
     v = checker.run()
     assert (v.status, v.phase_log) == (UNKNOWN, [("base", 1)])
     assert encoded == []
+
+
+# Loops with no loop variable: a superloop, one nested in a counted loop,
+# and the loop of a peeled `do { ... } while (0)` ahead of a loop that
+# needs the inductive step.  The stutter assume over no variable is FALSE;
+# the buggy superloop checks that it hides no violation.
+NO_LOOP_VARIABLE = {
+    "superloop": (SUPERLOOP, TRUE, "INDUCTIVE", 2),
+    "superloop_bug": (SUPERLOOP.replace("unsigned int x = 0", "int x = 1"),
+                      FALSE, "BASE", 1),
+    "inner_superloop": ("""int main() {
+  unsigned int i = 0;
+  unsigned int x = 0;
+  while (i < 3) {
+    i = i + 1;
+    while (1) {
+      assert(x == 0);
+    }
+  }
+  return 0;
+}
+""", TRUE, "INDUCTIVE", 2),
+    "do_while_zero": ("""int main() {
+  unsigned int x = 0;
+  unsigned char n = *;
+  do {
+    assert(x == 0);
+  } while (0);
+  while (n > 0) n = n - 1;
+  assert(n == 0);
+  return 0;
+}
+""", TRUE, "INDUCTIVE", 2),
+}
+
+
+@pytest.mark.parametrize("mode", INVARIANT_MODES)
+@pytest.mark.parametrize("name", list(NO_LOOP_VARIABLE))
+def test_loops_without_loop_variables_get_a_verdict(name, mode, tmp_path):
+    src, status, phase, k = NO_LOOP_VARIABLE[name]
+    path = tmp_path / f"{name}.mc"
+    path.write_text(src)
+    v = verify_file(str(path), KInductionConfig(invariants_mode=mode))
+    assert (v.status, v.decided_by, v.k_at_decision) == (status, phase, k)
+    if status == TRUE:
+        g = compile_mc(src, width=8)
+        assert all(oracle.base_case_holds(g, j) for j in range(1, 7))

@@ -145,8 +145,24 @@ NESTED_DO_WHILE = """int main() {
 }"""
 
 
-@pytest.mark.parametrize("src", [NESTED_WHILE, NESTED_DO_WHILE],
-                         ids=["while", "do_while"])
+# The inner guard draws a divide-by-zero value in each copy and in the
+# terminator after copy k; the inner body draws in an if-condition.
+NESTED_DIV_GUARD = """int main() {
+  unsigned int j = 0;
+  unsigned int z = 0;
+  while (j < 2) {
+    unsigned int i = 0;
+    while (i < 2 + i / z) {
+      if (__VERIFIER_nondet_uint() == 0) i = i + 1; else i = i + 2;
+    }
+    j = j + 1;
+  }
+  return 0;
+}"""
+
+
+@pytest.mark.parametrize("src", [NESTED_WHILE, NESTED_DO_WHILE, NESTED_DIV_GUARD],
+                         ids=["while", "do_while", "div_guard"])
 def test_replay_draws_are_the_unwound_draws(src):
     # Every copy of the k=2 unwinding runs when each draw is zero, so the
     # replay asks for exactly the unwinding's draws: an inner counter not

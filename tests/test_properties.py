@@ -5,7 +5,8 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
 from kinduct import oracle
-from kinduct.frontend import parse, pretty_print, typecheck
+from kinduct.driver import KInductionConfig, kinduction
+from kinduct.frontend import MiniCError, parse, pretty_print, typecheck
 from kinduct.goto_ir import lower
 from kinduct.interp import COMPLETED, SequentialProvider, run_ast, run_goto
 from kinduct.invariants import infer_invariants, instrument
@@ -317,6 +318,7 @@ def test_base_case_matches_oracle_on_generated_loops(op, bound, step, avoid, k,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(affine_stmts, min_size=1, max_size=3), byte, byte,
        st.integers(min_value=0, max_value=4), st.booleans())
+@example([("while", None, []), ("assign", "a", ("/", "a", "b"))], 0, 0, 1, False)
 def test_resumed_queries_match_queries_from_nothing(stmts, a, b, c, builtin):
     # The driver's query order through per-family sessions, each resumed
     # from its snapshot, against conversion and blasting from nothing in
@@ -339,3 +341,28 @@ def test_resumed_queries_match_queries_from_nothing(stmts, a, b, c, builtin):
         x = bitblast(encode(s, phase), resumed)
         y = bitblast(encode(fresh, phase), full)
         assert (x.num_vars, x.clauses, x.goal) == (y.num_vars, y.clauses, y.goal)
+
+
+# A `do { ... } while (0)` macro or a trailing superloop: loops with no
+# loop variable.
+TAILS = {"none": "", "macro": "  do { assert(a != b || c == 1); } while (0);\n",
+         "superloop": "  while (1) { assert(a != b || c == 1); }\n"}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(affine_stmts, min_size=1, max_size=3), byte, byte,
+       st.integers(min_value=0, max_value=4), st.sampled_from(sorted(TAILS)),
+       st.booleans())
+@example([("assign", "a", "a")], 0, 0, 0, "superloop", False)
+def test_generated_programs_raise_only_minic_errors(stmts, a, b, c, tail,
+                                                    builtin):
+    src = program(stmts, {"a": a, "b": b, "c": c}).replace(
+        "  return 0;", TAILS[tail] + "  return 0;")
+    try:
+        g = lower(typecheck(parse(src)))
+        if builtin:
+            g = instrument(g, infer_invariants(g))
+        kinduction(g, KInductionConfig(max_iterations=4, timeout_seconds=1))
+    except MiniCError:
+        pass

@@ -5,11 +5,12 @@ import pytest
 from kinduct import oracle
 from kinduct.frontend import pp_expr
 from kinduct.goto_ir import (
-    IfItem, LoopItem, OpItem, free_vars, loop_variables,
+    IfItem, LoopItem, OpItem, free_vars, items_in, loop_variables,
 )
 from kinduct.interp import COMPLETED, SequentialProvider, run_goto
+from kinduct.invariants import infer_invariants, instrument
 from kinduct.transform import (
-    Phase, TransformError, dump_unwound, shadow_name, unwind,
+    Phase, TransformError, dump_unwound, unwind,
 )
 from conftest import FIG1, compile_mc, corpus_entries
 
@@ -86,7 +87,7 @@ def test_inductive_rewrite_blocks(fig1_goto):
     assert (havoc.var, havoc.tag, havoc.ctx) == ("x", "havoc", ())
     # S snapshots every loop variable once per copy
     (store,) = [i for i in body if i.tag == "shadow"]
-    assert store.op == "ASSIGN" and store.var == shadow_name("x", (1,))
+    assert store.op == "ASSIGN" and store.var == "x__pre_0"
     assert pp_expr(store.expr) == "x"
     assert u.body.symbols[store.var] == u.body.symbols["x"]
     # R is one stutter-elimination assume per copy
@@ -171,6 +172,45 @@ def test_nested_unwinding_copies_inner_per_outer():
     assert len(incr) == 4      # k copies of inner per each of k outer copies
     sigma_assumes = [i for i in u.body.instructions if i.tag == "unwind_assumption"]
     assert len(sigma_assumes) == 3   # inner instance per outer copy, plus outer
+
+
+def test_unwinding_copies_no_program_instruction():
+    """The copies of a loop share its body's OpItems: besides the
+    program's own, an unwinding holds only the terminators, the copies
+    of the `pre` items and, for INDUCTIVE, one havoc/shadow/stutter set
+    per loop."""
+    g = compile_mc("""int main() {
+      unsigned int i = 0;
+      unsigned int t = 0;
+      while (i < 2) {
+        unsigned int j = 0;
+        while (j < 2) { if (t < 9) t = t + 1; j = j + 1; }
+        i = i + 1;
+      }
+      return 0;
+    }""")
+    g = instrument(g, infer_invariants(g))
+    outer, inner = sorted((i for i in items_in(g.tree) if isinstance(i, LoopItem)),
+                          key=lambda l: l.loop_id)
+    assert outer.pre and inner.pre   # head invariants to copy
+    own = {id(i) for i in items_in(g.tree) if isinstance(i, OpItem)}
+    k = 8
+    for phase in Phase:
+        u = unwind(g, k, phase)
+        made = {id(i): i.instr for i in items_in(u.tree)
+                if isinstance(i, OpItem) and id(i) not in own}.values()
+        tags = [ins.tag for ins in made]
+        term = ("unwind_assertion" if phase is Phase.FORWARD
+                else "unwind_assumption")
+        assert tags.count(term) == 1 + k         # inner once per outer copy
+        assert tags.count("invariant") == \
+            k * len(outer.pre) + k * k * len(inner.pre)
+        n = 0 if phase is not Phase.INDUCTIVE else \
+            len(loop_variables(outer)) + len(loop_variables(inner))
+        assert (tags.count("havoc"), tags.count("shadow")) == (n, n)
+        assert tags.count("stutter") == (2 if n else 0)
+        assert len(tags) == 1 + k + tags.count("invariant") + 2 * n + \
+            tags.count("stutter")
 
 
 def test_forward_monotonicity_on_corpus_oracle():
