@@ -27,11 +27,14 @@ over.  Each query's goal is an assumption.  An UNSAT answer keeps the
 goal's negation, so a repeated proof costs no search: a loop-free
 program poses one query as BASE k=1, FORWARD k=2 and the re-check, and
 once a constant-bound loop is fully unrolled the re-check at
-k+increment repeats the FORWARD query at k.
+k+increment repeats the FORWARD query at k.  A SAT answer keeps its
+model, and the session's next query first extends it over the new
+copy's clauses: FORWARD and INDUCTIVE stay SAT from k to k+1 until the
+verdict, and most such answers then need no search.
 
 The deadline is checked before each query, inside `unwind`, `to_ssa`,
-`encode` and `bitblast`, and inside the search; running past it gives
-UNKNOWN.
+`encode`, `bitblast` and the model extension, and inside the search;
+running past it gives UNKNOWN.
 """
 
 from __future__ import annotations

@@ -85,6 +85,24 @@ gates and carry-chain majority gates, each defining a fresh output.
 An UNSAT answer keeps -goal at level 0, so asking the same goal again
 costs no search.
 
+A SAT answer is kept as well (`Session.model`), one value per variable,
+and the session's next query first tries to extend it (`_extend`).  The
+kept values satisfy every clause so far, and learned clauses and kept
+-goal units follow from the clauses, so they satisfy those too.  Fix the
+new free bits and there is, by the argument above, exactly one extension
+over the new gates; and since a gate's clauses follow those of its
+inputs, one pass over the new clauses, in order, finds it: each gate's
+output is set by the one clause of its definition that has a single
+unassigned literal left.  If the goal holds in the extension, the query
+is SAT with no search, which takes Een & Sorensson's reuse of one solver
+across the queries of a run one step further than the trail reuse of
+van der Tak, Ramos & Heule ("Reusing the assignment trail in CDCL
+solvers", JSAT 2011).  The pass never answers UNSAT, so it cannot make a
+proof; a false goal goes to the search.  It must stay a single pass: a
+version that set the free bits one at a time and re-scanned the new
+clauses after each took 78 s instead of 4.5 s on a nested loop with both
+bounds raised to 12.
+
 The SAT core is a conventional CDCL: two watched literals, first-UIP
 conflict analysis, VSIDS-style activity, Luby restarts, phase saving.
 No preprocessing.  A conflict budget turns into a BUDGET outcome so the
@@ -169,9 +187,10 @@ class CnfInstance:
 @dataclass
 class SolverOutcome:
     """A query's answer and this query's search counts.  A SAT answer
-    keeps a copy of the engine's values and decodes `model` from it on
-    first read, so a caller that never reads the model (the driver's
-    FORWARD and INDUCTIVE phases) pays no decode."""
+    keeps its per-variable values (the session's kept model, see
+    `solve`) and decodes `model` from them on first read, so a caller
+    that never reads the model (the driver's FORWARD and INDUCTIVE
+    phases) pays no decode."""
     status: str
     decisions: int = 0
     conflicts: int = 0
@@ -691,7 +710,9 @@ class Session:
     queries.  A free name keeps its bits in every query of the session,
     so the copies a query shares with earlier ones blast to the gates
     that already exist and add no clause.  `loaded` counts the blaster's
-    clauses the engine has taken.
+    clauses the engine has taken.  `model` holds the values of the last
+    SAT answer, or its extension over later queries (see `solve`), and
+    `covered` and `covered_free` the clauses and free names they cover.
 
     `snapshot` is the last conversion state a query of the session left
     behind (`SsaProgram.captured`), the one checkpoint the session's next
@@ -706,6 +727,11 @@ class Session:
         self.loaded = 0
         self.snapshot = None
         self.shared = {}   # name of `snapshot` -> its bits
+        # The values of the last SAT answer, per variable (1 true, -1
+        # false), or None; and the clauses and free names they cover.
+        self.model = None
+        self.covered = 0
+        self.covered_free = 0
 
 
 DEFS_PER_CHECK = 256
@@ -805,14 +831,16 @@ def _keep(session: Session, cap, symbol_bits, known: int):
             bl.pinned.append(node)
 
 
-def decode_model(val: list, cnf: CnfInstance) -> dict:
-    """Turn a solver's literal-indexed values (1 true, -1 false) into
-    per-symbol integers."""
+def decode_model(values: list, cnf: CnfInstance) -> dict:
+    """Turn a SAT answer's per-variable values (1 true, -1 false) into
+    per-symbol integers, reading each bit's literal with its sign."""
     model = {}
     for name, ty in cnf.symbols.items():
+        bits = cnf.bits[name]
         value = 0
         for i in range(ty.width):
-            if val[cnf.bits[name][i]] == 1:
+            lit = bits[i]
+            if (values[lit] if lit > 0 else -values[-lit]) == 1:
                 value |= 1 << i
         model[name] = ty.wrap(value)
     return model
@@ -1251,13 +1279,23 @@ def solve(cnf: CnfInstance,
     `deadline` is a time.monotonic() timestamp; running past it yields
     the same BUDGET outcome as exceeding the conflict limit.
 
-    With the `session` the instance was blasted in, the session's engine
-    loads only the clauses it has not seen and keeps what it learned.
-    Without one, a fresh engine gets copies, and `cnf` is left intact.
+    With the `session` the instance was blasted in, the session's last
+    SAT model is first extended over the clauses blasted since
+    (`_extend`).  If the goal holds in the extension, that is the SAT
+    answer, with zero search counts, and the engine loads nothing.
+    Otherwise the session's engine loads only the clauses it has not
+    seen, searches, and keeps what it learned.  Without a session, a
+    fresh engine gets copies, and `cnf` is left intact.
     """
     if session is None:
         engine = _Cdcl(cnf.num_vars, [list(c) for c in cnf.clauses])
     else:
+        status = _extend(session, cnf, deadline)
+        if status is not None:
+            outcome = SolverOutcome(status)
+            if status == SAT:
+                outcome.values, outcome.cnf = session.model, cnf
+            return outcome
         engine = session.engine
         engine.add(cnf.num_vars, cnf.clauses[session.loaded:])
         session.loaded = len(cnf.clauses)
@@ -1267,8 +1305,67 @@ def solve(cnf: CnfInstance,
                             engine.conflicts - before[1],
                             engine.propagations - before[2])
     if status == SAT:
-        outcome.values, outcome.cnf = list(engine.val), cnf
+        outcome.values, outcome.cnf = engine.val[:engine.n + 1], cnf
+        if session is not None:
+            session.model = outcome.values
+            session.covered = len(cnf.clauses)
+            session.covered_free = len(session.free)
     return outcome
+
+
+def _extend(session: Session, cnf: CnfInstance,
+            deadline: float | None) -> str | None:
+    """Extend the session's kept model over the clauses blasted since it
+    was taken, in one in-order pass: SAT if the goal holds in the
+    extension, BUDGET past `deadline` (checked every DEFS_PER_CHECK
+    clauses), else None, and the query is searched.
+
+    The new free bits are set false.  A clause already satisfied is
+    skipped, and one with exactly one unassigned literal sets it; a
+    clause falsified, or left with two unassigned literals, drops the
+    kept model.  Values only go from unassigned to assigned, so every
+    clause the pass meets stays satisfied, and a goal that holds makes
+    the values a model of the session's clauses and the goal.  The pass
+    never answers UNSAT.  A complete pass keeps the extension, also when
+    its goal is false: it is still a model of the clauses."""
+    values = session.model
+    if values is None:
+        return None
+    old = len(values)
+    values += [0] * (cnf.num_vars + 1 - old)
+    for bits in islice(session.free.values(), session.covered_free, None):
+        for v in bits:
+            values[v] = -1
+    clauses = cnf.clauses
+    for start in range(session.covered, len(clauses), DEFS_PER_CHECK):
+        if deadline is not None and time.monotonic() > deadline:
+            del values[old:]
+            return BUDGET
+        for cl in clauses[start:start + DEFS_PER_CHECK]:
+            unset = 0
+            for lit in cl:
+                x = values[lit] if lit > 0 else -values[-lit]
+                if x == 1:
+                    break
+                if x == 0:
+                    if unset:
+                        session.model = None
+                        return None
+                    unset = lit
+            else:
+                if not unset:
+                    session.model = None
+                    return None
+                if unset > 0:
+                    values[unset] = 1
+                else:
+                    values[-unset] = -1
+    session.covered = len(clauses)
+    session.covered_free = len(session.free)
+    goal = cnf.goal
+    if goal is None or (values[goal] if goal > 0 else -values[-goal]) == 1:
+        return SAT
+    return None
 
 
 def emit_dimacs(cnf: CnfInstance) -> str:

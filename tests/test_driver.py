@@ -501,6 +501,24 @@ def test_repeated_queries_are_searched_once(monkeypatch):
         == [(UNSAT, (0, 0, 0))] * 2
 
 
+def test_repeated_sat_answers_extend_the_last_model(monkeypatch):
+    # Each INDUCTIVE query of off_by_one holds the one before and stays
+    # SAT: after the first answer, which is searched, every one is
+    # answered by extending the session's last model over its new copy.
+    queries = recorded(monkeypatch)
+    assert verify("off_by_one.mc").status == FALSE
+    inductive = [(cnf, out) for phase, _, cnf, out in queries
+                 if phase == "inductive"]
+    (first_cnf, first), *rest = inductive
+    assert first.status == SAT and sum(search_counts(first)) > 0
+    assert len(rest) > 5
+    sizes = [len(first_cnf.clauses)]
+    for cnf, out in rest:
+        assert (out.status, search_counts(out)) == (SAT, (0, 0, 0))
+        sizes.append(len(cnf.clauses))
+    assert sizes == sorted(set(sizes))   # each adds a copy's clauses
+
+
 def test_recheck_repeating_the_proof_is_not_searched(tmp_path, monkeypatch):
     # Past the bound every copy folds away, so the re-check at k=7 asks
     # the FORWARD k=2 goal again: the session already holds its negation.

@@ -4,13 +4,13 @@ AST walker, the lowered form, and the encoder, and sound instrumentation."""
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
-from kinduct import oracle
+from kinduct import driver, oracle
 from kinduct.driver import KInductionConfig, kinduction
 from kinduct.frontend import MiniCError, parse, pretty_print, typecheck
 from kinduct.goto_ir import lower
 from kinduct.interp import COMPLETED, SequentialProvider, run_ast, run_goto
 from kinduct.invariants import infer_invariants, instrument
-from kinduct.solver import SAT, Session, bitblast, solve
+from kinduct.solver import BUDGET, SAT, Session, bitblast, solve
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import dump_ssa, encode, to_ssa
 from conftest import compile_mc
@@ -341,6 +341,50 @@ def test_resumed_queries_match_queries_from_nothing(stmts, a, b, c, builtin):
         x = bitblast(encode(s, phase), resumed)
         y = bitblast(encode(fresh, phase), full)
         assert (x.num_vars, x.clauses, x.goal) == (y.num_vars, y.clauses, y.goal)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(loop_free | affine, max_size=3), byte,
+       st.integers(min_value=2, max_value=6),
+       st.sampled_from(("e != {n}", "e == {n}", "a != b || c == 1")),
+       st.booleans())
+def test_session_answers_match_fresh_solves(stmts, b, n, check, builtin):
+    # Every query the driver poses, answered in its session (by extending
+    # the session's last model, or by a search), gets the status a fresh
+    # engine gives its clauses and goal; a SAT answer's values are a model
+    # of both.  The statements run inside a loop counting e up to n, so
+    # each phase's answer repeats from k to k+1, as in off_by_one.mc.
+    body = "\n".join(stmt_render(x, 4) for x in stmts)
+    src = program([], {"a": "*", "b": b, "c": "*"}).replace(
+        "  return 0;",
+        f"  unsigned char e = 0;\n  while (e < {n}) {{\n{body}\n"
+        f"    e = e + 1;\n  }}\n  assert({check.format(n=n)});\n"
+        "  return 0;")
+    g = lower(typecheck(parse(src)))
+    if builtin:
+        g = instrument(g, infer_invariants(g))
+    answers = []
+    real_solve = driver.solve
+
+    def solving(cnf, conflict_limit, deadline, session):
+        out = real_solve(cnf, conflict_limit, deadline, session)
+        fresh = real_solve(cnf, conflict_limit, deadline)
+        if BUDGET not in (out.status, fresh.status):
+            answers.append((out.status, fresh.status))
+        if out.status == SAT:
+            v = out.values
+            true = {lit * v[lit] for lit in range(1, cnf.num_vars + 1)}
+            assert all(not true.isdisjoint(cl) for cl in cnf.clauses)
+            assert cnf.goal in true
+        return out
+
+    driver.solve = solving
+    try:
+        kinduction(g, KInductionConfig(max_iterations=8, timeout_seconds=1))
+    finally:
+        driver.solve = real_solve
+    assert answers and all(mine == fresh for mine, fresh in answers)
 
 
 # A `do { ... } while (0)` macro or a trailing superloop: loops with no

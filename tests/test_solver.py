@@ -969,3 +969,165 @@ def test_expired_deadline_stops_bitblast_and_unwind():
         encode(ssa, Phase.BASE, deadline=time.monotonic() - 1.0)
     assert time.monotonic() - start < 0.5
     assert session.blaster.num_vars < 100   # stopped before the copies
+
+
+def test_expired_deadline_stops_model_extension():
+    # The FORWARD queries at k=3 and k=90 are SAT (the loop runs on past
+    # k), so the session keeps the first one's model; extending it over
+    # the second query's copies stops at its first check, before any
+    # clause, and keeps the model as it was.
+    g = compile_mc(DEEP_LOOP)
+    session = Session()
+
+    def query(k):
+        return bitblast(encode(to_ssa(unwind(g, k, Phase.FORWARD)), Phase.FORWARD),
+                        session)
+
+    assert solve(query(3), session=session).status == SAT
+    kept = len(session.model)
+    cnf = query(90)
+    start = time.monotonic()
+    out = solve(cnf, deadline=time.monotonic() - 1.0, session=session)
+    assert (out.status, out.decisions, out.conflicts, out.propagations) \
+        == (BUDGET, 0, 0, 0)
+    assert time.monotonic() - start < 0.5
+    assert len(session.model) == kept and session.loaded < len(cnf.clauses)
+    again = solve(cnf, session=session)
+    assert (again.status, again.decisions, again.conflicts,
+            again.propagations) == (SAT, 0, 0, 0)
+
+
+def assert_model_of(values, clauses, goal):
+    """Every clause has a true literal under the per-variable `values`,
+    and so has the goal."""
+    def true(lit):
+        return (values[lit] if lit > 0 else -values[-lit]) == 1
+    for cl in clauses:
+        assert any(true(lit) for lit in cl), cl
+    assert goal is None or true(goal)
+
+
+def one_bit_query(session, goal, **symbols):
+    """Blast `goal` over the 1-bit names `symbols` (name -> definition,
+    or None for a free name) in `session`."""
+    bits = {n: var(n, B1) for n in symbols}
+    return bitblast(formula(goal(bits), dict.fromkeys(symbols, B1),
+                            [(n, e(bits)) for n, e in symbols.items()
+                             if e is not None]), session)
+
+
+def test_sat_answer_extends_the_last_model():
+    # The second query adds one XOR gate over a new free bit y: x keeps its
+    # value from the first answer, y is set false, and the gate's clauses
+    # then set its output, so the goal holds without a search.
+    session = Session()
+    first = solve(one_bit_query(session, lambda b: b["x"], x=None),
+                  session=session)
+    assert first.status == SAT and first.propagations > 0
+    cnf = one_bit_query(session, lambda b: b["g"], x=None, y=None,
+                        g=lambda b: Binary("^", b["x"], b["y"], ty=B1))
+    assert len(cnf.clauses) == session.loaded + 4
+    out = solve(cnf, session=session)
+    assert (out.status, out.decisions, out.conflicts,
+            out.propagations) == (SAT, 0, 0, 0)
+    assert out.values is session.model
+    assert_model_of(out.values, cnf.clauses, cnf.goal)
+    assert out.model == {"x": 1, "y": 0, "g": 1}
+    assert session.loaded < len(cnf.clauses)   # the next search loads them
+
+
+def test_clause_with_two_open_literals_drops_the_model(monkeypatch):
+    # A clause over two new variables that no free name holds is not a
+    # gate definition: one pass cannot set either, so the model is
+    # dropped and the query is searched.
+    session = Session()
+    cnf = one_bit_query(session, lambda b: b["x"], x=None)
+    assert solve(cnf, session=session).status == SAT
+    bl = session.blaster
+    a, b = bl.new_var(), bl.new_var()
+    bl.add(a, b)
+    bl.add(-a, b)
+    cnf = CnfInstance(bl.num_vars, list(bl.clauses), cnf.bits, cnf.symbols,
+                      cnf.goal)
+    dropped = []
+    real = solver._extend
+
+    def extend(*args):
+        status = real(*args)
+        dropped.append(session.model is None)
+        return status
+
+    monkeypatch.setattr(solver, "_extend", extend)
+    out = solve(cnf, session=session)
+    assert dropped == [True] and out.status == SAT and out.propagations > 0
+    assert_model_of(out.values, cnf.clauses, cnf.goal)
+    assert session.model is out.values and session.loaded == len(cnf.clauses)
+
+
+def test_goal_false_in_the_extension_is_searched():
+    # y, new and free, is set false, so the extension makes both goals
+    # below false: x & y is SAT (y true), and (x & y) & !y is UNSAT.
+    session = Session()
+    assert solve(one_bit_query(session, lambda b: b["x"], x=None),
+                 session=session).status == SAT
+
+    def both(b):
+        return Binary("&", b["x"], b["y"], ty=B1)
+
+    cnf = one_bit_query(session, both, x=None, y=None)
+    out = solve(cnf, session=session)
+    assert out.status == SAT and out.propagations > 0
+    assert_model_of(out.values, cnf.clauses, cnf.goal)
+    assert out.model == {"x": 1, "y": 1}
+    cnf = one_bit_query(session, lambda b: Binary(
+        "&", both(b), Unary("!", b["y"], ty=B1), ty=B1), x=None, y=None)
+    out = solve(cnf, session=session)
+    assert out.status == UNSAT and out.conflicts + out.propagations > 0
+    assert session.model is not None   # still a model of the clauses
+
+
+def test_falsified_clause_drops_the_model():
+    # A unit clause -x (not a gate definition) is false in the kept model,
+    # where the goal x holds: the model is dropped, and the search finds
+    # the goal UNSAT now.
+    session = Session()
+    cnf = one_bit_query(session, lambda b: b["x"], x=None)
+    assert solve(cnf, session=session).model == {"x": 1}
+    session.blaster.add(-cnf.bits["x"][0])
+    cnf = CnfInstance(cnf.num_vars, list(session.blaster.clauses), cnf.bits,
+                      cnf.symbols, cnf.goal)
+    out = solve(cnf, session=session)
+    assert out.status == UNSAT and out.propagations > 0
+    assert session.model is None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_extension_never_answers_unsat(seed, monkeypatch):
+    # Random clause sets grown step by step, each step's goal a literal:
+    # the session's answer, extended or searched, is the fresh engine's,
+    # every SAT values list is a model of the clauses and the goal, and the
+    # pass itself answers only SAT or nothing.
+    rng = random.Random(seed)
+    session = Session()
+    bl = session.blaster
+    results = []
+    real = solver._extend
+
+    def extend(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_extend", extend)
+    for _ in range(12):
+        for _ in range(rng.randint(0, 2)):
+            bl.new_var()
+        for _ in range(rng.randint(0, 3) if bl.num_vars > 1 else 0):
+            bl.add(*[rng.choice((1, -1)) * rng.randint(2, bl.num_vars)
+                     for _ in range(rng.randint(1, 3))])
+        goal = rng.choice((1, -1)) * rng.randint(1, bl.num_vars)
+        cnf = CnfInstance(bl.num_vars, list(bl.clauses), goal=goal)
+        out = solve(cnf, session=session)
+        assert out.status == solve(cnf).status
+        if out.status == SAT:
+            assert_model_of(out.values, cnf.clauses, goal)
+    assert UNSAT not in results and BUDGET not in results
