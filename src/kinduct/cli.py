@@ -20,6 +20,7 @@ import json
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -115,7 +116,9 @@ def _cmd_verify(args) -> int:
             if args.dump_goto:
                 print(dump_goto(g))
             if args.dump_invariants:
-                print(dump_invariants(g, infer_invariants(g)))
+                # what `builtin` plants, at the heads of the program it plants in
+                plain = load_program(args.file, replace(cfg, invariants_mode="none"))
+                print(dump_invariants(plain, infer_invariants(plain)))
             if args.dump_unwound:
                 print(dump_unwound(unwind(g, args.k, Phase(args.dump_unwound))))
             return EXIT_TRUE

@@ -34,7 +34,8 @@ verdict, and most such answers then need no search.
 
 The deadline is checked before each query, inside `unwind`, `to_ssa`,
 `encode`, `bitblast` and the model extension, and inside the search;
-running past it gives UNKNOWN.
+running past it gives UNKNOWN.  `verify_file` starts the clock before
+loading the program, so a slow load leaves less time for the queries.
 """
 
 from __future__ import annotations
@@ -253,5 +254,9 @@ def load_program(path: str, cfg: KInductionConfig) -> GotoProgram:
 
 
 def verify_file(path: str, cfg: KInductionConfig | None = None) -> Verdict:
+    """Load and check `path`; its timeout counts the loading too."""
     cfg = cfg or KInductionConfig()
-    return kinduction(load_program(path, cfg), cfg)
+    start = time.monotonic()
+    checker = _Checker(load_program(path, cfg), cfg)
+    checker.deadline = start + cfg.timeout_seconds
+    return checker.run()

@@ -51,8 +51,8 @@ class Instr:
     target: int | None = None
     loc: Loc | None = None
     tag: str = ""           # provenance marker for transformed programs
-    # Set by `unwind` on a terminator or a copied `pre` instruction: the
-    # copy indices of every enclosing loop, outermost first.
+    # Set by `unwind` on a terminator only: the copy indices of every
+    # enclosing loop, outermost first, then k+1 for its own loop.
     ctx: tuple = ()
 
     def render(self) -> str:
@@ -102,7 +102,9 @@ class IfItem:
 class LoopItem:
     guard: Expr
     body: list
-    pre: list = field(default_factory=list)  # run each iteration before the guard
+    # OpItems run each iteration before the guard; the unwound copies
+    # share them, so they must hold no draw (see `transform`)
+    pre: list = field(default_factory=list)
     loc: Loc | None = None
     loop_id: int = 0
 

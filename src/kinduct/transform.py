@@ -30,12 +30,15 @@ before it, `unwind` records where it put that loop's copies
 are then the same at every k, so `to_ssa` can resume a conversion from
 the state an earlier, shallower query left after one of them.
 
-The copies of a loop share its body's items.  Contexts sit on what
-`unwind` makes: each copy's IfItem and copied `pre` items carry `ctx`,
-the copy indices of their enclosing loops (outermost first), the
-terminator `ctx + (k+1,)`, and any other item takes its innermost
-copy's.  Draws are named (nid, ctx), the keys a concrete replay of the
-original program produces, which is what makes model replay possible.
+The copies of a loop share its body's and its `pre` items: `unwind`
+makes only each copy's IfItem, whose `ctx` holds the copy indices of its
+enclosing loops (outermost first) and its own, and the terminator, with
+`ctx + (k+1,)`.  Any other item takes its innermost copy's context.
+Draws are named (nid, ctx), the keys a concrete replay of the original
+program produces, which is what makes model replay possible.  Copy i's
+`pre` items sit inside copy i-1 and take its context, so a `pre` item
+must hold no draw (nondet or division): the replay of a FALSE would miss
+it (`ReplayError`); its names stay distinct, so no wrong TRUE.
 
 `unwind` takes an optional time.monotonic() deadline and raises
 DeadlineExceeded once it has run past it, checked every COPIES_PER_CHECK
@@ -140,18 +143,16 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
     term_op, term_tag = (("ASSERT", "unwind_assertion") if phase is Phase.FORWARD
                          else ("ASSUME", "unwind_assumption"))
 
-    def stamp(items: list, ctx: tuple, copy: bool = False) -> list:
-        """`items` with their loops unwound in `ctx`; with `copy`, their
-        other items are copies carrying `ctx`, else shared."""
+    def stamp(items: list, ctx: tuple) -> list:
+        """`items` with their loops unwound in `ctx`, other items shared."""
         nonlocal layout
         out: list = []
         for item in items:
             if isinstance(item, OpItem):
-                out.append(OpItem(replace(item.instr, ctx=ctx)) if copy else item)
+                out.append(item)
             elif isinstance(item, IfItem):
-                out.append(IfItem(item.cond, stamp(item.then, ctx, copy),
-                                  stamp(item.els, ctx, copy), loc=item.loc,
-                                  ctx=ctx if copy else ()))
+                out.append(IfItem(item.cond, stamp(item.then, ctx),
+                                  stamp(item.els, ctx), loc=item.loc))
             elif isinstance(item, LoopItem):
                 before = copies
                 out.extend(unwind_loop(item, ctx))
@@ -176,7 +177,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
             cctx = ctx + (i,)
             seq = stamp(loop.body, cctx) if nested else loop.body
             own = len(seq)
-            inner = stamp(loop.pre, cctx, True) + [
+            inner = loop.pre + [
                 IfItem(loop.guard, seq + inner, [], loc=loop.loc, ctx=cctx)]
         return inner
 

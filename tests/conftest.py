@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from kinduct.frontend import parse, typecheck, override_widths
-from kinduct.goto_ir import lower
+from kinduct.frontend import Binary, Nondet, parse, typecheck, override_widths, walk
+from kinduct.goto_ir import LoopItem, items_in, lower
 from kinduct.vcgen import eval_formula
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "kinduct" / "corpus"
@@ -56,6 +56,15 @@ def satisfies(f, model: dict) -> bool:
     return (all(eval_formula(expr, model) == model[name]
                 for name, expr in f.definitions)
             and eval_formula(f.goal, model) != 0)
+
+
+def pre_draws(g) -> list:
+    """Every draw (a nondet or a division) in a loop's `pre` items.  The
+    unwound copies share those items, so there must be none."""
+    return [node for loop in items_in(g.tree) if isinstance(loop, LoopItem)
+            for item in loop.pre for node in walk(item.instr.expr)
+            if isinstance(node, Nondet)
+            or isinstance(node, Binary) and node.op in ("/", "%")]
 
 
 def corpus_path(name: str) -> Path:

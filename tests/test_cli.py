@@ -15,7 +15,8 @@ from kinduct.cli import (
 )
 from kinduct.driver import ReplayError
 from kinduct.solver import SolverError
-from conftest import CORPUS, SUPERLOOP, corpus_path
+from conftest import CORPUS, SUPERLOOP, corpus_entries, corpus_path
+from test_invariants import GOLDEN as INVARIANTS_GOLDEN
 
 FIG1_DUMP = """\
 0: ASSIGN x := *
@@ -206,6 +207,25 @@ def test_dump_invariants(capsys):
     assert run("verify", str(corpus_path("fig1_unsigned.mc")),
                "--dump-invariants") == EXIT_TRUE
     assert "head@1: 0 <= x" in capsys.readouterr().out
+
+
+def test_dump_invariants_prints_what_builtin_plants(capsys):
+    """Under the default mode, the facts `instrument` plants, at the loop
+    heads of the program it instruments: the invariant golden's `native`
+    blocks."""
+    blocks, name = {}, None
+    for line in INVARIANTS_GOLDEN.read_text().splitlines():
+        if line.startswith("== "):
+            _, name, width = line.split()
+            name = name if width == "native" else None
+            if name:
+                blocks[name] = []
+        elif name:
+            blocks[name].append(line)
+    assert len(blocks) == len(corpus_entries())
+    for path, _expected, _cat in corpus_entries():
+        assert run("verify", str(path), "--dump-invariants") == EXIT_TRUE
+        assert capsys.readouterr().out.strip() == "\n".join(blocks[path.name]), path.name
 
 
 def test_dump_unwound_with_k(capsys):

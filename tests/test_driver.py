@@ -1,6 +1,8 @@
 """The k-induction loop, counterexample replay, and program loading."""
 
+import hashlib
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -76,25 +78,56 @@ def test_corpus_spot_verdicts(name, status, decided_by, k):
 VERDICTS = Path(__file__).resolve().parent / "data" / "corpus_verdicts.txt"
 
 
+@contextmanager
+def query_digest():
+    """Within the block, every query `driver.bitblast` blasts feeds the
+    yielded digest, before the engine reorders any clause's literals:
+    the query's variable count, its goal and the clauses its session
+    gained."""
+    real_bitblast = driver.bitblast
+    digest = hashlib.blake2b(digest_size=8)
+    seen = {}   # id of a session -> its clauses so far
+
+    def blasting(f, session, *args):
+        cnf = real_bitblast(f, session, *args)
+        start = seen.get(id(session), 0)
+        seen[id(session)] = len(cnf.clauses)
+        digest.update(repr((cnf.num_vars, cnf.goal, cnf.clauses[start:])).encode())
+        return cnf
+
+    driver.bitblast = blasting
+    try:
+        yield digest
+    finally:
+        driver.bitblast = real_bitblast
+
+
+def run_line(path: Path, cfg: KInductionConfig) -> str:
+    """status, decided_by, k, the violated location, the phase log, the
+    counterexample's states and a digest of the run's queries' CNFs."""
+    with query_digest() as digest:
+        v = verify_file(str(path), cfg)
+    cex = v.counterexample
+    phases = " ".join(f"{phase}:{k}" for phase, k in v.phase_log)
+    states = ";".join(",".join(f"{var}={val}" for var, val in sorted(s.items()))
+                      for s in cex.states) if cex else "-"
+    return (f"{path.name} {cfg.invariants_mode} {v.status} {v.decided_by} "
+            f"{v.k_at_decision} {cex.violated if cex else '-'} [{phases}] "
+            f"cex=[{states}] cnf={digest.hexdigest()}")
+
+
 def corpus_verdict_dump() -> str:
-    """One line per corpus program and invariants mode, at k_max 25:
-    status, decided_by, k, the violated location and the phase log."""
-    out = []
-    for path, _expected, _cat in corpus_entries():
-        for mode in INVARIANT_MODES:
-            cfg = KInductionConfig(max_iterations=25, invariants_mode=mode)
-            v = verify_file(str(path), cfg)
-            cex = v.counterexample
-            phases = " ".join(f"{phase}:{k}" for phase, k in v.phase_log)
-            out.append(f"{path.name} {mode} {v.status} {v.decided_by} "
-                       f"{v.k_at_decision} {cex.violated if cex else '-'} "
-                       f"[{phases}]")
-    return "\n".join(out) + "\n"
+    """`run_line` for every corpus program and invariants mode, at k_max 25."""
+    return "".join(run_line(path, KInductionConfig(max_iterations=25,
+                                                   invariants_mode=mode)) + "\n"
+                   for path, _expected, _cat in corpus_entries()
+                   for mode in INVARIANT_MODES)
 
 
 def test_corpus_verdicts_match_golden():
-    """Every corpus verdict and phase sequence is pinned.  A change that
-    means to alter them re-records the file, from the repository root:
+    """Every corpus verdict, phase sequence, counterexample and query CNF
+    is pinned.  A change that means to alter them re-records the file,
+    from the repository root:
     PYTHONPATH=src:tests python -c "import test_driver as t;
     t.VERDICTS.write_text(t.corpus_verdict_dump())"
     """
@@ -753,6 +786,19 @@ def test_deadline_inside_a_stage_gives_unknown(tmp_path, monkeypatch):
     v = checker.run()
     assert (v.status, v.phase_log) == (UNKNOWN, [("base", 1)])
     assert blasted == []
+
+
+def test_timeout_counts_the_loading(monkeypatch):
+    # A load stage that outlasts the timeout leaves no time for a query.
+    real_infer = driver.infer_invariants
+
+    def slow(*args):
+        time.sleep(1.2)
+        return real_infer(*args)
+
+    monkeypatch.setattr(driver, "infer_invariants", slow)
+    v = verify("fig1_unsigned.mc", timeout_seconds=1)
+    assert (v.status, v.phase_log) == (UNKNOWN, [])
 
 
 def test_deadline_inside_to_ssa_gives_unknown(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from kinduct.invariants import infer_invariants, instrument
 from kinduct.solver import BUDGET, SAT, Session, bitblast, solve
 from kinduct.transform import Phase, unwind
 from kinduct.vcgen import dump_ssa, encode, to_ssa
-from conftest import compile_mc
+from conftest import compile_mc, pre_draws
 
 VARS = ("a", "b", "c")
 BIN_OPS = ("+", "-", "*", "&", "|", "^", "<<", ">>",
@@ -266,9 +266,11 @@ affine_stmts = st.one_of(
 def test_instrumentation_never_blocks_a_plain_run(stmts, a, b, c):
     """Every invariant planted at a loop head holds on each run reaching
     that head, so the instrumented program completes where the plain one
-    does (cf. test_soundness_sampling_on_corpus)."""
+    does (cf. test_soundness_sampling_on_corpus).  None holds a draw,
+    which the unwound copies' sharing of `pre` needs."""
     g = lower(typecheck(parse(program(stmts, {"a": a, "b": b, "c": c}))))
     gi = instrument(g, infer_invariants(g))
+    assert pre_draws(gi) == []
     plain = run_goto(g, SequentialProvider([]))
     inst = run_goto(gi, SequentialProvider([]))
     assert plain.status == inst.status == COMPLETED

@@ -12,7 +12,7 @@ from kinduct.invariants import infer_invariants, instrument
 from kinduct.transform import (
     Phase, TransformError, dump_unwound, unwind,
 )
-from conftest import FIG1, compile_mc, corpus_entries
+from conftest import FIG1, compile_mc, corpus_entries, pre_draws
 
 
 def tags(u):
@@ -174,25 +174,27 @@ def test_nested_unwinding_copies_inner_per_outer():
     assert len(sigma_assumes) == 3   # inner instance per outer copy, plus outer
 
 
+NESTED = """int main() {
+  unsigned int i = 0;
+  unsigned int t = 0;
+  while (i < 2) {
+    unsigned int j = 0;
+    while (j < 2) { if (t < 9) t = t + 1; j = j + 1; }
+    i = i + 1;
+  }
+  return 0;
+}"""
+
+
 def test_unwinding_copies_no_program_instruction():
-    """The copies of a loop share its body's OpItems: besides the
-    program's own, an unwinding holds only the terminators, the copies
-    of the `pre` items and, for INDUCTIVE, one havoc/shadow/stutter set
-    per loop."""
-    g = compile_mc("""int main() {
-      unsigned int i = 0;
-      unsigned int t = 0;
-      while (i < 2) {
-        unsigned int j = 0;
-        while (j < 2) { if (t < 9) t = t + 1; j = j + 1; }
-        i = i + 1;
-      }
-      return 0;
-    }""")
+    """The copies of a loop share its body's and its `pre` OpItems:
+    besides the program's own, an unwinding holds only the terminators
+    and, for INDUCTIVE, one havoc/shadow/stutter set per loop."""
+    g = compile_mc(NESTED)
     g = instrument(g, infer_invariants(g))
     outer, inner = sorted((i for i in items_in(g.tree) if isinstance(i, LoopItem)),
                           key=lambda l: l.loop_id)
-    assert outer.pre and inner.pre   # head invariants to copy
+    assert outer.pre and inner.pre   # head invariants to share
     own = {id(i) for i in items_in(g.tree) if isinstance(i, OpItem)}
     k = 8
     for phase in Phase:
@@ -203,14 +205,53 @@ def test_unwinding_copies_no_program_instruction():
         term = ("unwind_assertion" if phase is Phase.FORWARD
                 else "unwind_assumption")
         assert tags.count(term) == 1 + k         # inner once per outer copy
-        assert tags.count("invariant") == \
-            k * len(outer.pre) + k * k * len(inner.pre)
+        assert tags.count("invariant") == 0
         n = 0 if phase is not Phase.INDUCTIVE else \
             len(loop_variables(outer)) + len(loop_variables(inner))
         assert (tags.count("havoc"), tags.count("shadow")) == (n, n)
         assert tags.count("stutter") == (2 if n else 0)
-        assert len(tags) == 1 + k + tags.count("invariant") + 2 * n + \
-            tags.count("stutter")
+        assert len(tags) == 1 + k + 2 * n + tags.count("stutter")
+
+
+def instrumented_programs():
+    """The corpus under `builtin`, and NESTED, each with its planted `pre`."""
+    for source in [p.read_text() for p, _e, _c in corpus_entries()] + [NESTED]:
+        g = compile_mc(source)
+        yield instrument(g, infer_invariants(g))
+
+
+def test_planted_pre_items_hold_no_draw():
+    """The copies share a loop's `pre` items, and copy i's sit in copy
+    i-1, where they take its draw context: they must hold no draw."""
+    planted = 0
+    for g in instrumented_programs():
+        assert pre_draws(g) == [], g.file
+        planted += sum(len(l.pre) for l in items_in(g.tree) if isinstance(l, LoopItem))
+    assert planted > 20
+
+
+def test_copies_share_the_loops_pre_items():
+    """Copy i's IfItem follows its loop's own `pre` OpItems, and only the
+    copies' IfItems and the terminators carry a context."""
+    for g in instrumented_programs():
+        pres = {id(l.guard): l.pre for l in items_in(g.tree) if isinstance(l, LoopItem)}
+        for phase in Phase:
+            u = unwind(g, 3, phase)
+            copies = 0
+            for items in item_lists(u.tree):
+                for j, item in enumerate(items):
+                    if isinstance(item, IfItem) and id(item.cond) in pres:
+                        pre = pres[id(item.cond)]
+                        assert item.ctx
+                        assert list(map(id, items[j - len(pre):j])) == list(map(id, pre))
+                        copies += 1
+                    elif isinstance(item, IfItem):
+                        assert item.ctx == ()
+                    else:
+                        terminator = item.instr.tag.startswith("unwind_")
+                        assert bool(item.instr.ctx) == terminator, (g.file, item)
+            # a loop at nesting depth d is copied k times per outer copy
+            assert copies == sum(3 ** (l.nesting_depth + 1) for l in g.loops)
 
 
 def test_forward_monotonicity_on_corpus_oracle():
