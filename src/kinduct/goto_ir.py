@@ -15,8 +15,7 @@ GOTO listing, every loop in the top-test shape
            GOTO head
 
 is derived from the tree on first read, for the readers that run on
-program counters: the replay, the oracle, the interval analysis and the
-dumps.
+program counters: the replay, the oracle and the dumps.
 
 Every nondeterministic value (nondet expressions and the fresh value
 produced by division by zero) carries a unique numeric id `nid`, which

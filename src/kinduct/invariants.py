@@ -2,18 +2,20 @@
 
 Two producers feed the same consumer:
 
-* `infer_invariants` runs a small abstract interpreter over a
-  GotoProgram and emits affine constraints at every loop head.  Its
-  domain is an interval per variable plus one table of pair facts
-  `a + b == c` and `a - b == c`, keyed by the pair and the sign.
+* `infer_invariants` runs a small abstract interpreter over the loop
+  tree of a GotoProgram and emits affine constraints at every loop
+  head, keyed by loop id.  Its domain is an interval per variable plus
+  one table of pair facts `a + b == c` and `a - b == c`, keyed by the
+  pair and the sign.
 * `translate_invariants` accepts invariant comments of the form
   `// P(w,x) {w==0, x#init>10}` and rewrites them into
   `__ESBMC_assume(...)` statements, synthesizing `v_init` snapshot
   declarations for `#init`-marked variables.
 
-`instrument` plants the inferred constraints as ASSUME instructions at
-the loop heads, which later survive into every unwound copy (and in the
-inductive step end up immediately after the havoc block).
+`instrument` plants each loop's constraints as an ASSUME opening its
+`pre` items, which every unwound copy shares (and which in the
+inductive step comes right after the havoc block).  `dump_invariants`
+is the one reader that names a loop by its head in the flat listing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .frontend import (
     INT, Binary, Cast, Cond, Const, Expr, IntType, MiniCError, Nondet, Unary,
     Var, lex, promote, _Parser,
 )
-from .goto_ir import GotoProgram, Instr, LoopItem, IfItem, OpItem
+from .goto_ir import GotoProgram, Instr, LoopItem, IfItem, OpItem, items_in
 from .interp import eval_expr, trunc_div
 
 
@@ -129,15 +131,17 @@ def constraint_to_expr(c: AffineConstraint, symbols: dict) -> Expr:
 
 @dataclass
 class InvariantSet:
-    by_location: dict = field(default_factory=dict)  # head index -> [AffineConstraint]
+    by_location: dict = field(default_factory=dict)  # loop id -> [AffineConstraint]
 
 
 def dump_invariants(p: GotoProgram, inv: InvariantSet) -> str:
+    """One `head@<pc>: facts` line per loop, by its head in `p`'s listing."""
+    heads = {loop.loop_id: loop.head for loop in p.loops}
     lines = []
-    for loc in sorted(inv.by_location):
-        cs = inv.by_location[loc]
+    for lid in sorted(inv.by_location, key=heads.__getitem__):
+        cs = inv.by_location[lid]
         body = ", ".join(render_constraint(c) for c in cs) if cs else "(none)"
-        lines.append(f"head@{loc}: {body}")
+        lines.append(f"head@{heads[lid]}: {body}")
     return "\n".join(lines)
 
 
@@ -487,91 +491,79 @@ def _assign(s: _Abs, var: str, e: Expr, ty: IntType) -> _Abs:
     return out
 
 
-def _successors(p: GotoProgram, i: int, s: _Abs):
-    """Yield (next index, state) pairs for instruction i."""
-    ins = p.instructions[i]
-    if ins.op == "ASSIGN":
-        yield (i + 1, _assign(s, ins.var, ins.expr, p.symbols[ins.var]))
-    elif ins.op in ("ASSUME", "ASSERT"):
-        refined = _refine(s, ins.expr, True)
-        if refined is not None:
-            yield (i + 1, refined)
-    elif ins.op == "GOTO":
-        yield (ins.target, s.copy())
-    elif ins.op == "COND_GOTO":
-        taken = _refine(s, ins.expr, True)
-        if taken is not None:
-            yield (ins.target, taken)
-        fall = _refine(s, ins.expr, False)
-        if fall is not None:
-            yield (i + 1, fall)
-    elif ins.op == "SKIP":
-        yield (i + 1, s.copy())
-    else:
-        raise ValueError(f"cannot analyse a {ins.op} instruction")
+def _head_states(p: GotoProgram) -> dict:
+    """The state at each loop head reached, keyed by loop id (None:
+    unreachable).  The walk follows the loop tree (Bourdoncle's recursive
+    strategy): a loop runs its `pre` items, guard and body back to its
+    head, joining and widening there, until the head state is stable.
+    Head states and widening counts persist across the iterations of
+    enclosing loops.  Two descending passes then meet each head's
+    intervals with its entry and its back edge.
 
+    No iteration cap is needed: head intervals only grow, and `_widen`
+    sends a bound to its type limit after `_WIDEN_AFTER` moves; a
+    variable dropped from a head never returns; a pair fact leaves a
+    head for good, and one is added only while both its variables are
+    singletons."""
+    heads: dict = {}  # loop id -> state
+    backs: dict = {}  # loop id -> state arriving on the back edge
+    moves: dict = {}  # loop id -> `_widen` counts
 
-def _analyze(p: GotoProgram) -> list:
-    """Abstract states before each instruction (None = unreachable)."""
-    n = len(p.instructions)
-    heads = {l.head for l in p.loops}
-    state: list = [None] * (n + 1)
-    state[0] = _Abs({}, {})
-    moves: dict = {h: {} for h in heads}
-    work = [0]
-    iterations = 0
-    while work:
-        iterations += 1
-        if iterations > 200_000:
-            # Not converged: only the empty (no-information) result is a
-            # sound over-approximation.
-            return [None] * (n + 1)
-        i = work.pop()
-        if i >= n or state[i] is None:
-            continue
-        for j, out in _successors(p, i, state[i]):
-            merged = _join(state[j], out)
-            if merged == state[j]:
-                continue
-            if j in heads and state[j] is not None:
-                merged = _widen(state[j], merged, p.symbols, moves[j])
-                if merged == state[j]:
-                    continue
-            state[j] = merged
-            work.append(j)
+    def run(items: list, s: _Abs | None, through) -> _Abs | None:
+        for item in items:
+            if isinstance(item, IfItem):
+                s = _join(run(item.then, _refine(s, item.cond, True), through),
+                          run(item.els, _refine(s, item.cond, False), through))
+            elif isinstance(item, LoopItem):
+                s = through(item, s)
+            elif item.instr.op == "ASSIGN":
+                ins = item.instr
+                s = None if s is None else _assign(s, ins.var, ins.expr, p.symbols[ins.var])
+            elif item.instr.op in ("ASSUME", "ASSERT"):
+                s = _refine(s, item.instr.expr, True)
+            elif item.instr.op != "SKIP":
+                raise ValueError(f"cannot analyse a {item.instr.op} instruction")
+        return s
 
-    preds: list = [[] for _ in range(n + 1)]
-    for i, ins in enumerate(p.instructions):
-        if ins.op == "GOTO":
-            preds[ins.target].append(i)
-        elif ins.op == "COND_GOTO":
-            preds[ins.target].append(i)
-            preds[i + 1].append(i)
-        else:
-            preds[i + 1].append(i)
+    def ascend(loop: LoopItem, s: _Abs | None) -> _Abs | None:
+        if s is None:
+            return None
+        lid = loop.loop_id
+        while True:
+            old = heads.get(lid)
+            new = _join(old, s)
+            if old is not None:
+                new = _widen(old, new, p.symbols, moves.setdefault(lid, {}))
+            if new == old:
+                return _refine(run(loop.pre, old, ascend), loop.guard, False)
+            heads[lid] = new
+            top = run(loop.pre, new, ascend)
+            s = backs[lid] = run(loop.body, _refine(top, loop.guard, True), ascend)
 
-    for _ in range(2):  # narrowing passes
-        for j in range(n + 1):
-            if j == 0 or state[j] is None:
-                continue
-            incoming = None
-            for i in preds[j]:
-                if state[i] is None:
-                    continue
-                for tgt, out in _successors(p, i, state[i]):
-                    if tgt == j:
-                        incoming = _join(incoming, out)
-            state[j] = _meet_intervals(state[j], incoming)
-    return state
+    def descend(loop: LoopItem, s: _Abs | None) -> _Abs | None:
+        lid = loop.loop_id
+        if heads.get(lid) is None:
+            return None
+        heads[lid] = head = _meet_intervals(heads[lid], _join(s, backs[lid]))
+        top = run(loop.pre, head, descend)
+        backs[lid] = run(loop.body, _refine(top, loop.guard, True), descend)
+        return _refine(top, loop.guard, False)
+
+    run(p.tree, _Abs({}, {}), ascend)
+    for _ in range(2):
+        run(p.tree, _Abs({}, {}), descend)
+    return heads
 
 
 def infer_invariants(p: GotoProgram) -> InvariantSet:
     """Constraints over-approximating every reachable store at each loop
-    head.  Unreachable heads get the empty list."""
-    states = _analyze(p)
+    head, keyed by loop id.  Unreachable heads get the empty list."""
+    heads = _head_states(p)
     out = InvariantSet()
-    for loop in p.loops:
-        s = states[loop.head]
+    for loop in items_in(p.tree):
+        if not isinstance(loop, LoopItem):
+            continue
+        s = heads.get(loop.loop_id)
         cs: list = []
         if s is not None:
             for v in sorted(s.intervals):
@@ -590,7 +582,7 @@ def infer_invariants(p: GotoProgram) -> InvariantSet:
                 ia, ib = s.intervals.get(a), s.intervals.get(b)
                 if ia and ib and not (ia[0] == ia[1] and ib[0] == ib[1]):
                     cs.append(AffineConstraint(((1, a), (sign, b)), "==", c))
-        out.by_location[loop.head] = cs
+        out.by_location[loop.loop_id] = cs
     return out
 
 
@@ -600,11 +592,6 @@ def instrument(p: GotoProgram, inv: InvariantSet) -> GotoProgram:
     unwound copy inherits it)."""
     if not inv.by_location:
         return p
-    by_loop = {}
-    for loop in p.loops:
-        cs = inv.by_location.get(loop.head, [])
-        if cs:
-            by_loop[loop.loop_id] = cs
 
     def conj(cs: list) -> Expr:
         exprs = [constraint_to_expr(c, p.symbols) for c in cs]
@@ -622,9 +609,9 @@ def instrument(p: GotoProgram, inv: InvariantSet) -> GotoProgram:
             elif isinstance(item, LoopItem):
                 body = rebuild(item.body)
                 pre = list(item.pre)
-                if item.loop_id in by_loop:
+                if inv.by_location.get(item.loop_id):
                     pre.insert(0, OpItem(Instr(
-                        "ASSUME", expr=conj(by_loop[item.loop_id]),
+                        "ASSUME", expr=conj(inv.by_location[item.loop_id]),
                         tag="invariant", loc=item.loc)))
                 out.append(LoopItem(item.guard, body, pre=pre,
                                     loc=item.loc, loop_id=item.loop_id))

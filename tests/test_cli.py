@@ -408,9 +408,11 @@ def test_internal_invariant_failure_is_an_internal_error(tmp_path, capsys,
     # A constraint over a variable the program lacks can only come from a
     # bug in the invariant generator, so it is not an invalid input.
     from kinduct import driver
+    from kinduct.goto_ir import LoopItem, items_in
     from kinduct.invariants import InvariantSet, upper_bound
     monkeypatch.setattr(driver, "infer_invariants", lambda g: InvariantSet(
-        {loop.head: [upper_bound("ghost", 3)] for loop in g.loops}))
+        {loop.loop_id: [upper_bound("ghost", 3)] for loop in items_in(g.tree)
+         if isinstance(loop, LoopItem)}))
     assert run("verify", str(corpus_path("fig1_unsigned.mc"))) == EXIT_INTERNAL
     assert "unknown variable ghost" in capsys.readouterr().err
     manifest = tmp_path / "m.tsv"

@@ -319,36 +319,28 @@ def test_kinduction_accepts_default_config():
 
 
 def test_flat_listings_are_built_only_for_their_readers(monkeypatch):
-    # Queries convert loop trees.  Only a reader that runs on program
-    # counters builds a flat listing, once per program: the interval
-    # analysis reads the lowered program's, the replay of a counterexample
-    # the loaded program's.  No unwinding is ever flattened.
-    built, lowered = [], []
-    real_flatten, real_lower = goto_ir.flatten, driver.lower
+    # Loading and queries walk loop trees.  Only a reader that runs on
+    # program counters builds a flat listing: the replay of a
+    # counterexample, once, from the loaded program.  No lowered program
+    # and no unwinding is ever flattened.
+    built = []
+    real_flatten = goto_ir.flatten
 
     def flatten(tree):
         built.append(tree)
         return real_flatten(tree)
 
-    def lower(prog):
-        lowered.append(real_lower(prog))
-        return lowered[-1]
-
     monkeypatch.setattr(goto_ir, "flatten", flatten)
-    monkeypatch.setattr(driver, "lower", lower)
     statuses = set()
     for mode in ("none", "builtin"):
         cfg = KInductionConfig(max_iterations=6, invariants_mode=mode)
         for path, _, _ in corpus_entries():
             built.clear()
-            lowered.clear()
             g = load_program(str(path), cfg)
+            assert built == [], (mode, path.name)
             status = _Checker(g, cfg).run().status
             statuses.add((mode, status))
-            readers = {id(lowered[0]): lowered[0]} if mode == "builtin" else {}
-            if status == FALSE:
-                readers[id(g)] = g
-            assert [id(t) for t in built] == [id(p.tree) for p in readers.values()], \
+            assert [id(t) for t in built] == ([id(g.tree)] if status == FALSE else []), \
                 (mode, path.name)
     assert {s for _, s in statuses} == {TRUE, FALSE, UNKNOWN}
 

@@ -125,17 +125,22 @@ def test_soundness_sampling_on_corpus():
 GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_invariants.txt"
 
 
-def corpus_invariant_dump() -> str:
-    """dump_invariants of every corpus program at native and 8-bit width."""
+def invariant_dump(programs) -> str:
+    """dump_invariants of each (name, source) at native and 8-bit width."""
     out = []
-    for path, _expected, _cat in corpus_entries():
+    for name, source in programs:
         for width in (None, 8):
-            g = compile_mc(path.read_text(), width=width)
-            out.append(f"== {path.name} {'native' if width is None else f'{width}-bit'}")
+            g = compile_mc(source, width=width)
+            out.append(f"== {name} {'native' if width is None else f'{width}-bit'}")
             text = dump_invariants(g, infer_invariants(g))
             if text:
                 out.append(text)
     return "\n".join(out) + "\n"
+
+
+def corpus_invariant_dump() -> str:
+    return invariant_dump((path.name, path.read_text())
+                          for path, _expected, _cat in corpus_entries())
 
 
 def test_corpus_invariants_match_golden():
@@ -145,6 +150,121 @@ def test_corpus_invariants_match_golden():
     t.GOLDEN.write_text(t.corpus_invariant_dump())"
     """
     assert corpus_invariant_dump() == GOLDEN.read_text()
+
+
+# Loop shapes the corpus lacks, each a program on its own.
+LOOP_SHAPES = {
+    "if_else_step": """int main() {
+      unsigned int i = 0;
+      unsigned int n = *;
+      while (i < 100) {
+        if (n > 5) { i = i + 1; } else { i = i + 2; }
+      }
+      return 0;
+    }""",
+    "inner_entry_per_outer": """int main() {
+      int i = 0;
+      int j = 0;
+      while (i < 5) {
+        j = i;
+        while (j < 5) { j++; }
+        i = i + 1;
+      }
+      return 0;
+    }""",
+    "three_deep": """int main() {
+      unsigned int a = 0;
+      unsigned int b = 0;
+      unsigned int c = 0;
+      unsigned int t = 0;
+      while (a < 3) {
+        b = 0;
+        while (b < 4) {
+          c = 0;
+          while (c < 2) { c = c + 1; t = t + 1; }
+          b = b + 1;
+        }
+        a = a + 1;
+      }
+      return 0;
+    }""",
+    "assume_assert_in_body": """int main() {
+      int x = *;
+      int y = 0;
+      while (y < 10) {
+        assume(x > 0 && x < 50);
+        assert(x != 0);
+        x = 20;
+        y = y + 1;
+      }
+      return 0;
+    }""",
+    "after_infeasible_branch": """int main() {
+      unsigned int x = 3;
+      unsigned int y = 0;
+      if (x > 5) {
+        while (y < 4) { y = y + 1; }
+      }
+      while (x > 0) { x = x - 1; }
+      assume(x > 5);
+      while (y < 2) { y = y + 1; }
+      return 0;
+    }""",
+    "do_while_holding_while": """int main() {
+      unsigned int i = 0;
+      unsigned int j = 0;
+      unsigned int s = 0;
+      do {
+        j = 0;
+        while (j < i) { j = j + 1; s = s + 1; }
+        i = i + 1;
+      } while (i < 4);
+      return 0;
+    }""",
+    "wrapping_char_counters": """int main() {
+      unsigned char u = 250;
+      signed char c = 120;
+      unsigned char d = 0;
+      unsigned int n = *;
+      while (n > 0) { u = u + 1; c = c + 1; n = n - 1; }
+      while (d != 10) { d = d - 1; }
+      return 0;
+    }""",
+    "compound_guards": """int main() {
+      int i = 0;
+      int j = *;
+      while (i < 10 && j != 3) { i = i + 1; }
+      while (i < 20 || j > 2) { i = i + 1; j = j - 1; }
+      while (i != 30) { i = i + 1; }
+      return 0;
+    }""",
+    "while_true": """int main() {
+      unsigned int x = 0;
+      while (1) {
+        if (x < 10) { x = x + 1; } else { x = 0; }
+        assert(x <= 10);
+      }
+      return 0;
+    }""",
+    "two_in_sequence": """int main() {
+      unsigned int i = 0;
+      unsigned int j = 0;
+      while (i < 10) { i = i + 1; }
+      j = i;
+      while (j > 0) { j = j - 1; }
+      return 0;
+    }""",
+}
+
+SHAPES_GOLDEN = GOLDEN.parent / "loop_shape_invariants.txt"
+
+
+def test_loop_shape_invariants_match_golden():
+    """Re-recorded, from the repository root, with
+    PYTHONPATH=src:tests python -c "import test_invariants as t;
+    t.SHAPES_GOLDEN.write_text(t.invariant_dump(t.LOOP_SHAPES.items()))"
+    """
+    assert invariant_dump(LOOP_SHAPES.items()) == SHAPES_GOLDEN.read_text()
 
 
 # ------------------------------------------------- Algorithm 1: golden suite
