@@ -35,7 +35,10 @@ verdict, and most such answers then need no search.
 The deadline is checked before each query, inside `unwind`, `to_ssa`,
 `encode`, `bitblast` and the model extension, and inside the search;
 running past it gives UNKNOWN.  `verify_file` starts the clock before
-loading the program, so a slow load leaves less time for the queries.
+loading the program, so a slow load leaves less time for the queries;
+`load_program` checks it after each loading stage, and the interval
+analysis inside `infer_invariants` as it iterates, so a load that runs
+past it gives UNKNOWN with an empty phase log.
 """
 
 from __future__ import annotations
@@ -233,9 +236,16 @@ def reconstruct(model: dict, u: UnwoundProgram) -> Trace:
     return Trace(res.states, res.violated)
 
 
-def load_program(path: str, cfg: KInductionConfig) -> GotoProgram:
+def load_program(path: str, cfg: KInductionConfig,
+                 deadline: float | None = None) -> GotoProgram:
     """Front half of the pipeline: source text to an instrumented
-    GotoProgram, honoring width override and invariants mode."""
+    GotoProgram, honoring width override and invariants mode.  Past the
+    time.monotonic() `deadline`, checked after each stage and inside the
+    interval analysis, it raises DeadlineExceeded."""
+    def check():
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded
+
     try:
         source = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -244,19 +254,27 @@ def load_program(path: str, cfg: KInductionConfig) -> GotoProgram:
     if cfg.invariants_mode == "comments":
         source = translate_invariants(source)
     prog = parse(source, path)
+    check()
     if cfg.width_override:
         prog = override_widths(prog, cfg.width_override)
     prog = typecheck(prog)
+    check()
     g = lower(prog)
+    check()
     if cfg.invariants_mode == "builtin":
-        g = instrument(g, infer_invariants(g))
+        inv = infer_invariants(g, deadline)
+        check()
+        g = instrument(g, inv)
     return g
 
 
 def verify_file(path: str, cfg: KInductionConfig | None = None) -> Verdict:
     """Load and check `path`; its timeout counts the loading too."""
     cfg = cfg or KInductionConfig()
-    start = time.monotonic()
-    checker = _Checker(load_program(path, cfg), cfg)
-    checker.deadline = start + cfg.timeout_seconds
+    deadline = time.monotonic() + cfg.timeout_seconds
+    try:
+        checker = _Checker(load_program(path, cfg, deadline), cfg)
+    except DeadlineExceeded:
+        return Verdict(UNKNOWN)
+    checker.deadline = deadline
     return checker.run()

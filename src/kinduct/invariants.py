@@ -21,6 +21,7 @@ is the one reader that names a loop by its head in the flat listing.
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass, field, replace
 
 from .frontend import (
@@ -29,6 +30,7 @@ from .frontend import (
 )
 from .goto_ir import GotoProgram, Instr, LoopItem, IfItem, OpItem, items_in
 from .interp import eval_expr, trunc_div
+from .transform import DeadlineExceeded
 
 
 class InvariantError(MiniCError):
@@ -491,7 +493,7 @@ def _assign(s: _Abs, var: str, e: Expr, ty: IntType) -> _Abs:
     return out
 
 
-def _head_states(p: GotoProgram) -> dict:
+def _head_states(p: GotoProgram, deadline: float | None = None) -> dict:
     """The state at each loop head reached, keyed by loop id (None:
     unreachable).  The walk follows the loop tree (Bourdoncle's recursive
     strategy): a loop runs its `pre` items, guard and body back to its
@@ -504,7 +506,8 @@ def _head_states(p: GotoProgram) -> dict:
     sends a bound to its type limit after `_WIDEN_AFTER` moves; a
     variable dropped from a head never returns; a pair fact leaves a
     head for good, and one is added only while both its variables are
-    singletons."""
+    singletons.  Past the time.monotonic() `deadline`, checked at every
+    ascending iteration of a head, it raises DeadlineExceeded."""
     heads: dict = {}  # loop id -> state
     backs: dict = {}  # loop id -> state arriving on the back edge
     moves: dict = {}  # loop id -> `_widen` counts
@@ -530,6 +533,8 @@ def _head_states(p: GotoProgram) -> dict:
             return None
         lid = loop.loop_id
         while True:
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlineExceeded
             old = heads.get(lid)
             new = _join(old, s)
             if old is not None:
@@ -555,10 +560,12 @@ def _head_states(p: GotoProgram) -> dict:
     return heads
 
 
-def infer_invariants(p: GotoProgram) -> InvariantSet:
+def infer_invariants(p: GotoProgram,
+                     deadline: float | None = None) -> InvariantSet:
     """Constraints over-approximating every reachable store at each loop
-    head, keyed by loop id.  Unreachable heads get the empty list."""
-    heads = _head_states(p)
+    head, keyed by loop id.  Unreachable heads get the empty list.  Past
+    the time.monotonic() `deadline` it raises DeadlineExceeded."""
+    heads = _head_states(p, deadline)
     out = InvariantSet()
     for loop in items_in(p.tree):
         if not isinstance(loop, LoopItem):

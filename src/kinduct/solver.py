@@ -26,7 +26,8 @@ negation of a < c + 1, or FALSE for the largest c.  So `x > 0`,
 bit by bit, that they agree.  Signed, a constant sign bit either
 decides the comparison or leaves it to the low bits, compared unsigned.
 Each gate first folds constant, repeated and complementary inputs, then
-looks itself up in its cache.
+looks itself up in its cache; a new gate takes the next variable and
+appends its clauses to the blaster's list itself.
 
 Division and remainder build a restoring divider, except by a divisor
 whose bits are all constant with value c = 2^s, positive when signed,
@@ -58,9 +59,9 @@ table goes one step further and skips the walk through those gates: it
 maps a node's structure to the bit vector the node blasted to, a
 structural hash over word-level nodes (Kuehlmann et al., "Robust Boolean
 reasoning for equivalence checking and functional property
-verification", IEEE TCAD 2002).  The key is what `_node` reads: kind,
-operator, result type, the operand's signedness where it matters, and
-the ids of the operand bit vectors.  Those vectors are table entries or
+verification", IEEE TCAD 2002).  The key is what the node's gates read:
+kind, operator, result type, the operand's signedness where it matters,
+and the ids of the operand bit vectors.  Those vectors are table entries or
 free names' bits, both kept for the session's life, so their ids are
 never reused; and since the gate caches only grow, a hit returns
 exactly the literals blasting the node again would.  A query converted
@@ -119,7 +120,12 @@ Its state lives in flat lists, as in MiniSat.  Per-literal data
 slot `lit` for positive literals, and Python's negative indexing puts
 -n..-1 in the upper half.  So `val[lit]` and `watches[lit]` need no
 translation.  Growing by m variables inserts 2m slots after slot n, so
-the negative slots stay at the end.
+the negative slots stay at the end.  A watch list holds the clause
+lists themselves, and so do `reason[v]` and a conflict, as MiniSat's
+hold clause references, not indices into a clause store; the engine
+keeps no other list of its clauses.  Propagation tries a ternary
+clause's one other literal as its new watch, and scans only a longer
+clause for one.
 
 The engine adopts the clause lists it loads, as it loads them: a
 session's clauses are stored once, and the engine reorders their
@@ -228,10 +234,8 @@ class _Blaster:
         self.num_vars += 1
         return self.num_vars
 
-    def add(self, *lits):
-        self.clauses.append(list(lits))
-
     # -- gate primitives; inputs and outputs are literals ------------------
+    # A new gate takes the next variable and appends its clauses itself.
 
     def g_and(self, a: int, b: int) -> int:
         if a == FALSE_LIT or b == FALSE_LIT or a == -b:
@@ -243,10 +247,8 @@ class _Blaster:
         key = (a, b) if a < b else (b, a)
         out = self.and_cache.get(key)
         if out is None:
-            out = self.new_var()
-            self.add(-a, -b, out)
-            self.add(a, -out)
-            self.add(b, -out)
+            self.num_vars = out = self.num_vars + 1
+            self.clauses += ([-a, -b, out], [a, -out], [b, -out])
             self.and_cache[key] = out
         return out
 
@@ -269,11 +271,9 @@ class _Blaster:
         key = (a, b) if abs(a) < abs(b) else (b, a)
         out = self.xor_cache.get(key)
         if out is None:
-            out = self.new_var()
-            self.add(-a, -b, -out)
-            self.add(a, b, -out)
-            self.add(-a, b, out)
-            self.add(a, -b, out)
+            self.num_vars = out = self.num_vars + 1
+            self.clauses += ([-a, -b, -out], [a, b, -out],
+                             [-a, b, out], [a, -b, out])
             self.xor_cache[key] = out
         return out
 
@@ -291,11 +291,9 @@ class _Blaster:
         key = (c, a, b)
         out = self.ite_cache.get(key)
         if out is None:
-            out = self.new_var()
-            self.add(-c, -a, out)
-            self.add(-c, a, -out)
-            self.add(c, -b, out)
-            self.add(c, b, -out)
+            self.num_vars = out = self.num_vars + 1
+            self.clauses += ([-c, -a, out], [-c, a, -out],
+                             [c, -b, out], [c, b, -out])
             self.ite_cache[key] = out
         return out
 
@@ -316,10 +314,9 @@ class _Blaster:
             return key[0] if key else TRUE_LIT
         out = self.and_cache.get(key)
         if out is None:
-            out = self.new_var()
-            self.add(out, *[-x for x in key])
-            for x in key:
-                self.add(x, -out)
+            self.num_vars = out = self.num_vars + 1
+            self.clauses.append([out] + [-x for x in key])
+            self.clauses += [[x, -out] for x in key]
             self.and_cache[key] = out
         return out
 
@@ -340,13 +337,9 @@ class _Blaster:
         key = tuple(sorted((a, b, c)))
         out = self.maj_cache.get(key)
         if out is None:
-            out = self.new_var()
-            self.add(-a, -b, out)
-            self.add(-a, -c, out)
-            self.add(-b, -c, out)
-            self.add(a, b, -out)
-            self.add(a, c, -out)
-            self.add(b, c, -out)
+            self.num_vars = out = self.num_vars + 1
+            self.clauses += ([-a, -b, out], [-a, -c, out], [-b, -c, out],
+                             [a, b, -out], [a, c, -out], [b, c, -out])
             self.maj_cache[key] = out
         return out
 
@@ -360,13 +353,13 @@ class _Blaster:
         key = tuple(sorted((a, b, c), key=abs))
         out = self.parity_cache.get(key)
         if out is None:
-            out = self.new_var()
+            self.num_vars = out = self.num_vars + 1
             # One clause per input row: the row forces out to its parity.
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    for sc in (1, -1):
-                        odd = (sa < 0) ^ (sb < 0) ^ (sc < 0)
-                        self.add(sa * a, sb * b, sc * c, out if odd else -out)
+            self.clauses += (
+                [a, b, c, -out], [a, b, -c, out],
+                [a, -b, c, out], [a, -b, -c, -out],
+                [-a, b, c, out], [-a, b, -c, -out],
+                [-a, -b, c, -out], [-a, -b, -c, out])
             self.parity_cache[key] = out
         return out
 
@@ -377,17 +370,13 @@ class _Blaster:
         return [TRUE_LIT if (value >> i) & 1 else FALSE_LIT
                 for i in range(width)]
 
-    def full_add(self, a: int, b: int, cin: int):
-        s = self.g_parity(a, b, cin)
-        cout = self.g_maj(a, b, cin)
-        return s, cout
-
     def v_add(self, a: list, b: list, cin: int = FALSE_LIT):
+        # A ripple of full adders: a parity gate and a majority gate a bit.
         out = []
         carry = cin
         for x, y in zip(a, b):
-            s, carry = self.full_add(x, y, carry)
-            out.append(s)
+            out.append(self.g_parity(x, y, carry))
+            carry = self.g_maj(x, y, carry)
         return out, carry
 
     def v_neg(self, a: list) -> list:
@@ -546,72 +535,103 @@ class _Blaster:
         are blasted left to right, each node once (cached by identity).
         A node whose structure the session has blasted before, in this
         formula or an earlier one, gets that node's bit vector from the
-        node table without building its gates again.  A Cond blasts its
-        condition first; if that folds to a constant, the Cond is its
-        live branch's bit vector and the dead branch is not blasted."""
+        node table without building its gates again; the table's key is
+        what the node's gates read of it and of its operands' vectors.
+        A Cond blasts its condition first; if that folds to a constant,
+        the Cond is its live branch's bit vector and the dead branch is
+        not blasted."""
         cache = self.cache
         nodes = self.nodes
         stack = [root]
+        push = stack.append
         while stack:
             e = stack[-1]
             if id(e) in cache:
                 stack.pop()
                 continue
-            operands = _operands(e)
-            live = None
-            if isinstance(e, Cond):
-                cond = cache.get(id(e.cond))
-                if cond is None:
-                    stack.append(e.cond)
+            t = type(e)
+            if t is Binary:
+                left, right = e.left, e.right
+                a = cache.get(id(left))
+                b = cache.get(id(right))
+                if a is None or b is None:
+                    if b is None:
+                        push(right)
+                    if a is None:
+                        push(left)
                     continue
-                if TRUE_LIT in cond:
-                    operands = live = (e.then,)
-                elif all(b == FALSE_LIT for b in cond):
-                    operands = live = (e.els,)
-            ready = True
-            for o in reversed(operands):
-                if id(o) not in cache:
-                    stack.append(o)
-                    ready = False
-            if ready:
-                stack.pop()
-                if isinstance(e, Var):
-                    bits = symbol_bits[e.rid or e.name]
-                elif live:
-                    bits = cache[id(live[0])]
+                key = (e.op, e.ty, left.ty.signed, id(a), id(b))
+                bits = nodes.get(key)
+                if bits is None:
+                    bits = nodes[key] = self._binary(e, a, b)
+            elif t is Var:
+                bits = symbol_bits[e.rid or e.name]
+            elif t is Const:
+                key = (e.value, e.ty)
+                bits = nodes.get(key)
+                if bits is None:
+                    bits = nodes[key] = self.const_bits(e.value, e.ty.width)
+            elif t is Cond:
+                c = cache.get(id(e.cond))
+                if c is None:
+                    push(e.cond)
+                    continue
+                if TRUE_LIT in c:
+                    live = e.then
+                elif all(x == FALSE_LIT for x in c):
+                    live = e.els
                 else:
-                    args = [cache[id(o)] for o in operands]
-                    key = _node_key(e, args)
+                    live = None
+                if live is not None:
+                    bits = cache.get(id(live))
+                    if bits is None:
+                        push(live)
+                        continue
+                else:
+                    then, els = e.then, e.els
+                    a = cache.get(id(then))
+                    b = cache.get(id(els))
+                    if a is None or b is None:
+                        if b is None:
+                            push(els)
+                        if a is None:
+                            push(then)
+                        continue
+                    key = (Cond, e.ty, id(c), id(a), id(b))
                     bits = nodes.get(key)
                     if bits is None:
-                        bits = nodes[key] = self._node(e, args)
-                assert len(bits) == e.ty.width
-                cache[id(e)] = bits
+                        bits = nodes[key] = self.v_ite(self.v_nonzero(c), a, b)
+            elif t is Unary or t is Cast:
+                operand = e.operand
+                a = cache.get(id(operand))
+                if a is None:
+                    push(operand)
+                    continue
+                key = ((e.op, e.ty, id(a)) if t is Unary
+                       else (Cast, e.ty, operand.ty.signed, id(a)))
+                bits = nodes.get(key)
+                if bits is None:
+                    bits = nodes[key] = self._unary(e, a)
+            elif t is Nondet:
+                raise SolverError("formula contains an unsubstituted nondet")
+            else:
+                raise SolverError(f"cannot blast {e!r}")
+            stack.pop()
+            assert len(bits) == e.ty.width
+            cache[id(e)] = bits
         return cache[id(root)]
 
-    def _node(self, e: Expr, args: list) -> list:
-        """Gates for one node, given the bit vectors of its operands."""
-        ty = e.ty
-        if isinstance(e, Const):
-            return self.const_bits(e.value, ty.width)
-        if isinstance(e, Nondet):
-            raise SolverError("formula contains an unsubstituted nondet")
-        if isinstance(e, Unary):
-            a = args[0]
-            if e.op == "-":
-                return self.v_neg(a)
-            if e.op == "~":
-                return [-x for x in a]
-            if e.op == "!":
-                return self.bool_word(-self.v_nonzero(a), ty.width)
-            raise SolverError(f"unknown unary {e.op}")
-        if isinstance(e, Binary):
-            return self._binary(e, args[0], args[1])
-        if isinstance(e, Cast):
-            return self.v_extend(args[0], ty.width, e.operand.ty.signed)
-        if isinstance(e, Cond):
-            return self.v_ite(self.v_nonzero(args[0]), args[1], args[2])
-        raise SolverError(f"cannot blast {e!r}")
+    def _unary(self, e: Unary | Cast, a: list) -> list:
+        """Gates for a one-operand node, given its operand's bits."""
+        if type(e) is Cast:
+            return self.v_extend(a, e.ty.width, e.operand.ty.signed)
+        if e.op == "-":
+            return self.v_neg(a)
+        if e.op == "~":
+            return [-x for x in a]
+        if e.op == "!":
+            return self.bool_word(-self.v_nonzero(a), e.ty.width)
+        raise SolverError(f"unknown unary {e.op}")
 
     def _binary(self, e: Binary, a: list, b: list) -> list:
         op = e.op
@@ -676,33 +696,6 @@ def _const_value(bits: list) -> int | None:
         elif bit != FALSE_LIT:
             return None
     return value
-
-
-def _operands(e: Expr) -> tuple:
-    if isinstance(e, Binary):
-        return (e.left, e.right)
-    if isinstance(e, (Unary, Cast)):
-        return (e.operand,)
-    if isinstance(e, Cond):
-        return (e.cond, e.then, e.els)
-    return ()
-
-
-def _node_key(e: Expr, args: list):
-    """The node table's key: what `_node` reads of `e` and of its
-    operands' bit vectors `args`.  The ids are valid only while every
-    vector in `args` outlives the table, which `bitblast` ensures."""
-    if isinstance(e, Binary):
-        return (e.op, e.ty, e.left.ty.signed, id(args[0]), id(args[1]))
-    if isinstance(e, Unary):
-        return (e.op, e.ty, id(args[0]))
-    if isinstance(e, Const):
-        return (e.value, e.ty)
-    if isinstance(e, Cast):
-        return (Cast, e.ty, e.operand.ty.signed, id(args[0]))
-    if isinstance(e, Cond):
-        return (Cond, e.ty, id(args[0]), id(args[1]), id(args[2]))
-    return None   # a Nondet or an unknown node: `_node` rejects it
 
 
 class Session:
@@ -866,9 +859,10 @@ class _Cdcl:
 
     def __init__(self, num_vars: int = 0, clauses=()):
         self.n = 0
-        self.clauses = []          # each: a list of literals, adopted
         # Literal-indexed: slot `lit` for lit in -n..n (negative literals
         # index from the end).  val[lit] is 1 true, -1 false, 0 free.
+        # watches[lit] holds the clause lists that watch lit, and
+        # reason[v] the clause list that implied v, or None.
         self.val = [0]
         self.watches = [[]]
         self.level = [0]
@@ -918,8 +912,6 @@ class _Cdcl:
         """Add the input clauses; False if one is empty at level 0."""
         val = self.val
         watches = self.watches
-        store = self.clauses
-        ci = len(store)
         for c in clauses:
             # Fast path: 2 to 4 literals over distinct, unassigned
             # variables need no dedupe or filtering (most bit-blaster
@@ -930,31 +922,24 @@ class _Cdcl:
                 if (a != b and a != -b and a != d and a != -d
                         and b != d and b != -d
                         and not (val[a] or val[b] or val[d])):
-                    watches[a].append(ci)
-                    watches[b].append(ci)
-                    store.append(c)
-                    ci += 1
+                    watches[a].append(c)
+                    watches[b].append(c)
                     continue
             elif size == 2:
                 a, b = c
                 if a != b and a != -b and not (val[a] or val[b]):
-                    watches[a].append(ci)
-                    watches[b].append(ci)
-                    store.append(c)
-                    ci += 1
+                    watches[a].append(c)
+                    watches[b].append(c)
                     continue
             elif size == 4:
                 a, b, d, e = c
                 if (len({abs(a), abs(b), abs(d), abs(e)}) == 4
                         and not (val[a] or val[b] or val[d] or val[e])):
-                    watches[a].append(ci)
-                    watches[b].append(ci)
-                    store.append(c)
-                    ci += 1
+                    watches[a].append(c)
+                    watches[b].append(c)
                     continue
             if not self.add_clause(c):
                 return False
-            ci = len(store)
         return True
 
     def add_clause(self, lits: list) -> bool:
@@ -976,10 +961,8 @@ class _Cdcl:
             if not val[out[0]]:
                 self.enqueue(out[0], None)
             return True
-        ci = len(self.clauses)
-        self.clauses.append(out)
-        self.watches[out[0]].append(ci)
-        self.watches[out[1]].append(ci)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
         return True
 
     def enqueue(self, lit: int, reason):
@@ -991,14 +974,14 @@ class _Cdcl:
         self.trail.append(lit)
 
     def propagate(self):
-        """Unit-propagate the trail from qhead; a conflict clause index
-        or None.  Watchers are visited in list order and a moved watch is
+        """Unit-propagate the trail from qhead; the conflict clause or
+        None.  Watchers are visited in list order and a moved watch is
         swap-removed, so the trail order is a function of the clause
-        order alone."""
+        order alone.  A ternary clause has one literal to try as its new
+        watch; only a longer one scans for it."""
         trail = self.trail
         val = self.val
         watches = self.watches
-        clauses = self.clauses
         level = self.level
         reason = self.reason
         lvl = len(self.trail_lim)
@@ -1011,8 +994,7 @@ class _Cdcl:
             i = 0
             end = len(watchers)
             while i < end:
-                ci = watchers[i]
-                cl = clauses[ci]
+                cl = watchers[i]
                 first = cl[0]
                 if first == false_lit:
                     first = cl[1]
@@ -1023,30 +1005,44 @@ class _Cdcl:
                 if first_val == 1:
                     i += 1
                     continue
-                j = 2
                 size = len(cl)
-                while j < size:
-                    q = cl[j]
+                if size == 3:
+                    q = cl[2]
                     if val[q] != -1:
                         cl[1] = q
-                        cl[j] = false_lit
-                        watches[q].append(ci)
+                        cl[2] = false_lit
+                        watches[q].append(cl)
                         end -= 1
                         watchers[i] = watchers[end]
                         watchers.pop()
-                        break
-                    j += 1
-                else:
-                    if first_val == -1:
-                        conflict = ci
-                        break
-                    val[first] = 1
-                    val[-first] = -1
-                    v = first if first > 0 else -first
-                    level[v] = lvl
-                    reason[v] = ci
-                    trail.append(first)
-                    i += 1
+                        continue
+                elif size > 3:
+                    j = 2
+                    while j < size:
+                        q = cl[j]
+                        if val[q] != -1:
+                            break
+                        j += 1
+                    else:
+                        j = 0
+                    if j:
+                        cl[1] = q
+                        cl[j] = false_lit
+                        watches[q].append(cl)
+                        end -= 1
+                        watchers[i] = watchers[end]
+                        watchers.pop()
+                        continue
+                if first_val == -1:
+                    conflict = cl
+                    break
+                val[first] = 1
+                val[-first] = -1
+                v = first if first > 0 else -first
+                level[v] = lvl
+                reason[v] = cl
+                trail.append(first)
+                i += 1
             if conflict is not None:
                 break
         self.qhead = qhead
@@ -1072,7 +1068,7 @@ class _Cdcl:
                 order.append((-activity[v], v))
         heapq.heapify(order)
 
-    def analyze(self, conflict_ci: int, goal: int | None):
+    def analyze(self, conflict: list, goal: int | None):
         # First-UIP: walk the implication graph backwards along the trail.
         # A propagated literal sits at index 0 of its reason clause, so
         # reason clauses are scanned from index 1.  Every literal met is
@@ -1081,7 +1077,6 @@ class _Cdcl:
         # what it implies, so its literals fold into one -goal, appended
         # last and not bumped; with no goal they are implied by the
         # clauses alone and drop out, as level 0 does.
-        clauses = self.clauses
         level = self.level
         reason = self.reason
         trail = self.trail
@@ -1091,12 +1086,11 @@ class _Cdcl:
         learned = [0]
         counter = 0
         folded = False
-        ci = conflict_ci
+        cl = conflict
         first = 0
         idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         while True:
-            cl = clauses[ci]
             for j in range(first, len(cl)):
                 q = cl[j]
                 v = q if q > 0 else -q
@@ -1125,7 +1119,7 @@ class _Cdcl:
             idx -= 1
             if counter == 0:
                 break
-            ci = reason[v]
+            cl = reason[v]
         learned[0] = -lit
         if folded and goal is not None:
             learned.append(-goal)
@@ -1224,11 +1218,9 @@ class _Cdcl:
                 if len(learned) == 1:
                     self.enqueue(learned[0], None)
                 else:
-                    ci = len(self.clauses)
-                    self.clauses.append(learned)
-                    self.watches[learned[0]].append(ci)
-                    self.watches[learned[1]].append(ci)
-                    self.enqueue(learned[0], ci)
+                    self.watches[learned[0]].append(learned)
+                    self.watches[learned[1]].append(learned)
+                    self.enqueue(learned[0], learned)
                 self.var_inc /= self.VAR_DECAY
                 continue
             if not self.trail_lim:
@@ -1393,6 +1385,16 @@ def _bv(value: int, width: int) -> str:
 
 def _nonzero(text: str, width: int) -> str:
     return f"(distinct {text} {_bv(0, width)})"
+
+
+def _operands(e: Expr) -> tuple:
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    if isinstance(e, (Unary, Cast)):
+        return (e.operand,)
+    if isinstance(e, Cond):
+        return (e.cond, e.then, e.els)
+    return ()
 
 
 def _smt(root: Expr) -> str:

@@ -410,7 +410,7 @@ def test_internal_invariant_failure_is_an_internal_error(tmp_path, capsys,
     from kinduct import driver
     from kinduct.goto_ir import LoopItem, items_in
     from kinduct.invariants import InvariantSet, upper_bound
-    monkeypatch.setattr(driver, "infer_invariants", lambda g: InvariantSet(
+    monkeypatch.setattr(driver, "infer_invariants", lambda g, deadline: InvariantSet(
         {loop.loop_id: [upper_bound("ghost", 3)] for loop in items_in(g.tree)
          if isinstance(loop, LoopItem)}))
     assert run("verify", str(corpus_path("fig1_unsigned.mc"))) == EXIT_INTERNAL

@@ -102,10 +102,32 @@ def query_digest():
         driver.bitblast = real_bitblast
 
 
+@contextmanager
+def search_digest():
+    """Within the block, every query `driver.solve` answers feeds the
+    yielded digest: its status and this query's decisions, conflicts and
+    propagations."""
+    real_solve = driver.solve
+    digest = hashlib.blake2b(digest_size=8)
+
+    def solving(*args):
+        out = real_solve(*args)
+        digest.update(repr((out.status, out.decisions, out.conflicts,
+                            out.propagations)).encode())
+        return out
+
+    driver.solve = solving
+    try:
+        yield digest
+    finally:
+        driver.solve = real_solve
+
+
 def run_line(path: Path, cfg: KInductionConfig) -> str:
     """status, decided_by, k, the violated location, the phase log, the
-    counterexample's states and a digest of the run's queries' CNFs."""
-    with query_digest() as digest:
+    counterexample's states, a digest of the run's queries' CNFs and one
+    of their search counts."""
+    with query_digest() as digest, search_digest() as search:
         v = verify_file(str(path), cfg)
     cex = v.counterexample
     phases = " ".join(f"{phase}:{k}" for phase, k in v.phase_log)
@@ -113,7 +135,8 @@ def run_line(path: Path, cfg: KInductionConfig) -> str:
                       for s in cex.states) if cex else "-"
     return (f"{path.name} {cfg.invariants_mode} {v.status} {v.decided_by} "
             f"{v.k_at_decision} {cex.violated if cex else '-'} [{phases}] "
-            f"cex=[{states}] cnf={digest.hexdigest()}")
+            f"cex=[{states}] cnf={digest.hexdigest()} "
+            f"search={search.hexdigest()}")
 
 
 def corpus_verdict_dump() -> str:
@@ -125,8 +148,8 @@ def corpus_verdict_dump() -> str:
 
 
 def test_corpus_verdicts_match_golden():
-    """Every corpus verdict, phase sequence, counterexample and query CNF
-    is pinned.  A change that means to alter them re-records the file,
+    """Every corpus verdict, phase sequence, counterexample, query CNF
+    and search is pinned.  A change that means to alter them re-records the file,
     from the repository root:
     PYTHONPATH=src:tests python -c "import test_driver as t;
     t.VERDICTS.write_text(t.corpus_verdict_dump())"
@@ -728,17 +751,20 @@ def test_session_answers_match_emitted_dimacs(name, status, tmp_path, monkeypatc
 def test_work_per_query_tracks_the_new_copy(mode, tmp_path, monkeypatch):
     # Each BASE query resumes from the copies the last one converted: it
     # converts one copy, the terminator and the tail, and its blast walks
-    # only their nodes, whatever k is.
+    # only their nodes, whatever k is.  A walked node is one entry in the
+    # blaster's per-formula cache.
     f = tmp_path / "deep.mc"
     f.write_text(DEEP_LOOP)
     checker = _Checker(load_program(str(f), KInductionConfig(invariants_mode=mode)),
                        KInductionConfig())
     walked = []
-    real_operands = solver._operands
+    real_blast = solver._Blaster.blast
 
-    def operands(e):
-        walked[-1] += 1
-        return real_operands(e)
+    def blasting(self, *args):
+        before = len(self.cache)
+        bits = real_blast(self, *args)
+        walked[-1] += len(self.cache) - before
+        return bits
 
     converted = []
     real_to_ssa = driver.to_ssa
@@ -749,12 +775,12 @@ def test_work_per_query_tracks_the_new_copy(mode, tmp_path, monkeypatch):
         converted.append(len(s.definitions) - start)
         return s
 
-    monkeypatch.setattr(solver, "_operands", operands)
+    monkeypatch.setattr(solver._Blaster, "blast", blasting)
     monkeypatch.setattr(driver, "to_ssa", converting)
     for k in range(9, 31):
         walked.append(0)
         assert checker.base_case(k) is None
-    assert converted[0] > 40 and walked[0] > 300     # k=9: from nothing
+    assert converted[0] > 40 and walked[0] > 200     # k=9: from nothing
     assert len(set(converted[1:])) == 1 and converted[1] <= 5
     assert len(set(walked[1:])) == 1 and walked[1] < 100
 
@@ -791,6 +817,24 @@ def test_timeout_counts_the_loading(monkeypatch):
     monkeypatch.setattr(driver, "infer_invariants", slow)
     v = verify("fig1_unsigned.mc", timeout_seconds=1)
     assert (v.status, v.phase_log) == (UNKNOWN, [])
+
+
+def test_interval_analysis_meets_the_deadline(monkeypatch):
+    # nested_sum's analysis widens 10 times; at 0.5 s a widening it would
+    # take 5 s, but the deadline stops it between two head iterations.
+    from kinduct import invariants
+    real_widen = invariants._widen
+    widened = []
+
+    def slow(*args):
+        widened.append(time.sleep(0.5))
+        return real_widen(*args)
+
+    monkeypatch.setattr(invariants, "_widen", slow)
+    start = time.monotonic()
+    v = verify("nested_sum.mc", timeout_seconds=1)
+    assert (v.status, v.phase_log) == (UNKNOWN, [])
+    assert time.monotonic() - start < 2.5 and len(widened) < 5
 
 
 def test_deadline_inside_to_ssa_gives_unknown(tmp_path, monkeypatch):

@@ -423,6 +423,30 @@ def test_bound_query_goldens(name, phase, k, size, expected):
             out.propagations) == expected
 
 
+FACTOR = """int main() {
+  unsigned int a = *, b = *;
+  assume(a > 1);
+  assume(b > 1);
+  assume(a < 1024);
+  assume(b < 1024);
+  assert(a * b != 524287);
+  return 0;
+}
+"""
+
+
+def test_factoring_query_golden():
+    # 524287 is prime, so the BASE query is UNSAT, and its 557 conflicts
+    # pass several Luby restarts and learn clauses long enough to move
+    # their watches, which the goldens above (4 to 6 conflicts) never do.
+    g = compile_mc(FACTOR)
+    cnf = bitblast(encode(to_ssa(unwind(g, 1, Phase.BASE)), Phase.BASE))
+    out = solve(cnf)
+    assert (cnf.num_vars, len(cnf.clauses)) == (1594, 8467)
+    assert (out.status, out.decisions, out.conflicts,
+            out.propagations) == (UNSAT, 742, 557, 42284)
+
+
 def test_search_golden_model():
     out = solve(corpus_query("mod_wrong_bug.mc", Phase.BASE, 7))
     k = {f"k!{i}": 7 - i for i in range(8)}
@@ -844,7 +868,7 @@ def test_engine_growth_keeps_literal_slots():
         == (1, -1, 1, -1)
     assert engine.val[6] == 1 and engine.val[-6] == -1   # the new unit
     assert all(engine.val[v] == engine.val[-v] == 0 for v in (1, 4, 5))
-    assert [engine.clauses[ci] for ci in engine.watches[-4]] == [[-4, -6]]
+    assert engine.watches[-4] == [[-4, -6]]
     assert_heap_exact(engine)
     assert engine.solve(100) == SAT
     model = {v: engine.val[v] == 1 for v in range(1, 7)}
@@ -867,24 +891,17 @@ def test_session_shares_copies_and_free_bits():
     assert sizes[1] - sizes[0] < len(fresh.clauses) / 2
 
 
-def test_session_blasts_shared_copies_once(monkeypatch):
+def test_session_blasts_shared_copies_once():
     # The node table outlives each query, so a copy that an earlier query
-    # of the session blasted costs no `_node` call: only the new copy and
-    # the new tail are built.
-    calls = []
-    real_node = _Blaster._node
-
-    def counting(self, e, args):
-        calls.append(e)
-        return real_node(self, e, args)
-
-    monkeypatch.setattr(_Blaster, "_node", counting)
+    # of the session blasted builds no node: only the new copy and the
+    # new tail are built, one table entry each.
     g = compile_mc(DEEP_LOOP)
 
     def node_calls(k, session=None):
-        calls.clear()
+        session = session or Session()
+        before = len(session.blaster.nodes)
         bitblast(encode(to_ssa(unwind(g, k, Phase.BASE)), Phase.BASE), session)
-        return len(calls)
+        return len(session.blaster.nodes) - before
 
     session = Session()
     n3 = node_calls(3, session)
@@ -1045,8 +1062,7 @@ def test_clause_with_two_open_literals_drops_the_model(monkeypatch):
     assert solve(cnf, session=session).status == SAT
     bl = session.blaster
     a, b = bl.new_var(), bl.new_var()
-    bl.add(a, b)
-    bl.add(-a, b)
+    bl.clauses += ([a, b], [-a, b])
     cnf = CnfInstance(bl.num_vars, list(bl.clauses), cnf.bits, cnf.symbols,
                       cnf.goal)
     dropped = []
@@ -1093,7 +1109,7 @@ def test_falsified_clause_drops_the_model():
     session = Session()
     cnf = one_bit_query(session, lambda b: b["x"], x=None)
     assert solve(cnf, session=session).model == {"x": 1}
-    session.blaster.add(-cnf.bits["x"][0])
+    session.blaster.clauses.append([-cnf.bits["x"][0]])
     cnf = CnfInstance(cnf.num_vars, list(session.blaster.clauses), cnf.bits,
                       cnf.symbols, cnf.goal)
     out = solve(cnf, session=session)
@@ -1122,8 +1138,8 @@ def test_extension_never_answers_unsat(seed, monkeypatch):
         for _ in range(rng.randint(0, 2)):
             bl.new_var()
         for _ in range(rng.randint(0, 3) if bl.num_vars > 1 else 0):
-            bl.add(*[rng.choice((1, -1)) * rng.randint(2, bl.num_vars)
-                     for _ in range(rng.randint(1, 3))])
+            bl.clauses.append([rng.choice((1, -1)) * rng.randint(2, bl.num_vars)
+                               for _ in range(rng.randint(1, 3))])
         goal = rng.choice((1, -1)) * rng.randint(1, bl.num_vars)
         cnf = CnfInstance(bl.num_vars, list(bl.clauses), goal=goal)
         out = solve(cnf, session=session)
