@@ -149,8 +149,8 @@ def corpus_verdict_dump() -> str:
 
 def test_corpus_verdicts_match_golden():
     """Every corpus verdict, phase sequence, counterexample, query CNF
-    and search is pinned.  A change that means to alter them re-records the file,
-    from the repository root:
+    and search is pinned.  A change that means to alter them re-records
+    the file, from the repository root:
     PYTHONPATH=src:tests python -c "import test_driver as t;
     t.VERDICTS.write_text(t.corpus_verdict_dump())"
     """

@@ -897,20 +897,20 @@ def test_session_blasts_shared_copies_once():
     # new tail are built, one table entry each.
     g = compile_mc(DEEP_LOOP)
 
-    def node_calls(k, session=None):
+    def nodes_built(k, session=None):
         session = session or Session()
         before = len(session.blaster.nodes)
         bitblast(encode(to_ssa(unwind(g, k, Phase.BASE)), Phase.BASE), session)
         return len(session.blaster.nodes) - before
 
     session = Session()
-    n3 = node_calls(3, session)
-    n4 = node_calls(4, session)
-    assert node_calls(4, session) == 0
-    assert 0 < n4 < n3 / 2 and n4 < node_calls(4) / 2
+    n3 = nodes_built(3, session)
+    n4 = nodes_built(4, session)
+    assert nodes_built(4, session) == 0
+    assert 0 < n4 < n3 / 2 and n4 < nodes_built(4) / 2
     # A copy is a fixed number of nodes, so its share drops as k grows.
-    n30 = node_calls(30, session)
-    assert node_calls(31, session) == n4 < n30 / 10
+    n30 = nodes_built(30, session)
+    assert nodes_built(31, session) == n4 < n30 / 10
 
 
 def test_sat_answer_keeps_its_heap_entries():
