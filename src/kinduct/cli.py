@@ -135,7 +135,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         obj = {"file": args.file, "status": verdict.status,
                "phase": verdict.decided_by, "k": verdict.k_at_decision,
-               "time_ms": elapsed_ms}
+               "reason": verdict.reason, "time_ms": elapsed_ms}
         if verdict.counterexample:
             obj["trace"] = _trace_json(verdict.counterexample)
         print(json.dumps(obj, indent=2))
@@ -143,6 +143,8 @@ def _cmd_verify(args) -> int:
         detail = ""
         if verdict.decided_by:
             detail = f" ({verdict.decided_by.lower()}, k={verdict.k_at_decision})"
+        elif verdict.reason:
+            detail = f" ({verdict.reason})"
         print(f"{args.file}: {verdict.status}{detail} [{elapsed_ms} ms]")
         if verdict.counterexample and args.show_cex:
             trace = verdict.counterexample

@@ -32,13 +32,13 @@ model, and the session's next query first extends it over the new
 copy's clauses: FORWARD and INDUCTIVE stay SAT from k to k+1 until the
 verdict, and most such answers then need no search.
 
-The deadline is checked before each query, inside `unwind`, `to_ssa`,
-`encode`, `bitblast` and the model extension, and inside the search;
-running past it gives UNKNOWN.  `verify_file` starts the clock before
-loading the program, so a slow load leaves less time for the queries;
-`load_program` checks it after each loading stage, and the interval
-analysis inside `infer_invariants` as it iterates, so a load that runs
-past it gives UNKNOWN with an empty phase log.
+A run has one clock: `verify_file` starts it before loading and hands
+the deadline to `_Checker`.  Every loading and query stage polls it
+(`transform.check_deadline`), and the first past it makes the run UNKNOWN
+with reason "deadline"; the conflict limit gives "budget", and k past
+`max_iterations` "k_max".  The replay of a FALSE (`reconstruct`) runs
+past the deadline on purpose: cutting it would turn a found bug into
+UNKNOWN.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .solver import (
     BUDGET, DEFAULT_CONFLICT_LIMIT, UNSAT, Session, bitblast, emit_dimacs,
     emit_smtlib, solve,
 )
-from .transform import DeadlineExceeded, Phase, UnwoundProgram, unwind
+from .transform import DeadlineExceeded, Phase, UnwoundProgram, check_deadline, unwind
 from .vcgen import encode, to_ssa
 
 TRUE = "TRUE"
@@ -107,30 +107,32 @@ class Verdict:
     k_at_decision: int | None = None
     counterexample: Trace | None = None
     phase_log: list = field(default_factory=list)  # (phase name, k) attempts
+    reason: str | None = None   # UNKNOWN only: "k_max", "deadline" or "budget"
 
 
 class _Exhausted(Exception):
-    """Solver budget or wall clock ran out; the whole run is UNKNOWN."""
+    """The conflict limit ran out; the whole run is UNKNOWN."""
 
 
 class _Checker:
-    def __init__(self, p: GotoProgram, cfg: KInductionConfig):
+    def __init__(self, p: GotoProgram, cfg: KInductionConfig,
+                 deadline: float | None = None):
         self.p = p
         self.cfg = cfg
-        self.deadline = time.monotonic() + cfg.timeout_seconds
+        if deadline is None:   # a time.monotonic() timestamp: start the clock
+            deadline = time.monotonic() + cfg.timeout_seconds
+        self.deadline = deadline
         self.phase_log: list = []
         concrete = Session()
         self.sessions = {Phase.BASE: concrete, Phase.FORWARD: concrete,
                          Phase.INDUCTIVE: Session()}
 
     def _discharge(self, phase: Phase, k: int):
-        if time.monotonic() > self.deadline:
-            raise _Exhausted
+        check_deadline(self.deadline)
         self.phase_log.append((phase.value, k))
         session = self.sessions[phase]
         u = unwind(self.p, k, phase, self.deadline)
-        f = encode(to_ssa(u, self.deadline, session.snapshot), phase,
-                   self.deadline)
+        f = encode(to_ssa(u, self.deadline, session.snapshot), phase)
         cnf = bitblast(f, session, self.deadline)
         self._emit(phase, k, f, cnf)
         out = solve(cnf, DEFAULT_CONFLICT_LIMIT, self.deadline, session)
@@ -168,6 +170,7 @@ class _Checker:
         k = 1
         force_basecase = False
         last_result = Verdict(UNKNOWN)
+        reason = "k_max"
         try:
             while k <= cfg.max_iterations:
                 if force_basecase:
@@ -187,9 +190,11 @@ class _Checker:
                 elif self.inductive_step(k):
                     force_basecase = True
                     last_result = Verdict(TRUE, "INDUCTIVE", k)
-        except (_Exhausted, DeadlineExceeded):
-            pass
-        return Verdict(UNKNOWN, phase_log=self.phase_log)
+        except _Exhausted:
+            reason = "budget"
+        except DeadlineExceeded:
+            reason = "deadline"
+        return Verdict(UNKNOWN, phase_log=self.phase_log, reason=reason)
 
 
 def base_case(p: GotoProgram, k: int,
@@ -242,10 +247,6 @@ def load_program(path: str, cfg: KInductionConfig,
     GotoProgram, honoring width override and invariants mode.  Past the
     time.monotonic() `deadline`, checked after each stage and inside the
     interval analysis, it raises DeadlineExceeded."""
-    def check():
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded
-
     try:
         source = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -254,16 +255,16 @@ def load_program(path: str, cfg: KInductionConfig,
     if cfg.invariants_mode == "comments":
         source = translate_invariants(source)
     prog = parse(source, path)
-    check()
+    check_deadline(deadline)
     if cfg.width_override:
         prog = override_widths(prog, cfg.width_override)
     prog = typecheck(prog)
-    check()
+    check_deadline(deadline)
     g = lower(prog)
-    check()
+    check_deadline(deadline)
     if cfg.invariants_mode == "builtin":
         inv = infer_invariants(g, deadline)
-        check()
+        check_deadline(deadline)
         g = instrument(g, inv)
     return g
 
@@ -273,8 +274,7 @@ def verify_file(path: str, cfg: KInductionConfig | None = None) -> Verdict:
     cfg = cfg or KInductionConfig()
     deadline = time.monotonic() + cfg.timeout_seconds
     try:
-        checker = _Checker(load_program(path, cfg, deadline), cfg)
+        p = load_program(path, cfg, deadline)
     except DeadlineExceeded:
-        return Verdict(UNKNOWN)
-    checker.deadline = deadline
-    return checker.run()
+        return Verdict(UNKNOWN, reason="deadline")
+    return _Checker(p, cfg, deadline).run()

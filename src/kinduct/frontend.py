@@ -1075,10 +1075,8 @@ class _TypeChecker:
         return name if n == 0 else f"{name}__{n}"
 
     def run(self) -> Program:
-        self.rid_counts = {}
         globals_scope = _Scope()
         items: list = []
-        checked_fns: dict = {}
         for item in self.prog.items:
             if isinstance(item, VarDecl):
                 items.append(self.check_global(item, globals_scope))
@@ -1086,9 +1084,7 @@ class _TypeChecker:
                 items.append(None)  # placeholder, filled below
         for idx, item in enumerate(self.prog.items):
             if isinstance(item, FunctionDef):
-                fn = self.check_function(item, globals_scope)
-                checked_fns[item.name] = fn
-                items[idx] = fn
+                items[idx] = self.check_function(item, globals_scope)
         return Program(items, self.prog.entry, file=self.file)
 
     def check_global(self, decl: VarDecl, scope: _Scope) -> VarDecl:

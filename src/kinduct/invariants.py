@@ -21,7 +21,6 @@ is the one reader that names a loop by its head in the flat listing.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass, field, replace
 
 from .frontend import (
@@ -30,7 +29,7 @@ from .frontend import (
 )
 from .goto_ir import GotoProgram, Instr, LoopItem, IfItem, OpItem, items_in
 from .interp import eval_expr, trunc_div
-from .transform import DeadlineExceeded
+from .transform import check_deadline
 
 
 class InvariantError(MiniCError):
@@ -533,8 +532,7 @@ def _head_states(p: GotoProgram, deadline: float | None = None) -> dict:
             return None
         lid = loop.loop_id
         while True:
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceeded
+            check_deadline(deadline)
             old = heads.get(lid)
             new = _join(old, s)
             if old is not None:

@@ -69,9 +69,9 @@ from the session's snapshot (`Session.snapshot`, the conversion state
 the last query left after its deepest loop copy, see `vcgen.to_ssa`)
 skips the walk as well: the session keeps the bits of the snapshot's
 names, and the id-cache entries of its guard, assume prefix and
-obligation conjunction, whose nodes it keeps alive so no id is reused;
-such a query blasts only the definitions past the snapshot and walks
-only its new nodes.  The goal is not a clause but a literal,
+obligation conjunction, which the snapshot keeps alive, so no id is
+reused; such a query blasts only the definitions past the snapshot and
+walks only its new nodes.  The goal is not a clause but a literal,
 `CnfInstance.goal`, passed to the search as its one assumption, as in
 MiniSat's solve(assumptions) (Een & Sorensson, "An Extensible
 SAT-solver", SAT 2003).  This is sound because every
@@ -106,14 +106,15 @@ bounds raised to 12.
 
 The SAT core is a conventional CDCL: two watched literals, first-UIP
 conflict analysis, VSIDS-style activity, Luby restarts, phase saving.
-No preprocessing.  A conflict budget turns into a BUDGET outcome so the
-caller can report unknown instead of looping forever.  Level 0 holds
-what the clauses imply, and level 1 the goal and what it implies;
-restarts go back to level 1.  Conflict analysis folds every level-1
-literal into one -goal and does not bump it, so a learned clause does
-not carry the goal's whole cone, and one query makes exactly the
-decisions and conflicts the goal made as a unit clause.  Learned
-clauses stay in the engine for later queries.
+No preprocessing.  The conflict limit, and only it, turns into a BUDGET
+outcome so the caller can report unknown instead of looping forever; a
+deadline raises `transform.DeadlineExceeded`.  Level 0 holds what the
+clauses imply, and level 1 the goal and what it implies; restarts go
+back to level 1.  Conflict analysis folds every level-1 literal into
+one -goal and does not bump it, so a learned clause does not carry the
+goal's whole cone, and one query makes exactly the decisions and
+conflicts the goal made as a unit clause.  Learned clauses stay in the
+engine for later queries.
 
 Its state lives in flat lists, as in MiniSat.  Per-literal data
 (values, watch lists) has 2n+1 slots, and a literal is its own index:
@@ -154,7 +155,6 @@ rescaled past 1e100 the heap is rebuilt from the scaled values.
 from __future__ import annotations
 
 import heapq
-import time
 from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -164,7 +164,7 @@ from itertools import islice
 from .frontend import (
     Binary, Cast, Cond, Const, Expr, Nondet, Unary, Var,
 )
-from .transform import DeadlineExceeded
+from .transform import CHECK_EVERY, DeadlineExceeded, check_deadline
 from .vcgen import SsaProgram
 
 SAT = "SAT"
@@ -221,8 +221,7 @@ class _Blaster:
         self.num_vars = 1  # var 1 is constant TRUE
         self.clauses = [[TRUE_LIT]]
         self.cache = {}      # id(expr) -> bit vector, for one formula
-        self.kept = {}       # the entries of the `pinned` nodes, for the session
-        self.pinned = []     # nodes kept alive, so their ids are not reused
+        self.kept = {}       # the entries of the snapshot's shared nodes
         self.nodes = {}      # structural key -> bit vector (shared: never mutate)
         self.and_cache = {}  # sorted input literals -> output literal
         self.xor_cache = {}
@@ -727,9 +726,6 @@ class Session:
         self.covered_free = 0
 
 
-DEFS_PER_CHECK = 256
-
-
 def bitblast(f: SsaProgram, session: Session | None = None,
              deadline: float | None = None) -> CnfInstance:
     """Reduce the word-level query `f.goal`, given the definitions of
@@ -761,8 +757,7 @@ def bitblast(f: SsaProgram, session: Session | None = None,
     no root clause: the goal is returned as a literal, and `clauses`
     lists every clause of the session so far, each the definition of a
     gate.  Without a session the query gets a fresh one.  Past `deadline`
-    (checked every DEFS_PER_CHECK definitions) it raises
-    DeadlineExceeded.
+    (checked every CHECK_EVERY definitions) it raises DeadlineExceeded.
     """
     session = session or Session()
     bl = session.blaster
@@ -782,9 +777,9 @@ def bitblast(f: SsaProgram, session: Session | None = None,
     definitions = list(islice(f.definitions, done, None))
     defined = {name for name, _ in definitions}
     # The per-formula cache is keyed by the ids of expression nodes: only
-    # the pinned ones may outlive the formula, whose dead nodes' ids get
-    # reused.  The node table's keys hold the ids of bit vectors the
-    # session keeps.
+    # the kept ones, which the session's snapshot holds alive, may outlive
+    # the formula, whose dead nodes' ids get reused.  The node table's
+    # keys hold the ids of bit vectors the session keeps.
     try:
         for name, ty in new_symbols:
             if name not in defined:
@@ -793,9 +788,8 @@ def bitblast(f: SsaProgram, session: Session | None = None,
                     bits = free[name] = [bl.new_var() for _ in range(ty.width)]
                 symbol_bits[name] = bits
         for i, (name, expr) in enumerate(definitions):
-            if i % DEFS_PER_CHECK == 0 and deadline is not None \
-                    and time.monotonic() > deadline:
-                raise DeadlineExceeded
+            if i % CHECK_EVERY == 0:
+                check_deadline(deadline)
             symbol_bits[name] = bl.blast(expr, symbol_bits)
         goal = bl.v_nonzero(bl.blast(f.goal, symbol_bits))
         if f.captured is not None:
@@ -816,12 +810,10 @@ def _keep(session: Session, cap, symbol_bits, known: int):
     for name in islice(cap.ssa.symbols, known, None):
         shared[name] = symbol_bits[name]
     session.snapshot = cap
-    bl = session.blaster
-    for node in (cap.guard, cap.assumed, cap.ssa.prop):
-        bits = bl.cache.get(id(node))
-        if bits is not None and id(node) not in bl.kept:
-            bl.kept[id(node)] = bits
-            bl.pinned.append(node)
+    cache = session.blaster.cache
+    session.blaster.kept = {id(node): cache[id(node)]
+                            for node in (cap.guard, cap.assumed, cap.ssa.prop)
+                            if id(node) in cache}
 
 
 def decode_model(values: list, cnf: CnfInstance) -> dict:
@@ -1189,7 +1181,8 @@ class _Cdcl:
         """Search for a model of the clauses in which `goal` holds.  Level
         0 holds what the clauses imply; level 1 opens with the goal as an
         assumption, and restarts go back to it.  At most conflict_limit
-        conflicts are spent on this call."""
+        conflicts are spent on this call, and past `deadline` (checked
+        every CHECK_EVERY iterations) it raises DeadlineExceeded."""
         if self.trail_lim:
             self.backtrack(0)
         if not self.ok:
@@ -1200,10 +1193,9 @@ class _Cdcl:
         since_restart = 0
         ticks = 0
         while True:
+            if ticks % CHECK_EVERY == 0:
+                check_deadline(deadline)
             ticks += 1
-            if deadline is not None and ticks % 512 == 0 \
-                    and time.monotonic() > deadline:
-                return BUDGET
             conflict = self.propagate()
             if conflict is not None:
                 self.conflicts += 1
@@ -1268,8 +1260,8 @@ def solve(cnf: CnfInstance,
     model through `cnf.bits` when `model` is first read.  Counts and the
     conflict limit are this query's.
 
-    `deadline` is a time.monotonic() timestamp; running past it yields
-    the same BUDGET outcome as exceeding the conflict limit.
+    BUDGET means only that the conflict limit was hit.  Past `deadline`,
+    a time.monotonic() timestamp, it raises DeadlineExceeded.
 
     With the `session` the instance was blasted in, the session's last
     SAT model is first extended over the clauses blasted since
@@ -1282,11 +1274,9 @@ def solve(cnf: CnfInstance,
     if session is None:
         engine = _Cdcl(cnf.num_vars, [list(c) for c in cnf.clauses])
     else:
-        status = _extend(session, cnf, deadline)
-        if status is not None:
-            outcome = SolverOutcome(status)
-            if status == SAT:
-                outcome.values, outcome.cnf = session.model, cnf
+        if _extend(session, cnf, deadline) == SAT:
+            outcome = SolverOutcome(SAT)
+            outcome.values, outcome.cnf = session.model, cnf
             return outcome
         engine = session.engine
         engine.add(cnf.num_vars, cnf.clauses[session.loaded:])
@@ -1309,8 +1299,9 @@ def _extend(session: Session, cnf: CnfInstance,
             deadline: float | None) -> str | None:
     """Extend the session's kept model over the clauses blasted since it
     was taken, in one in-order pass: SAT if the goal holds in the
-    extension, BUDGET past `deadline` (checked every DEFS_PER_CHECK
-    clauses), else None, and the query is searched.
+    extension, else None, and the query is searched.  Past `deadline`
+    (checked every CHECK_EVERY clauses) it puts the kept model back and
+    raises DeadlineExceeded.
 
     The new free bits are set false.  A clause already satisfied is
     skipped, and one with exactly one unassigned literal sets it; a
@@ -1329,11 +1320,13 @@ def _extend(session: Session, cnf: CnfInstance,
         for v in bits:
             values[v] = -1
     clauses = cnf.clauses
-    for start in range(session.covered, len(clauses), DEFS_PER_CHECK):
-        if deadline is not None and time.monotonic() > deadline:
+    for start in range(session.covered, len(clauses), CHECK_EVERY):
+        try:
+            check_deadline(deadline)
+        except DeadlineExceeded:
             del values[old:]
-            return BUDGET
-        for cl in clauses[start:start + DEFS_PER_CHECK]:
+            raise
+        for cl in clauses[start:start + CHECK_EVERY]:
             unset = 0
             for lit in cl:
                 x = values[lit] if lit > 0 else -values[-lit]

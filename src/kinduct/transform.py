@@ -40,10 +40,10 @@ program produces, which is what makes model replay possible.  Copy i's
 must hold no draw (nondet or division): the replay of a FALSE would miss
 it (`ReplayError`); its names stay distinct, so no wrong TRUE.
 
-`unwind` takes an optional time.monotonic() deadline and raises
-DeadlineExceeded once it has run past it, checked every COPIES_PER_CHECK
-loop copies; `vcgen.to_ssa` does the same for tree items, `vcgen.encode`
-on entry and `solver.bitblast` for definitions.
+Every stage that takes a time.monotonic() `deadline` polls it through
+`check_deadline`, which raises DeadlineExceeded once the clock is past
+it; a loop polls every CHECK_EVERY steps (`unwind` loop copies, `to_ssa`
+items, `bitblast` definitions, extension clauses, search iterations).
 """
 
 from __future__ import annotations
@@ -64,10 +64,16 @@ class TransformError(Exception):
 
 
 class DeadlineExceeded(Exception):
-    """A query stage ran past its caller's deadline."""
+    """A stage ran past its caller's deadline."""
 
 
-COPIES_PER_CHECK = 256
+CHECK_EVERY = 256   # loop steps between two polls of the clock
+
+
+def check_deadline(deadline: float | None):
+    """Raise DeadlineExceeded once time.monotonic() is past `deadline`."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded
 
 
 class Phase(enum.Enum):
@@ -170,9 +176,8 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
         inner: list = [OpItem(Instr(term_op, expr=sigma, tag=term_tag,
                                     loc=loop.loc, ctx=ctx + (k + 1,)))]
         for i in range(k, 0, -1):
-            if copies % COPIES_PER_CHECK == 0 and deadline is not None \
-                    and time.monotonic() > deadline:
-                raise DeadlineExceeded
+            if copies % CHECK_EVERY == 0:
+                check_deadline(deadline)
             copies += 1
             cctx = ctx + (i,)
             seq = stamp(loop.body, cctx) if nested else loop.body

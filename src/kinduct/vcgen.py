@@ -74,7 +74,6 @@ head, so their initial values no longer constrain the iterations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from .frontend import (
@@ -82,9 +81,7 @@ from .frontend import (
 )
 from .goto_ir import GotoProgram, IfItem, OpItem, walk_nested
 from .interp import eval_expr
-from .transform import DeadlineExceeded, Phase, UnwoundProgram
-
-INSTRS_PER_CHECK = 256
+from .transform import CHECK_EVERY, Phase, UnwoundProgram, check_deadline
 
 TRUE = Const(1, ty=INT)
 FALSE = Const(0, ty=INT)
@@ -228,9 +225,8 @@ class _SsaBuilder:
         raise TypeError(f"cannot convert {e!r}")
 
     def tick(self):
-        if self.visited % INSTRS_PER_CHECK == 0 and self.deadline is not None \
-                and time.monotonic() > self.deadline:
-            raise DeadlineExceeded
+        if self.visited % CHECK_EVERY == 0:
+            check_deadline(self.deadline)
         self.visited += 1
 
     def _items(self, items: list):
@@ -311,7 +307,7 @@ def to_ssa(u: UnwoundProgram, deadline: float | None = None,
     """Compile the loop-free tree of an unwound program into guarded
     definitions; a LoopItem left in the tree is a TypeError.  Past the
     time.monotonic() `deadline` (checked at the first item and every
-    INSTRS_PER_CHECK items after it) it raises DeadlineExceeded.
+    CHECK_EVERY items after it) it raises DeadlineExceeded.
 
     When `u.layout` places the copies of the first top-level loop, the
     conversion leaves its state after copy k in `captured`, unless
@@ -347,8 +343,7 @@ def to_ssa(u: UnwoundProgram, deadline: float | None = None,
     return builder.out
 
 
-def encode(s: SsaProgram, phase: Phase,
-           deadline: float | None = None) -> SsaProgram:
+def encode(s: SsaProgram, phase: Phase) -> SsaProgram:
     """`s` with the phase's satisfiability query as its `goal`, sharing
     its lists and dicts.
 
@@ -357,11 +352,9 @@ def encode(s: SsaProgram, phase: Phase,
     assume no power over violations that precede it.  The obligations'
     conjunction `s.prop` and the unwinding assertions' `s.sigma` are
     grown by the converter, so a resumed conversion shares the nodes of
-    the checkpointed ones.  Past the time.monotonic() `deadline`
-    (checked on entry) it raises DeadlineExceeded.
+    the checkpointed ones.  It takes no deadline: it builds two nodes,
+    between `to_ssa` and `solver.bitblast`, which both poll the clock.
     """
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded
     prop = And(s.sigma, s.prop) if phase is Phase.FORWARD else s.prop
     return replace(s, goal=Not(prop))
 

@@ -39,9 +39,14 @@ def test_exit_code_false():
     assert run("verify", str(corpus_path("wrap_bug.mc"))) == EXIT_FALSE
 
 
-def test_exit_code_unknown():
-    assert run("verify", str(corpus_path("count_up.mc")),
-               "--invariants", "none", "--k-max", "3") == EXIT_UNKNOWN
+def test_exit_code_unknown(capsys):
+    args = ("verify", str(corpus_path("count_up.mc")),
+            "--invariants", "none", "--k-max", "3")
+    assert run(*args) == EXIT_UNKNOWN
+    assert "UNKNOWN (k_max) [" in capsys.readouterr().out
+    assert run(*args, "--json") == EXIT_UNKNOWN
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["status"], obj["phase"], obj["reason"]) == ("UNKNOWN", None, "k_max")
 
 
 def test_exit_code_missing_file(capsys):
@@ -155,6 +160,7 @@ def test_json_output_proof(capsys):
     assert obj["status"] == "TRUE"
     assert obj["phase"] == "INDUCTIVE"
     assert obj["k"] == 2
+    assert obj["reason"] is None
     assert isinstance(obj["time_ms"], int)
     assert "trace" not in obj
 

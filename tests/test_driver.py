@@ -73,6 +73,7 @@ def verify(name, **overrides):
 def test_corpus_spot_verdicts(name, status, decided_by, k):
     v = verify(name)
     assert (v.status, v.decided_by, v.k_at_decision) == (status, decided_by, k)
+    assert v.reason is None
 
 
 VERDICTS = Path(__file__).resolve().parent / "data" / "corpus_verdicts.txt"
@@ -210,12 +211,20 @@ def test_unknown_when_iterations_exhausted():
     assert v.decided_by is None
     assert v.counterexample is None
     assert ("base", 4) in v.phase_log
+    assert v.reason == "k_max"
 
 
 def test_unknown_on_timeout():
     v = verify("fig1_unsigned.mc", timeout_seconds=0)
-    assert v.status == UNKNOWN
-    assert v.phase_log == []
+    assert (v.status, v.reason, v.phase_log) == (UNKNOWN, "deadline", [])
+
+
+def test_unknown_on_conflict_limit(monkeypatch):
+    # fig1_unsigned's BASE k=1 query is UNSAT, which takes a conflict; with
+    # no conflict to spend, the run ends there.
+    monkeypatch.setattr(driver, "DEFAULT_CONFLICT_LIMIT", 0)
+    v = verify("fig1_unsigned.mc")
+    assert (v.status, v.reason, v.phase_log) == (UNKNOWN, "budget", [("base", 1)])
 
 
 @pytest.mark.parametrize("bad", [
@@ -802,7 +811,7 @@ def test_deadline_inside_a_stage_gives_unknown(tmp_path, monkeypatch):
     blasted = []
     monkeypatch.setattr(driver, "solve", lambda *args: blasted.append(args))
     v = checker.run()
-    assert (v.status, v.phase_log) == (UNKNOWN, [("base", 1)])
+    assert (v.status, v.reason, v.phase_log) == (UNKNOWN, "deadline", [("base", 1)])
     assert blasted == []
 
 
@@ -816,7 +825,7 @@ def test_timeout_counts_the_loading(monkeypatch):
 
     monkeypatch.setattr(driver, "infer_invariants", slow)
     v = verify("fig1_unsigned.mc", timeout_seconds=1)
-    assert (v.status, v.phase_log) == (UNKNOWN, [])
+    assert (v.status, v.reason, v.phase_log) == (UNKNOWN, "deadline", [])
 
 
 def test_interval_analysis_meets_the_deadline(monkeypatch):
@@ -833,7 +842,7 @@ def test_interval_analysis_meets_the_deadline(monkeypatch):
     monkeypatch.setattr(invariants, "_widen", slow)
     start = time.monotonic()
     v = verify("nested_sum.mc", timeout_seconds=1)
-    assert (v.status, v.phase_log) == (UNKNOWN, [])
+    assert (v.status, v.reason, v.phase_log) == (UNKNOWN, "deadline", [])
     assert time.monotonic() - start < 2.5 and len(widened) < 5
 
 
@@ -855,7 +864,7 @@ def test_deadline_inside_to_ssa_gives_unknown(tmp_path, monkeypatch):
     encoded = []
     monkeypatch.setattr(driver, "encode", lambda *args: encoded.append(args))
     v = checker.run()
-    assert (v.status, v.phase_log) == (UNKNOWN, [("base", 1)])
+    assert (v.status, v.reason, v.phase_log) == (UNKNOWN, "deadline", [("base", 1)])
     assert encoded == []
 
 

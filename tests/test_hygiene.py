@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module of the
-package imports is used in that module, and every function, class and
-method the package defines is read somewhere."""
+package imports is used in that module, every function, class and
+method the package defines is read somewhere, and only
+`transform.check_deadline` compares the clock with a deadline."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,40 @@ def test_every_definition_is_read():
                for path in sorted((ROOT / top).rglob("*.py"))]
     assert len(defined) > 300
     assert unread(defined, *reads(sources)) == []
+
+
+def clock_comparisons(source: str) -> list:
+    """The innermost enclosing function (None: module level) of every
+    comparison in `source` that calls `monotonic`, in walk order."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):   # outer functions first: inner ones win
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(n), fn.name) for n in ast.walk(fn))
+    return [owner.get(id(c)) for c in ast.walk(tree) if isinstance(c, ast.Compare)
+            and any(isinstance(n, ast.Call) and "monotonic" in
+                    (getattr(n.func, "attr", None), getattr(n.func, "id", None))
+                    for n in ast.walk(c))]
+
+
+def test_scan_finds_clock_comparisons():
+    source = ("import time\nfrom time import monotonic\n"
+              "def f(d):\n    def g():\n        return time.monotonic() > d\n"
+              "    return time.monotonic() - d\n"
+              "late = monotonic() >= 5\n")
+    assert clock_comparisons(source) == [None, "g"]
+
+
+def test_only_check_deadline_reads_the_clock_against_a_deadline():
+    found = {path.name: clock_comparisons(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in found.items() if fns} == \
+        {"transform.py": ["check_deadline"]}
+
+
+def test_one_poll_interval():
+    names = {getattr(n, "id", None) or getattr(n, "attr", None)
+             for path in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    assert sorted(n for n in names if n.endswith("_PER_CHECK")) == []
