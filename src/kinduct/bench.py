@@ -22,6 +22,7 @@ import io
 import json
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, asdict
@@ -60,6 +61,7 @@ class BenchRow:
                             # true_incorrect / unknown_and_timeout / invalid /
                             # internal_error
     error: str | None = None
+    reason: str | None = None   # UNKNOWN only: k_max, deadline or budget
 
 
 @dataclass
@@ -120,7 +122,8 @@ def _run_entry(entry: ManifestEntry, cfg: KInductionConfig) -> BenchRow:
     ms = int((time.monotonic() - start) * 1000)
     return BenchRow(entry.path, entry.expected, entry.category,
                     verdict.status, verdict.decided_by, verdict.k_at_decision,
-                    ms, _classify(entry.expected, verdict.status))
+                    ms, _classify(entry.expected, verdict.status),
+                    reason=verdict.reason)
 
 
 def score(report: BenchReport) -> int:
@@ -184,10 +187,11 @@ def report_to_json(report: BenchReport) -> str:
 def report_to_csv(report: BenchReport) -> str:
     out = io.StringIO()
     w = csv.writer(out)
-    w.writerow(["path", "expected", "verdict", "phase", "k", "time_ms"])
+    w.writerow(["path", "expected", "verdict", "phase", "k", "time_ms",
+                "reason"])
     for r in report.rows:
         w.writerow([r.path, r.expected, r.verdict, r.phase or "", r.k or "",
-                    r.time_ms])
+                    r.time_ms, r.reason or ""])
     return out.getvalue()
 
 
@@ -195,6 +199,8 @@ def format_report(report: BenchReport) -> str:
     lines = []
     for r in report.rows:
         detail = f"{r.phase} k={r.k}" if r.phase else r.classification
+        if r.reason:
+            detail += f" ({r.reason})"
         lines.append(f"{r.verdict:8s} {Path(r.path).name:28s} "
                      f"[{r.expected}] {detail} {r.time_ms} ms")
     lines.append("")
@@ -202,7 +208,10 @@ def format_report(report: BenchReport) -> str:
                  f"  (proofs {report.correct_proofs}, bugs {report.bugs_found})")
     lines.append(f"false incorrect     {report.false_incorrect}")
     lines.append(f"true incorrect      {report.true_incorrect}")
-    lines.append(f"unknown and timeout {report.unknown_and_timeout}")
+    reasons = Counter(r.reason for r in report.rows if r.reason)
+    why = ", ".join(f"{reason} {n}" for reason, n in sorted(reasons.items()))
+    lines.append(f"unknown and timeout {report.unknown_and_timeout}"
+                 + (f"  ({why})" if why else ""))
     if report.invalid:
         lines.append(f"invalid entries     {report.invalid}")
     if report.internal_errors:

@@ -8,7 +8,8 @@ an outer loop advances.  This is exactly the naming scheme the unwinder
 uses for loop copies, so a satisfying assignment for an unwound formula
 can be replayed here directly.  `LoopClock` holds that rule and `step`
 executes one instruction; `run_goto` and the explicit-state
-`oracle.explore` are both loops over the two.
+`oracle.explore`, which answers every bound up to its own in one run,
+are both loops over the two.
 
 Evaluation semantics: fixed-width two's-complement wrapping on every
 operation, truncating division, shift amounts taken modulo the width,

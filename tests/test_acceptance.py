@@ -52,16 +52,20 @@ def test_01_inductive_step_proves_what_unrolling_cannot():
 def test_02_base_case_matches_exhaustive_enumeration():
     """At 8-bit widths and k <= 8, the solver-backed base case and a
     brute-force state enumerator agree on counterexample existence and
-    on the earliest violating k, on every corpus program."""
+    on the earliest violating k, on every corpus program.  The forward
+    condition agrees with the same enumeration at every k <= 8."""
     start = time.monotonic()
     cfg = KInductionConfig(invariants_mode="none", width_override=8)
     for path, expected, _cat in corpus_entries():
         g = load_program(str(path), cfg)
-        oracle_k = oracle.min_violation_k(g, 8)
+        ex = oracle.explore(g, 8)
         solver_k = next(
             (k for k in range(1, 9) if base_case(g, k, cfg) is not None),
             None)
-        assert solver_k == oracle_k, (path.name, solver_k, oracle_k)
+        assert solver_k == ex.violation_k, (path.name, solver_k, ex.violation_k)
+        for k in range(1, 9):
+            assert forward_condition(g, k, cfg) == ex.forward_holds(k), \
+                (path.name, k)
     assert time.monotonic() - start < 300.0
 
 

@@ -209,10 +209,13 @@ def test_score_weights(bugs, proofs, false_inc, true_inc, expected):
 def test_csv_shape(tmp_path):
     report = run_suite(parse_manifest(str(toy_manifest(tmp_path))), toy_cfg())
     rows = list(csv.reader(io.StringIO(report_to_csv(report))))
-    assert rows[0] == ["path", "expected", "verdict", "phase", "k", "time_ms"]
+    assert rows[0] == ["path", "expected", "verdict", "phase", "k", "time_ms",
+                       "reason"]
     assert len(rows) == 1 + len(report.rows)
     unknown = next(r for r in rows[1:] if r[2] == "UNKNOWN")
     assert unknown[3] == "" and unknown[4] == ""
+    assert unknown[6] == "k_max"
+    assert {r[6] for r in rows[1:] if r[2] != "UNKNOWN"} == {""}
 
 
 def test_json_round_trip(tmp_path):
@@ -221,6 +224,26 @@ def test_json_round_trip(tmp_path):
     assert data["score"] == report.score
     assert len(data["rows"]) == 3
     assert {r["verdict"] for r in data["rows"]} == {"TRUE", "FALSE", "UNKNOWN"}
+
+
+def test_unknown_rows_carry_the_reason(tmp_path):
+    m = parse_manifest(str(toy_manifest(tmp_path)))
+    report = run_suite(m, toy_cfg())
+    assert {Path(r.path).name: r.reason for r in report.rows} == {
+        "count_up.mc": "k_max", "straightline_safe.mc": None,
+        "wrap_bug.mc": None}
+    data = json.loads(report_to_json(report))
+    assert [r["reason"] for r in data["rows"] if r["verdict"] == "UNKNOWN"] \
+        == ["k_max"]
+    text = format_report(report)
+    assert "unknown_and_timeout (k_max)" in text
+    assert "unknown and timeout 1  (k_max 1)" in text
+
+    late = run_suite(m, KInductionConfig(invariants_mode="none",
+                                         timeout_seconds=0))
+    assert {(r.verdict, r.reason) for r in late.rows} == {("UNKNOWN", "deadline")}
+    assert "unknown and timeout 3  (deadline 3)" in format_report(late)
+    assert late.score == 0
 
 
 def test_format_report_mentions_tallies(tmp_path):

@@ -912,4 +912,5 @@ def test_loops_without_loop_variables_get_a_verdict(name, mode, tmp_path):
     assert (v.status, v.decided_by, v.k_at_decision) == (status, phase, k)
     if status == TRUE:
         g = compile_mc(src, width=8)
-        assert all(oracle.base_case_holds(g, j) for j in range(1, 7))
+        ex = oracle.explore(g, 6)
+        assert all(ex.base_holds(j) for j in range(1, 7))

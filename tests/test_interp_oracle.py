@@ -89,31 +89,51 @@ def test_oracle_fig1_safe_at_8bit():
     g = load_program(str(corpus_path("fig1_unsigned.mc")), cfg)
     res = oracle.explore(g, k=8)
     assert not res.violated
-    assert res.sigma_failures > 0          # long-running starts get cut
-    assert oracle.min_violation_k(g, 8) is None
+    assert not res.forward_holds(8)        # long-running starts get cut
 
 
-@pytest.mark.parametrize("name,expect", [
+# The inner loop runs 5 times, then once after its counter resets: the
+# violation needs bound 5, though no live counter exceeds 3 when it fails.
+COUNTER_RESET = """int main() {
+  unsigned char i = 0;
+  unsigned char j = 0;
+  unsigned char m = 0;
+  while (i < 2) {
+    j = 0;
+    while (j < 5 - 4 * i) j = j + 1;
+    if (j > m) m = j;
+    i = i + 1;
+  }
+  assert(!(j == 1 && m == 5));
+  return 0;
+}"""
+
+
+@pytest.mark.parametrize("program,expect", [
     ("assert_inside.mc", 4),
     ("deep_bug.mc", 8),
     ("nested_bug.mc", 2),
     ("fig1_bug.mc", 1),
     ("two_nondet_bug.mc", 1),
+    pytest.param(COUNTER_RESET, 5, id="counter_reset"),
 ])
-def test_oracle_min_violation_k(name, expect):
+def test_oracle_min_violation_k(program, expect):
     from kinduct.driver import KInductionConfig, load_program
     cfg = KInductionConfig(invariants_mode="none", width_override=8)
-    g = load_program(str(corpus_path(name)), cfg)
-    assert oracle.min_violation_k(g, 8) == expect
+    if program.endswith(".mc"):
+        g = load_program(str(corpus_path(program)), cfg)
+    else:
+        g = compile_mc(program, width=8)
+    assert oracle.explore(g, 8).violation_k == expect
 
 
 def test_oracle_forward_threshold():
     from kinduct.driver import KInductionConfig, load_program
     cfg = KInductionConfig(invariants_mode="none", width_override=8)
-    g = load_program(str(corpus_path("count_up.mc")), cfg)
-    assert not oracle.forward_holds(g, 9)
-    assert oracle.forward_holds(g, 10)
-    assert oracle.min_forward_k(g, 12) == 10
+    ex = oracle.explore(load_program(str(corpus_path("count_up.mc")), cfg), 12)
+    assert not ex.forward_holds(9)
+    assert ex.forward_holds(10)
+    assert next(k for k in range(1, 13) if ex.forward_holds(k)) == 10
 
 
 def test_oracle_rejects_wide_draws():

@@ -312,8 +312,10 @@ def test_base_case_matches_oracle_on_generated_loops(op, bound, step, avoid, k,
     g = compile_mc(src, width=8)
     f = encode(to_ssa(unwind(g, k, phase)), phase)
     solver_sat = solve(bitblast(f)).status == SAT
-    holds = oracle.base_case_holds if phase is Phase.BASE else oracle.forward_holds
-    assert solver_sat == (not holds(g, k))
+    # Bound 3, the largest k drawn, so k < 3 checks a label, not a cut.
+    ex = oracle.explore(g, 3)
+    holds = ex.base_holds if phase is Phase.BASE else ex.forward_holds
+    assert solver_sat == (not holds(k))
 
 
 @settings(max_examples=40, deadline=None,

@@ -258,11 +258,11 @@ def test_forward_monotonicity_on_corpus_oracle():
     from kinduct.driver import KInductionConfig, load_program
     cfg = KInductionConfig(invariants_mode="none", width_override=8)
     for path, _expected, _cat in corpus_entries():
-        g = load_program(str(path), cfg)
-        mk = oracle.min_forward_k(g, 8)
+        ex = oracle.explore(load_program(str(path), cfg), 8)
+        mk = next((k for k in range(1, 9) if ex.forward_holds(k)), None)
         if mk is not None:
             for k in range(mk, 9):
-                assert oracle.forward_holds(g, k), (path.name, k)
+                assert ex.forward_holds(k), (path.name, k)
 
 
 def test_forward_monotonicity_solver_side():
