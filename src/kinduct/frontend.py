@@ -390,12 +390,16 @@ def lex(source: str, file: str = "<input>") -> list:
             i = j + 2
             continue
         if c.isdigit():
+            # As in C: 0x/0X opens a hex literal, a leading 0 an octal one.
             j = i
-            if source.startswith("0x", i) or source.startswith("0X", i):
+            if source.startswith(("0x", "0X"), i):
                 j = i + 2
                 while j < n and source[j] in "0123456789abcdefABCDEF":
                     j += 1
                 text = source[i:j]
+                if j == i + 2:
+                    raise MiniCSyntaxError(f"hexadecimal literal '{text}' has no digits",
+                                           loc, file)
                 value = int(text, 16)
             else:
                 while j < n and source[j].isdigit():
@@ -403,7 +407,12 @@ def lex(source: str, file: str = "<input>") -> list:
                 if j < n and source[j] == ".":
                     raise UnsupportedConstructError("floating-point literal", loc, file)
                 text = source[i:j]
-                value = int(text)
+                base = 8 if text[0] == "0" else 10
+                bad = next((d for d in text if int(d) >= base), None)
+                if bad is not None:
+                    raise MiniCSyntaxError(f"invalid digit '{bad}' in octal literal '{text}'",
+                                           loc, file)
+                value = int(text, base)
             if j < n and (source[j].isalpha() or source[j] == "_"):
                 raise MiniCSyntaxError(f"bad numeric literal near '{source[i:j + 1]}'", loc, file)
             tokens.append(Token("NUM", text, loc, value))

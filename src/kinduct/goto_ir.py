@@ -1,11 +1,12 @@
 """GOTO-style intermediate representation.
 
 `lower` turns a type-checked AST into a loop tree with all calls
-inlined: OpItems (ASSIGN, ASSUME, ASSERT, HAVOC, SKIP), IfItems and
-LoopItems.  for-loops lower as `B; while (c) { E; D; }` and do-while
-loops are peeled as `E; while (c) { E; }`: the lowerer lowers the body
-twice, so the peeled copy gets its own draw ids and its inner loops
-their own loop ids.
+inlined.  Its leaves are the instructions themselves (ASSIGN, ASSUME,
+ASSERT, and HAVOC in the inductive step); its inner nodes are IfItems
+and LoopItems.  An empty statement lowers to nothing.  for-loops lower
+as `B; while (c) { E; D; }` and do-while loops are peeled as
+`E; while (c) { E; }`: the lowerer lowers the body twice, so the peeled
+copy gets its own draw ids and its inner loops their own loop ids.
 
 The tree is the program: unwinding copies loop bodies from it.  The flat
 GOTO listing, every loop in the top-test shape
@@ -63,9 +64,7 @@ class Instr:
             return f"GOTO {self.target}"
         if self.op == "COND_GOTO":
             return f"COND_GOTO {pp_expr(self.expr)} -> {self.target}"
-        if self.op == "HAVOC":
-            return f"HAVOC {self.var}"
-        return "SKIP"
+        return f"HAVOC {self.var}"
 
 
 @dataclass
@@ -84,11 +83,6 @@ class LoopInfo:
 # structured view ------------------------------------------------------------
 
 @dataclass
-class OpItem:
-    instr: Instr
-
-
-@dataclass
 class IfItem:
     cond: Expr
     then: list
@@ -101,7 +95,7 @@ class IfItem:
 class LoopItem:
     guard: Expr
     body: list
-    # OpItems run each iteration before the guard; the unwound copies
+    # Instrs run each iteration before the guard; the unwound copies
     # share them, so they must hold no draw (see `transform`)
     pre: list = field(default_factory=list)
     loc: Loc | None = None
@@ -163,8 +157,8 @@ def loop_variables(loop: LoopItem) -> frozenset:
     counters are assigned in the body, so the two criteria cover all
     three)."""
     return frozenset(free_vars(loop.guard) | {
-        i.instr.var for i in items_in([loop])
-        if isinstance(i, OpItem) and i.instr.op == "ASSIGN"})
+        i.var for i in items_in([loop])
+        if isinstance(i, Instr) and i.op == "ASSIGN"})
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +184,9 @@ class _Lowerer:
             init = g.init
             if init is None:
                 init = Const(0, ty=g.decl_ty, loc=g.loc)
-            tree.append(OpItem(Instr(
+            tree.append(Instr(
                 "ASSIGN", var=g.rid, expr=self.lower_call_free(init, {}),
-                loc=g.loc)))
+                loc=g.loc))
         main = self.prog.function(self.prog.entry)
         body, _ = self.single_exit(main.body.stmts)
         # The entry function's return value is never observed, so its
@@ -256,7 +250,7 @@ class _Lowerer:
         if isinstance(s, Block):
             return self.lower_stmts(s.stmts, rename, ret_var)
         if isinstance(s, Skip):
-            return [OpItem(Instr("SKIP", loc=s.loc))]
+            return []
         if isinstance(s, VarDecl):
             name = rename.get(s.rid, s.rid)
             self.declare(name, s.decl_ty)
@@ -264,20 +258,20 @@ class _Lowerer:
             if init is None:
                 init = Nondet(star=True, ty=s.decl_ty, loc=s.loc)
             out, expr = self.lower_expr(init, rename)
-            out.append(OpItem(Instr("ASSIGN", var=name, expr=expr, loc=s.loc)))
+            out.append(Instr("ASSIGN", var=name, expr=expr, loc=s.loc))
             return out
         if isinstance(s, Assign):
             name = rename.get(s.rid, s.rid)
             out, expr = self.lower_expr(s.value, rename)
-            out.append(OpItem(Instr("ASSIGN", var=name, expr=expr, loc=s.loc)))
+            out.append(Instr("ASSIGN", var=name, expr=expr, loc=s.loc))
             return out
         if isinstance(s, Assert):
             out, expr = self.lower_expr(s.cond, rename)
-            out.append(OpItem(Instr("ASSERT", expr=expr, loc=s.loc)))
+            out.append(Instr("ASSERT", expr=expr, loc=s.loc))
             return out
         if isinstance(s, Assume):
             out, expr = self.lower_expr(s.cond, rename)
-            out.append(OpItem(Instr("ASSUME", expr=expr, loc=s.loc)))
+            out.append(Instr("ASSUME", expr=expr, loc=s.loc))
             return out
         if isinstance(s, If):
             out, cond = self.lower_expr(s.cond, rename)
@@ -307,7 +301,7 @@ class _Lowerer:
             if s.value is None:
                 return []
             out, expr = self.lower_expr(s.value, rename)
-            out.append(OpItem(Instr("ASSIGN", var=ret_var, expr=expr, loc=s.loc)))
+            out.append(Instr("ASSIGN", var=ret_var, expr=expr, loc=s.loc))
             return out
         if isinstance(s, ExprStmt):
             out, _ = self.lower_expr(s.expr, rename)
@@ -369,12 +363,12 @@ class _Lowerer:
             self.declare(sub[p.rid], p.decl_ty)
             pre, expr = self.lower_expr(arg, rename)
             out.extend(pre)
-            out.append(OpItem(Instr("ASSIGN", var=sub[p.rid], expr=expr, loc=call.loc)))
+            out.append(Instr("ASSIGN", var=sub[p.rid], expr=expr, loc=call.loc))
         if fn.ret_ty is not None:
             self.declare(ret_var, fn.ret_ty)
-            out.append(OpItem(Instr(
+            out.append(Instr(
                 "ASSIGN", var=ret_var,
-                expr=Nondet(star=True, ty=fn.ret_ty, nid=next(self.nids)), loc=call.loc)))
+                expr=Nondet(star=True, ty=fn.ret_ty, nid=next(self.nids)), loc=call.loc))
         body, _ = self.single_exit(fn.body.stmts)
         out.extend(self.lower_stmts(body, sub, ret_var))
         result = Var(ret_var, rid=ret_var, ty=fn.ret_ty, loc=call.loc)
@@ -410,8 +404,8 @@ class _Flattener:
 
     def _items(self, tree: list):
         for item in tree:
-            if isinstance(item, OpItem):
-                self.emit(item.instr)
+            if isinstance(item, Instr):
+                self.emit(item)
             elif isinstance(item, IfItem):
                 neg = Unary("!", item.cond, ty=INT, loc=item.loc)
                 branch = self.emit(Instr("COND_GOTO", expr=neg, loc=item.loc))

@@ -227,8 +227,6 @@ def step(p: GotoProgram, pc: int, store: dict, ctx: tuple, provider) -> tuple:
     if op == "COND_GOTO":
         taken = eval_expr(ins.expr, store, provider, ctx) != 0
         return None, ins.target if taken else pc + 1, None
-    if op == "SKIP":
-        return None, pc + 1, None
     raise ValueError(f"cannot execute a {op} instruction")
 
 

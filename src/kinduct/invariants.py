@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 
 from .frontend import (
     INT, Binary, Cast, Cond, Const, Expr, IntType, MiniCError, Nondet, Unary,
-    Var, lex, promote, _Parser,
+    Var, lex, pp_expr, promote, _Parser,
 )
-from .goto_ir import GotoProgram, Instr, LoopItem, IfItem, OpItem, items_in
+from .goto_ir import GotoProgram, Instr, LoopItem, IfItem, items_in
 from .interp import eval_expr, trunc_div
 from .transform import check_deadline
 
@@ -80,21 +80,6 @@ def _shape(c: AffineConstraint) -> tuple:
     return shape
 
 
-def render_constraint(c: AffineConstraint) -> str:
-    coefs, relation = _shape(c)
-    names, k = [v for _, v in c.terms], c.constant
-    if coefs == (-1,):
-        return f"{-k} <= {names[0]}"
-    if len(coefs) == 1:
-        return f"{names[0]} {relation} {k}"
-    a, b = names
-    if coefs == (1, 1):
-        return f"{a} + {b} == {k}"
-    if k == 0:
-        return f"{a} == {b}"
-    return f"{a} == {b} {'+' if k > 0 else '-'} {abs(k)}"
-
-
 def constraint_to_expr(c: AffineConstraint, symbols: dict) -> Expr:
     """Build a typed MiniC expression for a constraint.  Operands are
     promoted to a common type; equality facts remain sound under
@@ -136,12 +121,14 @@ class InvariantSet:
 
 
 def dump_invariants(p: GotoProgram, inv: InvariantSet) -> str:
-    """One `head@<pc>: facts` line per loop, by its head in `p`'s listing."""
+    """One `head@<pc>: facts` line per loop, by its head in `p`'s listing;
+    each fact prints as the expression `instrument` plants for it."""
     heads = {loop.loop_id: loop.head for loop in p.loops}
     lines = []
     for lid in sorted(inv.by_location, key=heads.__getitem__):
         cs = inv.by_location[lid]
-        body = ", ".join(render_constraint(c) for c in cs) if cs else "(none)"
+        body = ", ".join(pp_expr(constraint_to_expr(c, p.symbols))
+                         for c in cs) if cs else "(none)"
         lines.append(f"head@{heads[lid]}: {body}")
     return "\n".join(lines)
 
@@ -518,13 +505,12 @@ def _head_states(p: GotoProgram, deadline: float | None = None) -> dict:
                           run(item.els, _refine(s, item.cond, False), through))
             elif isinstance(item, LoopItem):
                 s = through(item, s)
-            elif item.instr.op == "ASSIGN":
-                ins = item.instr
-                s = None if s is None else _assign(s, ins.var, ins.expr, p.symbols[ins.var])
-            elif item.instr.op in ("ASSUME", "ASSERT"):
-                s = _refine(s, item.instr.expr, True)
-            elif item.instr.op != "SKIP":
-                raise ValueError(f"cannot analyse a {item.instr.op} instruction")
+            elif item.op == "ASSIGN":
+                s = None if s is None else _assign(s, item.var, item.expr, p.symbols[item.var])
+            elif item.op in ("ASSUME", "ASSERT"):
+                s = _refine(s, item.expr, True)
+            else:
+                raise ValueError(f"cannot analyse a {item.op} instruction")
         return s
 
     def ascend(loop: LoopItem, s: _Abs | None) -> _Abs | None:
@@ -615,9 +601,9 @@ def instrument(p: GotoProgram, inv: InvariantSet) -> GotoProgram:
                 body = rebuild(item.body)
                 pre = list(item.pre)
                 if inv.by_location.get(item.loop_id):
-                    pre.insert(0, OpItem(Instr(
+                    pre.insert(0, Instr(
                         "ASSUME", expr=conj(inv.by_location[item.loop_id]),
-                        tag="invariant", loc=item.loc)))
+                        tag="invariant", loc=item.loc))
                 out.append(LoopItem(item.guard, body, pre=pre,
                                     loc=item.loc, loop_id=item.loop_id))
             else:

@@ -1390,24 +1390,55 @@ def _operands(e: Expr) -> tuple:
     return ()
 
 
-def _smt(root: Expr) -> str:
-    """The term for `root`, each shared subterm written out in full.  The
-    walk keeps an explicit stack, as `_Blaster.blast` does: guard and
-    assume-prefix chains grow with the unwinding depth.  `done` holds the
-    rendered operands of the nodes still open, left to right."""
-    done = []
-    stack = [(root, False)]
-    while stack:
-        e, ready = stack.pop()
-        operands = _operands(e)
-        if ready:
+class _SmtWriter:
+    """Terms for the roots of one script.  A compound node read by more
+    than one operand, here or in another root, is written once, as a
+    `define-fun` named `%t<n>` (no SSA, draw or program name holds a
+    `%`), ahead of its first reader, which refers to it by that name;
+    any other node is written inline.  So the script grows linearly with
+    the guard and assume-prefix chains that every copy shares.  The
+    walks keep an explicit stack, as `_Blaster.blast` does: those chains
+    grow with the unwinding depth."""
+
+    def __init__(self, roots: list):
+        self.lines: list = []
+        self.names: dict = {}     # id of a shared node -> its helper name
+        self.readers: dict = {}   # id of a node -> operand edges into it
+        seen, stack = set(), list(roots)
+        while stack:
+            e = stack.pop()
+            if id(e) in seen:
+                continue
+            seen.add(id(e))
+            for o in _operands(e):
+                self.readers[id(o)] = self.readers.get(id(o), 0) + 1
+                stack.append(o)
+
+    def term(self, root: Expr) -> str:
+        """The term for `root`; the helpers it needs first go to `lines`.
+        `done` holds the terms of the operands of the nodes still open,
+        left to right."""
+        done = []
+        stack = [(root, False)]
+        while stack:
+            e, ready = stack.pop()
+            if id(e) in self.names:
+                done.append(self.names[id(e)])
+                continue
+            operands = _operands(e)
+            if not ready:
+                stack.append((e, True))
+                stack.extend((o, False) for o in reversed(operands))
+                continue
             args = done[len(done) - len(operands):]
             del done[len(done) - len(operands):]
-            done.append(_smt_node(e, args))
-        else:
-            stack.append((e, True))
-            stack.extend((o, False) for o in reversed(operands))
-    return done[0]
+            text = _smt_node(e, args)
+            if operands and self.readers.get(id(e), 0) > 1:
+                name = self.names[id(e)] = f"%t{len(self.names)}"
+                self.lines.append(f"(define-fun {name} () (_ BitVec {e.ty.width}) {text})")
+                text = name
+            done.append(text)
+        return done[0]
 
 
 def _smt_node(e: Expr, args: list) -> str:
@@ -1478,15 +1509,18 @@ def _smt_node(e: Expr, args: list) -> str:
 def emit_smtlib(f: SsaProgram) -> str:
     """Render the query as a QF_BV script for external cross-checking:
     the free names declared, each definition a `define-fun`, in order,
-    then the goal asserted."""
-    lines = ["(set-logic QF_BV)"]
+    then the goal asserted.  A shared subterm gets its own `define-fun`
+    (`_SmtWriter`); putting its term back for its name gives each line
+    written out in full."""
+    w = _SmtWriter([expr for _, expr in f.definitions] + [f.goal])
+    w.lines.append("(set-logic QF_BV)")
     defined = {name for name, _ in f.definitions}
     for name in sorted(f.symbols.keys() - defined):
-        lines.append(f"(declare-const {name} (_ BitVec {f.symbols[name].width}))")
+        w.lines.append(f"(declare-const {name} (_ BitVec {f.symbols[name].width}))")
     for name, expr in f.definitions:
-        lines.append(f"(define-fun {name} () (_ BitVec {f.symbols[name].width}) "
-                     f"{_smt(expr)})")
-    lines.append(f"(assert {_nonzero(_smt(f.goal), f.goal.ty.width)})")
-    lines.append("(check-sat)")
-    lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
+        term = w.term(expr)
+        w.lines.append(f"(define-fun {name} () (_ BitVec {f.symbols[name].width}) {term})")
+    w.lines.append(f"(assert {_nonzero(w.term(f.goal), f.goal.ty.width)})")
+    w.lines.append("(check-sat)")
+    w.lines.append("(get-model)")
+    return "\n".join(w.lines) + "\n"

@@ -30,13 +30,13 @@ before it, `unwind` records where it put that loop's copies
 are then the same at every k, so `to_ssa` can resume a conversion from
 the state an earlier, shallower query left after one of them.
 
-The copies of a loop share its body's and its `pre` items: `unwind`
+The copies of a loop share its body's and its `pre` Instrs: `unwind`
 makes only each copy's IfItem, whose `ctx` holds the copy indices of its
 enclosing loops (outermost first) and its own, and the terminator, with
-`ctx + (k+1,)`.  Any other item takes its innermost copy's context.
+`ctx + (k+1,)`.  Any other Instr takes its innermost copy's context.
 Draws are named (nid, ctx), the keys a concrete replay of the original
 program produces, which is what makes model replay possible.  Copy i's
-`pre` items sit inside copy i-1 and take its context, so a `pre` item
+`pre` Instrs sit inside copy i-1 and take its context, so a `pre` Instr
 must hold no draw (nondet or division): the replay of a FALSE would miss
 it (`ReplayError`); its names stay distinct, so no wrong TRUE.
 
@@ -55,7 +55,7 @@ from functools import cached_property
 
 from .frontend import INT, Binary, Const, Unary, Var
 from .goto_ir import (
-    GotoProgram, IfItem, Instr, LoopItem, OpItem, items_in, loop_variables,
+    GotoProgram, IfItem, Instr, LoopItem, items_in, loop_variables,
 )
 
 
@@ -84,7 +84,7 @@ class Phase(enum.Enum):
 
 @dataclass
 class UnwoundProgram:
-    tree: list       # loop-free: OpItems and IfItems only
+    tree: list       # loop-free: Instrs and IfItems only
     symbols: dict    # variable -> IntType, shadows included
     phase: Phase
     k: int
@@ -114,20 +114,20 @@ def induct(items: list, symbols: dict) -> list:
                           induct(item.els, symbols), loc=item.loc)
         elif isinstance(item, LoopItem):
             loc, lv = item.loc, sorted(loop_variables(item))
-            out += [OpItem(Instr("HAVOC", var=v, tag="havoc", loc=loc)) for v in lv]
+            out += [Instr("HAVOC", var=v, tag="havoc", loc=loc) for v in lv]
             stores, changed = [], Const(0, ty=INT, loc=loc)
             for v in lv:
                 sh = f"{v}__pre_{item.loop_id}"
                 symbols[sh] = ty = symbols[v]
-                stores.append(OpItem(Instr("ASSIGN", var=sh, tag="shadow", loc=loc,
-                                           expr=Var(v, rid=v, ty=ty, loc=loc))))
+                stores.append(Instr("ASSIGN", var=sh, tag="shadow", loc=loc,
+                                    expr=Var(v, rid=v, ty=ty, loc=loc)))
                 pair = Binary("!=", Var(v, rid=v, ty=ty), Var(sh, rid=sh, ty=ty),
                               ty=INT, loc=loc)
                 changed = pair if len(stores) == 1 else \
                     Binary("||", changed, pair, ty=INT, loc=loc)
             stutter = Instr("ASSUME", expr=changed, tag="stutter", loc=loc)
             item = replace(item, body=stores + induct(item.body, symbols)
-                           + [OpItem(stutter)])
+                           + [stutter])
         out.append(item)
     return out
 
@@ -154,7 +154,7 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
         nonlocal layout
         out: list = []
         for item in items:
-            if isinstance(item, OpItem):
+            if isinstance(item, Instr):
                 out.append(item)
             elif isinstance(item, IfItem):
                 out.append(IfItem(item.cond, stamp(item.then, ctx),
@@ -173,8 +173,8 @@ def unwind(p: GotoProgram, k: int, phase: Phase,
         nonlocal copies, own
         nested = any(isinstance(i, LoopItem) for i in items_in(loop.body))
         sigma = Unary("!", loop.guard, ty=INT, loc=loop.loc)
-        inner: list = [OpItem(Instr(term_op, expr=sigma, tag=term_tag,
-                                    loc=loop.loc, ctx=ctx + (k + 1,)))]
+        inner: list = [Instr(term_op, expr=sigma, tag=term_tag,
+                             loc=loop.loc, ctx=ctx + (k + 1,))]
         for i in range(k, 0, -1):
             if copies % CHECK_EVERY == 0:
                 check_deadline(deadline)

@@ -17,8 +17,8 @@ skipping one whose guard folds to false.  The two split g, so after the
 item the guard is g again and each variable joins through its own ites
 (CBMC's guarded SSA: Clarke, Kroening & Lerda, TACAS 2004).
 Nondeterministic draws become free symbols named after their (nid, ctx)
-key, where ctx is the context its item carries or else that of its
-innermost enclosing loop copy (the copies share their body's items);
+key, where ctx is the context its Instr carries or else that of its
+innermost enclosing loop copy (the copies share their body's Instrs);
 division and modulo route through ite(divisor == 0, fresh symbol,
 quotient) so a division by zero is a fresh unconstrained value, matching
 the interpreter.  A divisor that is a nonzero constant after
@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 from .frontend import (
     INT, Binary, Cast, Cond, Const, Expr, IntType, Nondet, Unary, Var,
 )
-from .goto_ir import GotoProgram, IfItem, OpItem, walk_nested
+from .goto_ir import GotoProgram, IfItem, Instr, walk_nested
 from .interp import eval_expr
 from .transform import CHECK_EVERY, Phase, UnwoundProgram, check_deadline
 
@@ -249,9 +249,9 @@ class _SsaBuilder:
                         yield branch
                 self.guard, self.ctx = g, ctx
                 continue
-            if not isinstance(item, OpItem):
+            if not isinstance(item, Instr):
                 raise TypeError(f"to_ssa requires a loop-free tree, got {item!r}")
-            ins, guard = item.instr, self.guard
+            ins, guard = item, self.guard
             ctx = ins.ctx or self.ctx
             if ins.op == "ASSIGN":
                 rhs = self.subst(ins.expr, ctx)
@@ -276,7 +276,6 @@ class _SsaBuilder:
                 else:
                     self.out.obligations.append((term, ins.loc))
                     self.out.prop = And(self.out.prop, term)
-            # SKIP: nothing
 
     def walk(self, items: list):
         walk_nested(self._items, items)

@@ -62,7 +62,7 @@ def pre_draws(g) -> list:
     """Every draw (a nondet or a division) in a loop's `pre` items.  The
     unwound copies share those items, so there must be none."""
     return [node for loop in items_in(g.tree) if isinstance(loop, LoopItem)
-            for item in loop.pre for node in walk(item.instr.expr)
+            for item in loop.pre for node in walk(item.expr)
             if isinstance(node, Nondet)
             or isinstance(node, Binary) and node.op in ("/", "%")]
 

@@ -138,6 +138,25 @@ def test_call_in_an_operand_c_may_skip_is_rejected(name, tmp_path, capsys):
     assert f"function call in {construct} is not supported" in capsys.readouterr().err
 
 
+def test_leading_zero_literal_is_octal(tmp_path):
+    f = tmp_path / "octal.mc"
+    f.write_text("int main() {\n  unsigned int x = 010;\n"
+                 "  assert(x == 8);\n  return 0;\n}\n")
+    assert run("verify", str(f)) == EXIT_TRUE
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("0x", "hexadecimal literal '0x' has no digits"),
+    ("0xg1", "hexadecimal literal '0x' has no digits"),
+    ("09", "invalid digit '9' in octal literal '09'"),
+])
+def test_malformed_integer_literal_is_rejected(literal, message, tmp_path, capsys):
+    f = tmp_path / "literal.mc"
+    f.write_text(f"int main() {{\n  int x = {literal};\n  return 0;\n}}\n")
+    assert run("verify", str(f)) == EXIT_USAGE
+    assert f"{f}:2:11: {message}" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "verify" in capsys.readouterr().out

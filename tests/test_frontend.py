@@ -1,12 +1,14 @@
 """Lexer, parser, type checker."""
 
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from kinduct.frontend import (
     Assert, Assume, Binary, Cast, Const, IntType, MiniCError, Nondet, Program,
-    Var, While, is_boolean, parse, pretty_print, promote, typecheck,
+    Var, While, is_boolean, lex, parse, pretty_print, promote, typecheck,
     override_widths,
 )
 from conftest import FIG1, NEGATIVE, compile_mc, corpus_entries
@@ -64,6 +66,29 @@ def test_parse_error_carries_location():
     with pytest.raises(MiniCError) as exc:
         parse("int main() { int x = 1 return 0; }")
     assert "1:" in str(exc.value)
+
+
+LITERALS = ["0", "00", "7", "010", "0777", "0x1F", "0XaB", "42"]
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_integer_literals_agree_with_gcc(tmp_path):
+    """Decimal, octal and hex literals take gcc's values, and the
+    literals the lexer rejects gcc rejects too."""
+    src = tmp_path / "literals.c"
+    src.write_text("#include <stdio.h>\nint main(void) {\n" + "".join(
+        f'  printf("%u\\n", (unsigned) {t});\n' for t in LITERALS) + "  return 0;\n}\n")
+    exe = tmp_path / "literals"
+    subprocess.run(["gcc", "-o", str(exe), str(src)], check=True)
+    expected = [int(line) for line in subprocess.run(
+        [str(exe)], capture_output=True, text=True, check=True).stdout.split()]
+    assert [tok.num for tok in lex(" ".join(LITERALS))[:-1]] == expected
+    for bad in ("0x", "0xg1", "09", "0128"):
+        with pytest.raises(MiniCError):
+            lex(bad)
+        src.write_text(f"int x = {bad};\n")
+        assert subprocess.run(["gcc", "-fsyntax-only", str(src)],
+                              capture_output=True).returncode != 0, bad
 
 
 def test_promotion_rule():

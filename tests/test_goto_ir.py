@@ -2,7 +2,8 @@
 
 import pytest
 
-from kinduct.frontend import parse, typecheck
+from kinduct.driver import INVARIANT_MODES, KInductionConfig, verify_file
+from kinduct.frontend import Skip, parse, typecheck, walk
 from kinduct.goto_ir import (
     GotoProgram, LoopItem, dump_goto, free_vars,
     loop_variables, lower,
@@ -217,6 +218,43 @@ def test_semantic_preservation_on_corpus():
             common = set(a.store) & set(b.store)
             for v in common:
                 assert a.store[v] == b.store[v], (path.name, v)
+
+
+EMPTY_STATEMENTS = """int main() {
+  ;
+  unsigned int i = 0;
+  unsigned int n = *;
+  while (i < n) {
+    ;
+    if (i == 3) { ; } else { ; }
+    i = i + 1;
+    ;
+  }
+  if (n > 5) ; else ;
+  assert(i >= n);
+  return 0;
+}
+"""
+
+
+def test_empty_statements_lower_to_nothing(tmp_path):
+    """`;` at top level, in a loop body and in both branches of an `if`
+    adds no instruction and changes no verdict, in every invariant mode."""
+    without = EMPTY_STATEMENTS.replace("  ;\n", "").replace("{ ; }", "{ }") \
+        .replace("if (n > 5) ; else ;", "if (n > 5) { } else { }")
+    body = [parse(src).function("main").body for src in (EMPTY_STATEMENTS, without)]
+    assert [sum(isinstance(n, Skip) for n in walk(b)) for b in body] == [7, 0]
+    assert dump_goto(compile_mc(EMPTY_STATEMENTS)) == dump_goto(compile_mc(without))
+    for mode in INVARIANT_MODES:
+        cfg = KInductionConfig(invariants_mode=mode, max_iterations=6)
+        verdicts = []
+        for name, source in (("with", EMPTY_STATEMENTS), ("without", without)):
+            path = tmp_path / f"{name}.mc"
+            path.write_text(source)
+            v = verify_file(str(path), cfg)
+            verdicts.append((v.status, v.decided_by, v.k_at_decision, v.phase_log))
+        assert verdicts[0] == verdicts[1], mode
+        assert verdicts[0][0] == "TRUE", mode
 
 
 def test_free_vars():

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from kinduct.driver import KInductionConfig, verify_file
-from kinduct.frontend import parse, typecheck
-from kinduct.goto_ir import lower
+from kinduct.frontend import parse, pp_expr, typecheck
+from kinduct.goto_ir import LoopItem, items_in, lower
 from kinduct.interp import RandomProvider, eval_expr, run_goto
 from kinduct.invariants import (
     InvariantError, dump_invariants, find_comments, infer_invariants,
@@ -99,6 +99,47 @@ def test_instrument_empty_set_is_identity(fig1_goto):
     from kinduct.goto_ir import dump_goto
     gi = instrument(fig1_goto, InvariantSet())
     assert dump_goto(gi) == dump_goto(fig1_goto)
+
+
+# A pair fact over two types: the planted assume casts `c` to the common
+# type, and the dump shows that cast.
+MIXED_PAIR = """int main() {
+  unsigned int x = 0;
+  int c = -1;
+  while (x < 10) {
+    x = x + 1;
+    c = c + 1;
+  }
+  assert(c == 9);
+  return 0;
+}
+"""
+
+
+def test_dump_prints_the_planted_assume():
+    """Each `head@` line of `dump_invariants`, its facts joined with
+    ` && `, is the ASSUME tagged `invariant` that opens its loop's `pre`
+    in the instrumented program: the corpus under `builtin`, and a pair
+    fact over two types."""
+    lines = []
+    for source in [p.read_text() for p, _e, _c in corpus_entries()] + [MIXED_PAIR]:
+        g = compile_mc(source)
+        inv = infer_invariants(g)
+        pres = {l.loop_id: l.pre for l in items_in(instrument(g, inv).tree)
+                if isinstance(l, LoopItem)}
+        heads = {loop.head: loop.loop_id for loop in g.loops}
+        for line in dump_invariants(g, inv).splitlines():
+            head, facts = line.split(": ")
+            pre = pres[heads[int(head.removeprefix("head@"))]]
+            if facts == "(none)":
+                assert all(i.tag != "invariant" for i in pre), line
+                continue
+            assert (pre[0].op, pre[0].tag) == ("ASSUME", "invariant"), line
+            assert " && ".join(facts.split(", ")) == pp_expr(pre[0].expr), line
+            lines.append(line)
+    assert len(lines) > 20
+    assert lines[-1] == ("head@2: -1 <= c, c <= 9, 0 <= x, x <= 10, "
+                         "(unsigned int)c == x - 1")
 
 
 def test_soundness_sampling_on_corpus():

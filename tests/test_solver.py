@@ -183,7 +183,8 @@ def test_emit_smtlib_wellformed():
     assert decls == sorted(decls)
     assert [l.split()[1] for l in decls] == ["nd0"]  # free names
     defs = [l.split()[1] for l in lines if l.startswith("(define-fun")]
-    assert defs == [name for name, _ in f.definitions] and len(defs) >= 3
+    names = [d for d in defs if not d.startswith("%t")]   # not the helpers
+    assert names == [name for name, _ in f.definitions] and len(names) >= 3
     assert text.rstrip().endswith("(get-model)")
     assert sum(l.startswith("(assert ") for l in lines) == 1
 
@@ -606,8 +607,69 @@ def test_deep_unwinding_emits_smtlib(phase):
     finally:
         sys.setrecursionlimit(limit)
     assert text.count("(") == text.count(")")
-    assert sum(l.startswith("(define-fun") for l in text.splitlines()) \
-        == len(f.definitions)
+    defs = [l.split()[1] for l in text.splitlines() if l.startswith("(define-fun")]
+    assert [d for d in defs if not d.startswith("%t")] == \
+        [name for name, _ in f.definitions]
+
+
+def smtlib_size(k: int) -> int:
+    g = compile_mc(DEEP_LOOP)
+    return len(emit_smtlib(encode(to_ssa(unwind(g, k, Phase.BASE)), Phase.BASE)))
+
+
+def test_smtlib_grows_linearly_with_k():
+    # Each copy adds a link to the guard and assume-prefix chains; named
+    # once, they do not make the script grow with k squared.
+    small, large = smtlib_size(100), smtlib_size(200)
+    assert large < 1_000_000
+    assert large / small < 2.5
+
+
+HELPER = re.compile(r"\(define-fun (%t\d+) \(\) \(_ BitVec \d+\) (.*)\)")
+
+
+def expand_helpers(text: str) -> list:
+    """The lines of `text` with each `%t` helper's term put back for its
+    name, and the helpers' own lines dropped."""
+    terms, out = {}, []
+
+    def inline(line: str) -> str:
+        return re.sub(r"%t\d+", lambda m: terms[m.group(0)], line)
+
+    for line in text.splitlines():
+        m = HELPER.fullmatch(line)
+        if m:
+            terms[m.group(1)] = inline(m.group(2))
+        else:
+            out.append(inline(line))
+    return out
+
+
+def full_term(e, memo: dict) -> str:
+    """`e`'s term with every subterm written out in place."""
+    if id(e) not in memo:
+        memo[id(e)] = solver._smt_node(
+            e, [full_term(o, memo) for o in solver._operands(e)])
+    return memo[id(e)]
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+def test_smtlib_helpers_expand_to_the_full_terms(phase):
+    """Naming the shared subterms changes no term: putting each helper's
+    term back for its name gives every definition and the goal written
+    out in full."""
+    g = compile_mc(DEEP_LOOP)
+    for k in (1, 2, 5, 20):
+        f = encode(to_ssa(unwind(g, k, phase)), phase)
+        text = emit_smtlib(f)
+        lines, memo = expand_helpers(text), {}
+        defs = [l for l in lines if l.startswith("(define-fun")]
+        assert defs == [f"(define-fun {name} () (_ BitVec {f.symbols[name].width}) "
+                        f"{full_term(expr, memo)})" for name, expr in f.definitions]
+        goal = solver._nonzero(full_term(f.goal, memo), f.goal.ty.width)
+        assert f"(assert {goal})" in lines
+        if k >= 5:
+            assert "(define-fun %t" in text
 
 
 # Gate truth tables.  The blaster's variables 2, 3 and 4 stand for the

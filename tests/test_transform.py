@@ -5,7 +5,7 @@ import pytest
 from kinduct import oracle
 from kinduct.frontend import pp_expr
 from kinduct.goto_ir import (
-    IfItem, LoopItem, OpItem, free_vars, items_in, loop_variables,
+    IfItem, Instr, LoopItem, free_vars, items_in, loop_variables,
 )
 from kinduct.interp import COMPLETED, SequentialProvider, run_goto
 from kinduct.invariants import infer_invariants, instrument
@@ -118,7 +118,7 @@ def test_shadow_stores_are_siblings_of_their_stutter_assume():
     for path, _expected, _cat in corpus_entries():
         u = unwind(compile_mc(path.read_text()), 3, Phase.INDUCTIVE)
         for items in item_lists(u.tree):
-            ops = [i.instr for i in items if isinstance(i, OpItem)]
+            ops = [i for i in items if isinstance(i, Instr)]
             stores = [i for i in ops if i.tag == "shadow"]
             stutters = [i for i in ops if i.tag == "stutter"]
             assert len(stutters) == (1 if stores else 0), path.name
@@ -187,7 +187,7 @@ NESTED = """int main() {
 
 
 def test_unwinding_copies_no_program_instruction():
-    """The copies of a loop share its body's and its `pre` OpItems:
+    """The copies of a loop share its body's and its `pre` Instrs:
     besides the program's own, an unwinding holds only the terminators
     and, for INDUCTIVE, one havoc/shadow/stutter set per loop."""
     g = compile_mc(NESTED)
@@ -195,12 +195,12 @@ def test_unwinding_copies_no_program_instruction():
     outer, inner = sorted((i for i in items_in(g.tree) if isinstance(i, LoopItem)),
                           key=lambda l: l.loop_id)
     assert outer.pre and inner.pre   # head invariants to share
-    own = {id(i) for i in items_in(g.tree) if isinstance(i, OpItem)}
+    own = {id(i) for i in items_in(g.tree) if isinstance(i, Instr)}
     k = 8
     for phase in Phase:
         u = unwind(g, k, phase)
-        made = {id(i): i.instr for i in items_in(u.tree)
-                if isinstance(i, OpItem) and id(i) not in own}.values()
+        made = {id(i): i for i in items_in(u.tree)
+                if isinstance(i, Instr) and id(i) not in own}.values()
         tags = [ins.tag for ins in made]
         term = ("unwind_assertion" if phase is Phase.FORWARD
                 else "unwind_assumption")
@@ -231,7 +231,7 @@ def test_planted_pre_items_hold_no_draw():
 
 
 def test_copies_share_the_loops_pre_items():
-    """Copy i's IfItem follows its loop's own `pre` OpItems, and only the
+    """Copy i's IfItem follows its loop's own `pre` Instrs, and only the
     copies' IfItems and the terminators carry a context."""
     for g in instrumented_programs():
         pres = {id(l.guard): l.pre for l in items_in(g.tree) if isinstance(l, LoopItem)}
@@ -248,10 +248,31 @@ def test_copies_share_the_loops_pre_items():
                     elif isinstance(item, IfItem):
                         assert item.ctx == ()
                     else:
-                        terminator = item.instr.tag.startswith("unwind_")
-                        assert bool(item.instr.ctx) == terminator, (g.file, item)
+                        terminator = item.tag.startswith("unwind_")
+                        assert bool(item.ctx) == terminator, (g.file, item)
             # a loop at nesting depth d is copied k times per outer copy
             assert copies == sum(3 ** (l.nesting_depth + 1) for l in g.loops)
+
+
+def test_tree_leaves_are_instructions():
+    """A loop tree holds IfItems, LoopItems and Instrs that do not jump:
+    the lowered corpus, its instrumented form and the three unwindings
+    of that.  GOTO and COND_GOTO exist only in the flat listings."""
+    jumps = set()
+    for path, _expected, _cat in corpus_entries():
+        g = compile_mc(path.read_text())
+        gi = instrument(g, infer_invariants(g))
+        unwound = [unwind(gi, 2, phase) for phase in Phase]
+        for tree in [g.tree, gi.tree] + [u.tree for u in unwound]:
+            for item in items_in(tree):
+                assert isinstance(item, (IfItem, LoopItem, Instr)), (path.name, item)
+                if isinstance(item, Instr):
+                    assert item.op in ("ASSIGN", "ASSUME", "ASSERT", "HAVOC"), \
+                        (path.name, item)
+        for listing in [gi] + [u.body for u in unwound]:
+            jumps |= {i.op for i in listing.instructions} - {
+                "ASSIGN", "ASSUME", "ASSERT", "HAVOC"}
+    assert jumps == {"GOTO", "COND_GOTO"}
 
 
 def test_forward_monotonicity_on_corpus_oracle():
