@@ -31,7 +31,7 @@ from .driver import (
     FALSE, INVARIANT_MODES, TRUE, UNKNOWN, KInductionConfig, load_program,
     verify_file,
 )
-from .frontend import MiniCError
+from .frontend import WIDTHS, MiniCError
 from .goto_ir import dump_goto
 from .invariants import dump_invariants, infer_invariants
 from .transform import Phase, dump_unwound, unwind
@@ -45,13 +45,6 @@ EXIT_INTERNAL = 4
 _STATUS_EXIT = {TRUE: EXIT_TRUE, FALSE: EXIT_FALSE, UNKNOWN: EXIT_UNKNOWN}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _add_verify_options(p: argparse.ArgumentParser):
     p.add_argument("--k-max", type=int, default=100, metavar="N",
                    help="maximum number of iterations (default 100)")
@@ -61,8 +54,8 @@ def _add_verify_options(p: argparse.ArgumentParser):
                    help="wall clock budget in seconds (default 900)")
     p.add_argument("--invariants", choices=INVARIANT_MODES, default="builtin",
                    help="loop invariant source (default builtin)")
-    p.add_argument("--width-override", type=int, choices=(8, 16, 32),
-                   metavar="W", help="force every integer type to W bits")
+    p.add_argument("--width-override", type=int, choices=WIDTHS,
+                   metavar="W", help="set every declared integer type to W bits")
     p.add_argument("--emit-smt", metavar="DIR",
                    help="write one .smt2 file per discharged query")
     p.add_argument("--emit-cnf", metavar="DIR",
@@ -112,7 +105,8 @@ def _cmd_verify(args) -> int:
 
     try:
         if args.dump_goto or args.dump_invariants or args.dump_unwound:
-            g = load_program(args.file, cfg)
+            if args.dump_goto or args.dump_unwound:
+                g = load_program(args.file, cfg)
             if args.dump_goto:
                 print(dump_goto(g))
             if args.dump_invariants:
@@ -176,8 +170,8 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="kinduct",
-                     description="k-induction software model checker for MiniC")
+    parser = argparse.ArgumentParser(prog="kinduct",
+                                     description="k-induction software model checker for MiniC")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="verify one program")

@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .frontend import Loc, MiniCError, parse, typecheck, override_widths
+from .frontend import WIDTHS, Loc, MiniCError, parse, typecheck
 from .goto_ir import GotoProgram, lower
 from .interp import MapProvider, RunResult, VIOLATION, run_goto
 from .invariants import infer_invariants, instrument, translate_invariants
@@ -92,6 +92,9 @@ class KInductionConfig:
             raise ValueError("timeout_seconds must be >= 0")
         if self.invariants_mode not in INVARIANT_MODES:
             raise ValueError(f"unknown invariants mode {self.invariants_mode!r}")
+        if self.width_override not in (None, *WIDTHS):
+            raise ValueError(f"width_override must be None, 8, 16 or 32, "
+                             f"not {self.width_override!r}")
 
 
 @dataclass
@@ -256,9 +259,7 @@ def load_program(path: str, cfg: KInductionConfig,
         source = translate_invariants(source)
     prog = parse(source, path)
     check_deadline(deadline)
-    if cfg.width_override:
-        prog = override_widths(prog, cfg.width_override)
-    prog = typecheck(prog)
+    prog = typecheck(prog, cfg.width_override)
     check_deadline(deadline)
     g = lower(prog)
     check_deadline(deadline)

@@ -7,10 +7,15 @@ and non-recursive function calls.  Pointers, arrays, floats, structs,
 recursion, goto, switch, break and continue are rejected with errors that
 name the offending construct.
 
+`_PREC` is the one precedence table: the parser climbs it and the printer
+parenthesizes by it.  `;` parses as the empty block `{ }`, and every
+update statement (`x++`, `--x`, `x op= e`) as `x = x op rhs`.
+
 The parser produces a plain AST; `typecheck` returns a new AST in which
 every expression carries a type, implicit conversions are explicit Cast
 nodes, and every condition is a boolean-valued expression (integers used
-as conditions are wrapped as `e != 0`).
+as conditions are wrapped as `e != 0`).  A width override is the typing
+rule `_TypeChecker.declared`.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ _TYPE_NAMES = {
     (32, True): "int",
     (32, False): "unsigned int",
 }
+
+# The widths of MiniC's integer types.
+WIDTHS = (8, 16, 32)
 
 INT = IntType(32, True)
 UINT = IntType(32, False)
@@ -256,11 +264,6 @@ class ExprStmt(Stmt):
 
 
 @dataclass
-class Skip(Stmt):
-    pass
-
-
-@dataclass
 class Param(Node):
     name: str = ""
     decl_ty: IntType = None
@@ -456,6 +459,20 @@ def lex(source: str, file: str = "<input>") -> list:
 
 _ASSUME_FORMS = ("assume", "__ESBMC_assume", "__VERIFIER_assume")
 
+# The binary operator of each update statement: `x++` is `x = x + 1` and
+# `x <<= e` is `x = x << e`.
+_UPDATES = {"++": "+", "--": "-", "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
+            "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>"}
+
+# Binding strength of every operator, for the parser and the printer alike.
+# Every binary operator is left-associative.
+_PREC = {
+    "?:": 1, "||": 2, "&&": 3, "|": 4, "^": 5, "&": 6,
+    "==": 7, "!=": 7, "<": 8, "<=": 8, ">": 8, ">=": 8,
+    "<<": 9, ">>": 9, "+": 10, "-": 10, "*": 11, "/": 11, "%": 11,
+}
+_UNARY_PREC = 12
+
 
 class _Parser:
     def __init__(self, tokens: list, file: str):
@@ -623,7 +640,7 @@ class _Parser:
         if self.at("{"):
             return self.parse_block()
         if self.accept(";"):
-            return Skip(loc=loc)
+            return Block([], loc=loc)
         if self.at_type():
             if tok.value == "void":
                 raise self.error("void is only valid as a return type")
@@ -709,45 +726,35 @@ class _Parser:
         return decls[0] if len(decls) == 1 else Block(decls, loc=loc, scoped=False)
 
     def parse_simple_stmt(self) -> Stmt:
-        """An assignment, increment/decrement, or call, without the ';'."""
-        tok = self.peek()
-        loc = tok.loc
-        if tok.value in ("++", "--"):
-            op = self.next().value
+        """An assignment, update or call, without the ';'.  An update is
+        `x = x op rhs`, with the right operand 1 for `++` and `--`."""
+        loc = self.peek().loc
+        if self.peek().value in ("++", "--"):
+            op_tok = self.next()
             name_tok = self.peek()
             if name_tok.kind != "ID":
-                raise self.error(f"expected a variable after '{op}'")
+                raise self.error(f"expected a variable after '{op_tok.value}'")
             self.next()
-            var = Var(name_tok.value, loc=name_tok.loc)
-            one = Const(1, loc=loc)
-            return Assign(name_tok.value, Binary("+" if op == "++" else "-", var, one, loc=loc), loc=loc)
-        if tok.value == "*":
-            raise self.unsupported("pointer dereference")
-        if tok.kind != "ID":
-            raise self.error(f"expected a statement, found '{tok.value}'")
-        name = tok.value
-        self.next()
-        if self.at("["):
-            raise self.unsupported("array")
-        if self.at("("):
-            args = self.parse_call_args()
-            return ExprStmt(Call(name, args, loc=loc), loc=loc)
-        nxt = self.peek()
-        if nxt.value in ("++", "--"):
-            self.next()
-            var = Var(name, loc=loc)
-            one = Const(1, loc=nxt.loc)
-            return Assign(name, Binary("+" if nxt.value == "++" else "-", var, one, loc=loc), loc=loc)
-        if nxt.value == "=":
-            self.next()
-            return Assign(name, self.parse_initializer(), loc=loc)
-        compound = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
-                    "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>"}
-        if nxt.value in compound:
-            self.next()
-            rhs = self.parse_expr()
-            return Assign(name, Binary(compound[nxt.value], Var(name, loc=loc), rhs, loc=loc), loc=loc)
-        raise MiniCSyntaxError(f"expected an assignment or call, found '{nxt.value}'", nxt.loc, self.file)
+        else:
+            name_tok = self.peek()
+            if name_tok.value == "*":
+                raise self.unsupported("pointer dereference")
+            if name_tok.kind != "ID":
+                raise self.error(f"expected a statement, found '{name_tok.value}'")
+            name = self.next().value
+            if self.at("["):
+                raise self.unsupported("array")
+            if self.at("("):
+                return ExprStmt(Call(name, self.parse_call_args(), loc=loc), loc=loc)
+            if self.accept("="):
+                return Assign(name, self.parse_initializer(), loc=loc)
+            op_tok = self.next()
+            if op_tok.value not in _UPDATES:
+                raise MiniCSyntaxError(f"expected an assignment or call, found '{op_tok.value}'",
+                                       op_tok.loc, self.file)
+        rhs = Const(1, loc=op_tok.loc) if op_tok.value in ("++", "--") else self.parse_expr()
+        var = Var(name_tok.value, loc=name_tok.loc)
+        return Assign(name_tok.value, Binary(_UPDATES[op_tok.value], var, rhs, loc=loc), loc=loc)
 
     def parse_call_args(self) -> list:
         self.expect("(")
@@ -765,7 +772,7 @@ class _Parser:
         return self.parse_ternary()
 
     def parse_ternary(self) -> Expr:
-        cond = self.parse_binary(0)
+        cond = self.parse_binary(_PREC["||"])
         if self.at("?"):
             loc = self.next().loc
             then = self.parse_expr()
@@ -774,27 +781,13 @@ class _Parser:
             return Cond(cond, then, els, loc=loc)
         return cond
 
-    _LEVELS = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def parse_binary(self, level: int) -> Expr:
-        if level == len(self._LEVELS):
-            return self.parse_unary()
-        ops = self._LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while self.peek().kind == "PUNCT" and self.peek().value in ops:
+    def parse_binary(self, min_prec: int) -> Expr:
+        """Operators binding at least as tightly as `min_prec`, by
+        precedence climbing over `_PREC`."""
+        left = self.parse_unary()
+        while self.peek().kind == "PUNCT" and _PREC.get(self.peek().value, 0) >= min_prec:
             tok = self.next()
-            right = self.parse_binary(level + 1)
+            right = self.parse_binary(_PREC[tok.value] + 1)
             left = Binary(tok.value, left, right, loc=tok.loc)
         return left
 
@@ -892,14 +885,6 @@ def parse(source: str, file: str = "<input>") -> Program:
 
 # ---------------------------------------------------------------------------
 # pretty printer
-
-_PREC = {
-    "?:": 1, "||": 2, "&&": 3, "|": 4, "^": 5, "&": 6,
-    "==": 7, "!=": 7, "<": 8, "<=": 8, ">": 8, ">=": 8,
-    "<<": 9, ">>": 9, "+": 10, "-": 10, "*": 11, "/": 11, "%": 11,
-}
-_UNARY_PREC = 12
-
 
 def _expr_prec(e: Expr) -> int:
     if isinstance(e, Binary):
@@ -1002,8 +987,6 @@ def _pp_stmt(s: Stmt, indent: int, out: list):
         out.append(pad + ("return;" if s.value is None else f"return {pp_expr(s.value)};"))
     elif isinstance(s, ExprStmt):
         out.append(f"{pad}{pp_expr(s.expr)};")
-    elif isinstance(s, Skip):
-        out.append(pad + ";")
     else:
         raise TypeError(f"cannot print {s!r}")
 
@@ -1069,14 +1052,22 @@ class _Scope:
 
 
 class _TypeChecker:
-    def __init__(self, prog: Program):
+    def __init__(self, prog: Program, width: int | None):
         self.prog = prog
+        self.width = width
         self.file = prog.file
         self.fns = {f.name: f for f in prog.functions}
         self.rid_counts: dict = {}
 
     def fail(self, msg: str, loc: Loc | None):
         raise MiniCTypeError(msg, loc, self.file)
+
+    def declared(self, ty: IntType | None) -> IntType | None:
+        """The type a declaration, cast or nondet call names, at the
+        override width when there is one."""
+        if ty is None or self.width is None:
+            return ty
+        return IntType(self.width, ty.signed)
 
     def fresh_rid(self, name: str) -> str:
         n = self.rid_counts.get(name, 0)
@@ -1100,16 +1091,17 @@ class _TypeChecker:
         if scope.lookup(decl.name) is not None:
             self.fail(f"redeclaration of '{decl.name}'", decl.loc)
         rid = self.fresh_rid(decl.name)
+        ty = self.declared(decl.decl_ty)
         init = None
         if decl.init is not None:
             if isinstance(decl.init, Nondet):
-                init = replace(decl.init, ty=decl.decl_ty)
+                init = replace(decl.init, ty=ty)
             elif isinstance(decl.init, Const):
-                init = Const(decl.decl_ty.wrap(decl.init.value), ty=decl.decl_ty, loc=decl.init.loc)
+                init = Const(ty.wrap(decl.init.value), ty=ty, loc=decl.init.loc)
             else:
                 self.fail("global initializers must be constants or '*'", decl.loc)
-        scope.declare(decl.name, rid, decl.decl_ty)
-        return VarDecl(decl.name, decl.decl_ty, init, rid=rid, loc=decl.loc)
+        scope.declare(decl.name, rid, ty)
+        return VarDecl(decl.name, ty, init, rid=rid, loc=decl.loc)
 
     def check_function(self, fn: FunctionDef, globals_scope: _Scope) -> FunctionDef:
         if fn.name == self.prog.entry and fn.params:
@@ -1120,10 +1112,11 @@ class _TypeChecker:
             if p.name in scope.names:
                 self.fail(f"duplicate parameter '{p.name}'", p.loc)
             rid = self.fresh_rid(p.name)
-            scope.declare(p.name, rid, p.decl_ty)
-            params.append(Param(p.name, p.decl_ty, rid=rid, loc=p.loc))
+            ty = self.declared(p.decl_ty)
+            scope.declare(p.name, rid, ty)
+            params.append(Param(p.name, ty, rid=rid, loc=p.loc))
         body = self.check_stmt(fn.body, scope, fn)
-        return FunctionDef(fn.name, fn.ret_ty, params, body, loc=fn.loc)
+        return FunctionDef(fn.name, self.declared(fn.ret_ty), params, body, loc=fn.loc)
 
     # statements -----------------------------------------------------------
     def check_stmt(self, s: Stmt, scope: _Scope, fn: FunctionDef) -> Stmt:
@@ -1134,15 +1127,16 @@ class _TypeChecker:
         if isinstance(s, VarDecl):
             if s.name in scope.names:
                 self.fail(f"redeclaration of '{s.name}'", s.loc)
+            ty = self.declared(s.decl_ty)
             init = None
             if s.init is not None:
                 if isinstance(s.init, Nondet) and s.init.ty is None:
-                    init = replace(s.init, ty=s.decl_ty)
+                    init = replace(s.init, ty=ty)
                 else:
-                    init = self.coerce(self.check_expr(s.init, scope), s.decl_ty)
+                    init = self.coerce(self.check_expr(s.init, scope), ty)
             rid = self.fresh_rid(s.name)
-            scope.declare(s.name, rid, s.decl_ty)
-            return VarDecl(s.name, s.decl_ty, init, rid=rid, loc=s.loc)
+            scope.declare(s.name, rid, ty)
+            return VarDecl(s.name, ty, init, rid=rid, loc=s.loc)
         if isinstance(s, Assign):
             hit = scope.lookup(s.name)
             if hit is None:
@@ -1187,13 +1181,12 @@ class _TypeChecker:
                 return Return(None, loc=s.loc)
             if s.value is None:
                 self.fail(f"non-void function '{fn.name}' returns no value", s.loc)
-            return Return(self.coerce(self.check_expr(s.value, scope), fn.ret_ty), loc=s.loc)
+            return Return(self.coerce(self.check_expr(s.value, scope), self.declared(fn.ret_ty)),
+                          loc=s.loc)
         if isinstance(s, ExprStmt):
             if not isinstance(s.expr, Call):
                 self.fail("expression statements must be calls", s.loc)
             return ExprStmt(self.check_call(s.expr, scope, allow_void=True), loc=s.loc)
-        if isinstance(s, Skip):
-            return Skip(loc=s.loc)
         raise TypeError(f"unexpected statement {s!r}")
 
     def forbid_calls(self, e: Expr, where: str):
@@ -1217,7 +1210,7 @@ class _TypeChecker:
         if isinstance(e, Nondet):
             if e.ty is None:
                 self.fail("'*' is only valid as a whole initializer", e.loc)
-            return replace(e)
+            return replace(e, ty=self.declared(e.ty))
         if isinstance(e, Unary):
             if e.op == "!":
                 inner = self.check_condition(e.operand, scope)
@@ -1239,9 +1232,10 @@ class _TypeChecker:
             return Binary(e.op, left, right, ty=out_ty, loc=e.loc)
         if isinstance(e, Cast):
             operand = self.check_expr(e.operand, scope)
+            target = self.declared(e.target)
             if isinstance(operand, Const):
-                return Const(e.target.wrap(operand.value), ty=e.target, loc=e.loc)
-            return Cast(e.target, operand, explicit=e.explicit, ty=e.target, loc=e.loc)
+                return Const(target.wrap(operand.value), ty=target, loc=e.loc)
+            return Cast(target, operand, explicit=e.explicit, ty=target, loc=e.loc)
         if isinstance(e, Cond):
             self.forbid_calls(e.then, "branch of '?:'")
             self.forbid_calls(e.els, "branch of '?:'")
@@ -1263,9 +1257,9 @@ class _TypeChecker:
             self.fail(f"void function '{e.name}' used as a value", e.loc)
         if len(e.args) != len(fn.params):
             self.fail(f"'{e.name}' expects {len(fn.params)} arguments, got {len(e.args)}", e.loc)
-        args = [self.coerce(self.check_expr(a, scope), p.decl_ty)
+        args = [self.coerce(self.check_expr(a, scope), self.declared(p.decl_ty))
                 for a, p in zip(e.args, fn.params)]
-        return Call(e.name, args, ty=fn.ret_ty, loc=e.loc)
+        return Call(e.name, args, ty=self.declared(fn.ret_ty), loc=e.loc)
 
     def check_condition(self, e: Expr, scope: _Scope) -> Expr:
         """Type a condition, wrapping non-boolean expressions as `e != 0`."""
@@ -1283,42 +1277,17 @@ class _TypeChecker:
         return Cast(ty, e, explicit=False, ty=ty, loc=e.loc)
 
 
-def typecheck(prog: Program) -> Program:
+def typecheck(prog: Program, width: int | None = None) -> Program:
     """Return an annotated copy of `prog`.
 
     Every expression carries a type, implicit conversions appear as Cast
     nodes, variables carry scope-resolved unique names, and conditions
-    are boolean-valued.
+    are boolean-valued.  With a `width` (8, 16 or 32), every type the
+    program names (declarations, parameters, return types, casts and
+    __VERIFIER_nondet_* calls) takes that width and keeps its signedness;
+    literals keep their C types.  Used to shrink programs for brute-force
+    oracles.
     """
-    return _TypeChecker(prog).run()
-
-
-def override_widths(prog: Program, width: int) -> Program:
-    """Rewrite every declared type to the given width, keeping signedness.
-
-    Applied to a parsed (untyped) AST before typecheck, so derived types
-    follow.  Used to shrink programs for brute-force oracles.
-    """
-    if width not in (8, 16, 32):
+    if width not in (None, *WIDTHS):
         raise ValueError(f"unsupported width {width}")
-
-    def fix_ty(ty):
-        return None if ty is None else IntType(width, ty.signed)
-
-    def fix(node):
-        if not isinstance(node, Node):
-            return node
-        kwargs = {}
-        for f in fields(node):
-            v = getattr(node, f.name)
-            if isinstance(v, IntType):
-                if f.name != "ty":  # annotations are absent pre-typecheck
-                    v = fix_ty(v)
-            elif isinstance(v, Node):
-                v = fix(v)
-            elif isinstance(v, list):
-                v = [fix(item) for item in v]
-            kwargs[f.name] = v
-        return type(node)(**kwargs)
-
-    return Program([fix(it) for it in prog.items], prog.entry, file=prog.file)
+    return _TypeChecker(prog, width).run()

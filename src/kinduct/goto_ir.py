@@ -3,7 +3,7 @@
 `lower` turns a type-checked AST into a loop tree with all calls
 inlined.  Its leaves are the instructions themselves (ASSIGN, ASSUME,
 ASSERT, and HAVOC in the inductive step); its inner nodes are IfItems
-and LoopItems.  An empty statement lowers to nothing.  for-loops lower
+and LoopItems.  An empty block, `;` included, lowers to nothing.  for-loops lower
 as `B; while (c) { E; D; }` and do-while loops are peeled as
 `E; while (c) { E; }`: the lowerer lowers the body twice, so the peeled
 copy gets its own draw ids and its inner loops their own loop ids.
@@ -32,7 +32,7 @@ from functools import cached_property
 from .frontend import (
     INT, Assert, Assign, Assume, Binary, Block, Call, Cast, Cond, Const,
     DoWhile, ExprStmt, Expr, For, If, IntType, Loc, MiniCError, Nondet,
-    Program, Return, Skip, Stmt, Unary, Var, VarDecl, While, pp_expr, walk,
+    Program, Return, Stmt, Unary, Var, VarDecl, While, pp_expr, walk,
 )
 
 
@@ -249,8 +249,6 @@ class _Lowerer:
     def lower_stmt(self, s: Stmt, rename: dict, ret_var: str) -> list:
         if isinstance(s, Block):
             return self.lower_stmts(s.stmts, rename, ret_var)
-        if isinstance(s, Skip):
-            return []
         if isinstance(s, VarDecl):
             name = rename.get(s.rid, s.rid)
             self.declare(name, s.decl_ty)

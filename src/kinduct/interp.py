@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .frontend import (
     Assert, Assign, Assume, Binary, Block, Call, Cast, Cond, Const, DoWhile,
-    ExprStmt, Expr, For, If, IntType, Loc, Nondet, Program, Return, Skip,
+    ExprStmt, Expr, For, If, IntType, Loc, Nondet, Program, Return,
     Unary, Var, VarDecl, While,
 )
 from .goto_ir import GotoProgram
@@ -350,8 +350,6 @@ def run_ast(prog: Program, provider, max_steps: int = 1_000_000) -> RunResult:
                                 else eval_rvalue(s.value, None))
         elif isinstance(s, ExprStmt):
             eval_rvalue(s.expr, None)
-        elif isinstance(s, Skip):
-            pass
         else:
             raise TypeError(f"unexpected statement {s!r}")
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kinduct.frontend import Binary, Nondet, parse, typecheck, override_widths, walk
+from kinduct.frontend import Binary, Nondet, parse, typecheck, walk
 from kinduct.goto_ir import LoopItem, items_in, lower
 from kinduct.vcgen import eval_formula
 
@@ -44,10 +44,7 @@ SUPERLOOP = """int main() {
 
 def compile_mc(source: str, width: int | None = None):
     """Source text -> lowered GotoProgram, optionally at a forced width."""
-    prog = parse(source)
-    if width is not None:
-        prog = override_widths(prog, width)
-    return lower(typecheck(prog))
+    return lower(typecheck(parse(source), width))
 
 
 def satisfies(f, model: dict) -> bool:

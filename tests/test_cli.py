@@ -253,6 +253,23 @@ def test_dump_invariants_prints_what_builtin_plants(capsys):
         assert capsys.readouterr().out.strip() == "\n".join(blocks[path.name]), path.name
 
 
+def test_dump_invariants_loads_and_infers_once(capsys, monkeypatch):
+    """Under the default `builtin` mode, `--dump-invariants` alone runs
+    the inference once: for the dump, not for a program it never prints."""
+    from kinduct import driver, invariants
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return invariants.infer_invariants(*args)
+    monkeypatch.setattr(driver, "infer_invariants", counted)
+    monkeypatch.setattr(cli, "infer_invariants", counted)
+    assert run("verify", str(corpus_path("fig1_unsigned.mc")),
+               "--dump-invariants") == EXIT_TRUE
+    assert capsys.readouterr().out.strip()
+    assert len(calls) == 1
+
+
 def test_dump_unwound_with_k(capsys):
     assert run("verify", str(corpus_path("fig1_unsigned.mc")),
                "--dump-unwound", "forward", "--k", "2",

@@ -332,6 +332,60 @@ def test_width_override_narrows_symbols():
     assert all(ty.width == 8 for ty in s.symbols.values())
 
 
+# Two nondet calls of different C types: at width 8, both draw 8 bits.
+NONDET_CALLS = """int main() {
+  unsigned char a = __VERIFIER_nondet_uchar();
+  int x = __VERIFIER_nondet_int();
+  assert(x != 5 || a != 3);
+  return 0;
+}
+"""
+
+
+def test_width_override_narrows_nondet_calls(tmp_path):
+    f = tmp_path / "nondet_calls.mc"
+    f.write_text(NONDET_CALLS)
+    cfg = KInductionConfig(invariants_mode="none", width_override=8)
+    g = load_program(str(f), cfg)
+    s = to_ssa(unwind(g, 1, Phase.BASE))
+    assert len(s.draw_symbols) == 2
+    assert all(ty.width == 8 for _nid, _ctx, ty in s.draw_symbols.values())
+    assert oracle.explore(g, 1).violation_k == 1
+    v = verify_file(str(f), cfg)
+    assert (v.status, v.decided_by, v.k_at_decision) == (FALSE, "BASE", 1)
+    assert v.counterexample.states[-1] == {"a": 3, "x": 5}
+
+
+@pytest.mark.parametrize("width", [None, 8, 16, 32])
+def test_config_accepts_the_widths(width):
+    assert KInductionConfig(width_override=width).width_override == width
+
+
+@pytest.mark.parametrize("width", [0, 12])
+def test_config_rejects_other_widths(width):
+    with pytest.raises(ValueError, match=f"width_override must be None, 8, 16 or 32, not {width}"):
+        KInductionConfig(width_override=width)
+
+
+# C11 5.2.4.1 asks every translator to take at least 63 levels of nested
+# parentheses and 127 levels of nested blocks.  Run at pytest's own
+# stack depth.
+NESTED_PARENS = ("int main() {\n  int x = 0;\n  assert(" + "(" * 63 + "x == 0"
+                 + ")" * 63 + ");\n  return 0;\n}\n")
+NESTED_BLOCKS = ("int main() {\n  int x = 0;\n" + "if (x == 0) {\n" * 127
+                 + "assert(x == 0);\n" + "}\n" * 127 + "  return 0;\n}\n")
+
+
+@pytest.mark.parametrize("mode", INVARIANT_MODES)
+@pytest.mark.parametrize("source", [NESTED_PARENS, NESTED_BLOCKS],
+                         ids=["parens_63", "blocks_127"])
+def test_c11_minimum_nesting_verifies(source, mode, tmp_path):
+    f = tmp_path / "nested.mc"
+    f.write_text(source)
+    v = verify_file(str(f), KInductionConfig(invariants_mode=mode))
+    assert v.status == TRUE
+
+
 def test_emit_directories_receive_phase_files(tmp_path):
     smt = tmp_path / "smt"
     cnf = tmp_path / "cnf"

@@ -9,7 +9,6 @@ import pytest
 from kinduct.frontend import (
     Assert, Assume, Binary, Cast, Const, IntType, MiniCError, Nondet, Program,
     Var, While, is_boolean, lex, parse, pretty_print, promote, typecheck,
-    override_widths,
 )
 from conftest import FIG1, NEGATIVE, compile_mc, corpus_entries
 
@@ -152,7 +151,7 @@ def test_explicit_cast():
 
 def test_override_widths():
     prog = parse(FIG1)
-    prog8 = typecheck(override_widths(prog, 8))
+    prog8 = typecheck(prog, 8)
     (nd,) = count_nodes(prog8, Nondet)
     assert nd.ty == IntType(8, False)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from kinduct.driver import INVARIANT_MODES, KInductionConfig, verify_file
-from kinduct.frontend import Skip, parse, typecheck, walk
+from kinduct.frontend import parse, pretty_print, typecheck
 from kinduct.goto_ir import (
     GotoProgram, LoopItem, dump_goto, free_vars,
     loop_variables, lower,
@@ -206,9 +206,8 @@ def test_semantic_preservation_on_corpus():
     a run cut off mid-loop has no comparable final store.
     """
     import random
-    from kinduct.frontend import override_widths
     for path, _expected, _cat in corpus_entries():
-        prog = typecheck(override_widths(parse(path.read_text()), 8))
+        prog = typecheck(parse(path.read_text()), 8)
         g = lower(prog)
         for seed in (1, 2, 3):
             a = run_ast(prog, RandomProvider(random.Random(seed)))
@@ -239,11 +238,15 @@ EMPTY_STATEMENTS = """int main() {
 
 def test_empty_statements_lower_to_nothing(tmp_path):
     """`;` at top level, in a loop body and in both branches of an `if`
-    adds no instruction and changes no verdict, in every invariant mode."""
+    is the empty block `{ }`: it adds no instruction and changes no
+    verdict, in every invariant mode."""
+    braced = EMPTY_STATEMENTS.replace("  ;\n", "  { }\n").replace("{ ; }", "{ { } }") \
+        .replace("if (n > 5) ; else ;", "if (n > 5) { } else { }")
+    assert braced.count("{ }") == 7
+    assert parse(EMPTY_STATEMENTS) == parse(braced)
+    assert parse(pretty_print(parse(EMPTY_STATEMENTS))) == parse(EMPTY_STATEMENTS)
     without = EMPTY_STATEMENTS.replace("  ;\n", "").replace("{ ; }", "{ }") \
         .replace("if (n > 5) ; else ;", "if (n > 5) { } else { }")
-    body = [parse(src).function("main").body for src in (EMPTY_STATEMENTS, without)]
-    assert [sum(isinstance(n, Skip) for n in walk(b)) for b in body] == [7, 0]
     assert dump_goto(compile_mc(EMPTY_STATEMENTS)) == dump_goto(compile_mc(without))
     for mode in INVARIANT_MODES:
         cfg = KInductionConfig(invariants_mode=mode, max_iterations=6)

@@ -71,7 +71,6 @@ def test_variable_sum_detected():
 def test_inference_sound_at_8bit_by_enumeration():
     """Instrumented assumes never cut an execution: exhaustively checked."""
     from kinduct import oracle
-    from kinduct.frontend import override_widths
     src = """int main() {
       unsigned char n = __VERIFIER_nondet_uchar() % 16;
       unsigned char i = 0;
@@ -79,7 +78,7 @@ def test_inference_sound_at_8bit_by_enumeration():
       assert(i == n);
       return 0;
     }"""
-    g = lower(typecheck(override_widths(parse(src), 8)))
+    g = lower(typecheck(parse(src), 8))
     gi = instrument(g, infer_invariants(g))
     res = oracle.explore(gi, k=None)
     assert res.blocked == 0
